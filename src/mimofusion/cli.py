@@ -115,7 +115,10 @@ def _cmd_run(args) -> int:
     if args.replay:
         if not os.path.exists(args.replay):
             raise ConfigError(f"manifest not found: {args.replay}")
-        config = load_manifest(args.replay)
+        try:
+            config = load_manifest(args.replay)
+        except ValueError as exc:  # bad JSON, values or stream version
+            raise ConfigError(f"cannot replay {args.replay}: {exc}") from exc
     elif args.config:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")

@@ -1,11 +1,14 @@
 """Monte Carlo orchestration: trial streams, empirical rates, and experiments.
 
-Every trial owns a random stream derived from (master_seed, point, scenario,
-antenna-group, trial), so results are bit-identical regardless of worker-thread
-count or which curves share a run.  A "scenario" here is one channel draw of
-the fixed network; trials redraw the signal and both noises.  Curves with the
-same gain policy share received vectors, and every detector consumes raw
-statistic arrays so a threshold sweep never resamples.
+A "scenario" here is one channel draw of the fixed network; trials redraw the
+signal and both noises.  Each work unit, one (point, scenario, antenna group)
+of a run, owns one random stream derived from (master_seed, point, scenario,
+antenna group), read in order in chunks (:class:`TrialStream`).  Results are
+therefore bit-identical for any chunk size, any worker-thread count and
+whichever curves share a run.  Manifests record :data:`STREAM_VERSION`, and
+one written under another sampler version is refused, as its bytes would differ.
+Curves with the same gain policy share received vectors, and every detector
+consumes raw statistic arrays so a threshold sweep never resamples.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ _TAG_CHANNEL = 0
 _TAG_TRIALS = 1
 _TAG_ED_THRESHOLD = 2
 _CHUNK = 2048
+STREAM_VERSION = 2
 
 
 def compatible(detector: str, policy: str) -> bool:
@@ -160,19 +164,33 @@ def resolve_gains(policy: str, scenario: Scenario, m: int, p: float) -> GainVect
     raise ValueError(f"unknown multi-antenna policy {policy!r}")
 
 
-def _trial_draws(scenario, m, master_seed, path, start, stop):
-    n = scenario.n_sensors
-    count = stop - start
-    theta = np.empty(count, dtype=complex)
-    v = np.empty((n, count), dtype=complex)
-    noise = np.empty((m, count), dtype=complex)
-    v_scale = np.sqrt(scenario.meas_noise_vars)
-    for j, t in enumerate(range(start, stop)):
-        rng = derive_rng(master_seed, *path, t)
-        theta[j] = complex_normal(rng, scenario.signal_var)
-        v[:, j] = complex_normal(rng, 1.0, n) * v_scale
-        noise[:, j] = complex_normal(rng, scenario.fc_noise_var, m)
-    return theta, v, noise
+class TrialStream:
+    """The random draws of one work unit's trials, read in order in chunks.
+
+    The path seeds one stream, which spawns three children: one each for the
+    signal theta, the measurement noise v and the receiver noise.  Each child
+    is drawn trial-major, so reading the trials in chunks of any size gives the
+    same values as reading them all at once.
+    """
+
+    def __init__(self, scenario: Scenario, m: int, master_seed: int, path: tuple[int, ...]):
+        self._scenario = scenario
+        self._m = m
+        self._v_scale = np.sqrt(scenario.meas_noise_vars)
+        self._theta, self._v, self._noise = derive_rng(master_seed, *path).spawn(3)
+
+    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` trials: theta (count,), v (N, count), noise (M, count)."""
+        sc = self._scenario
+        theta = complex_normal(self._theta, sc.signal_var, out=np.empty(count, complex))
+        v = complex_normal(self._v, 1.0, out=np.empty((count, sc.n_sensors), complex))
+        v *= self._v_scale
+        noise = complex_normal(
+            self._noise, sc.fc_noise_var, out=np.empty((count, self._m), complex)
+        )
+        # one transposing copy: the synthesis adds noise to C-ordered (M, count)
+        # blocks once per gain policy, and a strided operand there costs more
+        return theta, v.T, np.ascontiguousarray(noise.T)
 
 
 def _energy_per_antenna(y: np.ndarray) -> np.ndarray:
@@ -203,7 +221,7 @@ def simulate_statistics(
     master_seed: int,
     path: tuple[int, ...] = (0,),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the detector statistic under both hypotheses, one stream per trial.
+    """Sample the detector statistic under both hypotheses from one trial stream.
 
     Returns (noise-only statistics, signal-present statistics); thresholding is
     left to the caller so one sampled set serves a whole ROC sweep.  The two
@@ -221,11 +239,10 @@ def simulate_statistics(
         ctx = np_detector.NpTestContext.build(gains, channel, scenario)
     h_row = channel.h_matrix[0] if single else None
     coherent = complex(np.sum(gains.gains * h_row)) if single else 0.0
+    stream = TrialStream(scenario, channel.m_antennas, master_seed, path)
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        theta, v, noise = _trial_draws(
-            scenario, channel.m_antennas, master_seed, path, start, stop
-        )
+        theta, v, noise = stream.draw(stop - start)
         if single:
             y0 = (h_row * gains.gains) @ v + noise[0]
             y1 = y0 + coherent * theta
@@ -335,11 +352,11 @@ def _run_scenario_multi(config, point_idx, p, m, s_idx, specs, tallies):
         prepared.append((i, spec, ctx, thr))
     if not prepared:
         return
-    path = (point_idx, s_idx, m, _TAG_TRIALS)
+    stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
     trials = config.trials_per_scenario
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        theta, v, noise = _trial_draws(scenario, m, config.master_seed, path, start, stop)
+        theta, v, noise = stream.draw(stop - start)
         by_policy: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for i, spec, ctx, thr in prepared:
             if spec.policy not in by_policy:
@@ -382,11 +399,11 @@ def _run_scenario_single(config, point_idx, p, m, s_idx, specs, tallies):
         prepared.append((i, spec, gains, ctx, g_s, coherent))
     if not prepared:
         return
-    path = (point_idx, s_idx, 1, _TAG_TRIALS)
+    stream = TrialStream(scenario, 1, config.master_seed, (point_idx, s_idx, 1, _TAG_TRIALS))
     trials = config.trials_per_scenario
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        theta, v, noise = _trial_draws(scenario, 1, config.master_seed, path, start, stop)
+        theta, v, noise = stream.draw(stop - start)
         cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i, spec, gains, ctx, g_s, coherent in prepared:
             key = id(gains)
@@ -445,29 +462,29 @@ def _point_rows(config, point_idx, p, m, specs, merged) -> list[ResultRow]:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute the configured sweep and tabulate one row per curve and point.
 
-    Scenarios run independently (optionally on a thread pool) and are merged in
-    index order, so the result is identical for any thread count.  A failing
-    operating point is recorded and its rows emitted as NaN instead of aborting
-    the sweep.
+    Scenarios run independently (optionally on one thread pool for the whole
+    run) and are merged in index order, so the result is identical for any
+    thread count.  A failing operating point is recorded and its rows emitted
+    as NaN instead of aborting the sweep.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if threads == 1:
+        return _run_sweep(config, map)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _run_sweep(config, pool.map)
+
+
+def _run_sweep(config: ExperimentConfig, map_scenarios) -> ExperimentResult:
     rows: list[ResultRow] = []
     errors: list[tuple[int, str]] = []
     for point_idx, (p, m) in enumerate(config.sweep):
         try:
             specs = _prepare_point(config, point_idx, p, m)
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    per_scenario = list(pool.map(
-                        lambda s: _run_scenario(config, point_idx, p, m, s, specs),
-                        range(config.n_scenarios),
-                    ))
-            else:
-                per_scenario = [
-                    _run_scenario(config, point_idx, p, m, s, specs)
-                    for s in range(config.n_scenarios)
-                ]
+            per_scenario = list(map_scenarios(
+                lambda s: _run_scenario(config, point_idx, p, m, s, specs),
+                range(config.n_scenarios),
+            ))
             merged = [_Tally() for _ in specs]
             for tallies in per_scenario:
                 for agg, one in zip(merged, tallies):
@@ -488,6 +505,7 @@ def manifest_dict(config: ExperimentConfig) -> dict:
     """Frozen, replayable description of a run: config echo plus explicit scenario."""
     sc = config.scenario
     return {
+        "stream_version": STREAM_VERSION,
         "experiment": config.experiment_id,
         "sweep": [[p, m] for p, m in config.sweep],
         "trials": config.trials_per_scenario,
@@ -507,6 +525,18 @@ def manifest_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_manifest(data: dict) -> ExperimentConfig:
+    """Rebuild a config from :func:`manifest_dict` output.
+
+    Raises ValueError for a manifest written under another random-stream
+    version: replaying it would not reproduce its CSV bytes.
+    """
+    version = data.get("stream_version")
+    if version != STREAM_VERSION:
+        found = "no stream_version" if version is None else f"stream_version {version!r}"
+        raise ValueError(
+            f"manifest has {found}, but this version replays only stream_version "
+            f"{STREAM_VERSION}; rerun the experiment from its config instead"
+        )
     sc = data["scenario"]
     scenario = Scenario(
         np.asarray(sc["distances"], dtype=float),

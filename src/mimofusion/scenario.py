@@ -21,8 +21,10 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Derive an independent random stream from a master seed and index path.
 
     The same (seed, path) pair always yields the same stream, and distinct
-    paths yield statistically independent streams.  Trial-level parallelism
-    hands each unit of work its own path.
+    paths yield statistically independent streams.  Each unit of work (the
+    harness uses one per channel draw and one per point, scenario and antenna
+    group for all of its trials) gets its own path, so results do not depend
+    on the order or the thread the units run in.
     """
     if master_seed < 0:
         raise ValueError("master_seed must be nonnegative")
@@ -30,10 +32,25 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def complex_normal(rng: np.random.Generator, var: float, size=None) -> np.ndarray:
-    """Draw circular complex Gaussians: real/imag parts each with variance var/2."""
+def complex_normal(
+    rng: np.random.Generator, var: float, size=None, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw circular complex Gaussians: real/imag parts each with variance var/2.
+
+    With ``out`` (a C-contiguous complex128 array, ``size`` left unset) the
+    block is filled in place and returned: one draw of interleaved real and
+    imaginary parts, scaled without temporaries.  The fill reads the stream
+    entry by entry in C order, so filling a block in consecutive pieces gives
+    the same values as filling it at once; they differ from a ``size=`` draw.
+    """
     scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    if out is None:
+        return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    if size is not None or out.dtype != np.complex128:
+        raise ValueError("out must be a complex128 array and excludes size")
+    rng.standard_normal(out=out.view(np.float64))
+    out *= scale
+    return out
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from mimofusion.energy_detector import (
     quadratic_form_variance,
     weighted_chi2_tail,
 )
-from mimofusion.harness import ExperimentConfig, run_experiment, simulate_statistics, _trial_draws
+from mimofusion.harness import ExperimentConfig, TrialStream, run_experiment, simulate_statistics
 from mimofusion.lmmse import lmmse_mse_bound, mse_closed_form
 from mimofusion.np_detector import NpTestContext, pd_closed_form
 from mimofusion.np_gains import np_pd_bound, snr_floor_power, waterfill, waterfill_kkt_residual
@@ -143,9 +143,10 @@ def test_criterion_5_lmmse_identity_and_floor(scenario):
             ctx = NpTestContext.build(gains, channel, scenario)
             theory_total += mse_closed_form(ctx.snr, scenario.signal_var)
             w = ctx.whitened_steering
+            stream = TrialStream(scenario, m, 505, (c,))
             for start in range(0, trials_per, 4096):
                 stop = min(start + 4096, trials_per)
-                theta, v, noise = _trial_draws(scenario, m, 505, (c,), start, stop)
+                theta, v, noise = stream.draw(stop - start)
                 y1 = (channel.h_matrix * gains.gains) @ v + noise
                 y1 += np.outer(channel.h_matrix @ gains.gains, theta)
                 est = (w.conj() @ y1) / (1.0 / scenario.signal_var + ctx.snr)

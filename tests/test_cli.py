@@ -140,6 +140,22 @@ class TestRun:
             bytes_b = fh.read()
         assert bytes_a == bytes_b
 
+    def test_replay_without_stream_version_is_config_error(self, experiment_cfg, tmp_path,
+                                                           capsys):
+        first = str(tmp_path / "first")
+        assert main(["run", "--config", experiment_cfg, "--output-dir", first]) == 0
+        manifest = os.path.join(first, "unit_cli.manifest.json")
+        with open(manifest) as fh:
+            data = json.load(fh)
+        del data["stream_version"]
+        with open(manifest, "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        rc = main(["run", "--replay", manifest, "--output-dir", str(tmp_path / "second")])
+        assert rc == 2
+        assert "stream_version" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "second" / "unit_cli.csv")
+
     def test_overrides_change_manifest(self, experiment_cfg, tmp_path):
         out_dir = str(tmp_path / "o")
         rc = main(["run", "--config", experiment_cfg, "--output-dir", out_dir,

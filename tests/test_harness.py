@@ -4,7 +4,9 @@ import pytest
 from mimofusion import np_gains
 from mimofusion.harness import (
     CSV_COLUMNS,
+    STREAM_VERSION,
     ExperimentConfig,
+    TrialStream,
     config_from_manifest,
     estimate_pd_pfa,
     manifest_dict,
@@ -62,6 +64,29 @@ class TestEstimatePdPfa:
         ch = sample_channel(scenario, 4, derive_rng(609))
         with pytest.raises(ValueError):
             simulate_statistics("np_single", GainVector.equal_power(1.0, 5), ch, scenario, 10, 610)
+
+
+class TestTrialStream:
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_chunked_draws_equal_one_draw(self, scenario, m):
+        """Three chunks of 7 trials equal one draw of 21, for every quantity.
+
+        Draw equality is what makes the chunk size no part of the output
+        contract.  Whole CSVs are not compared: ``mse_emp`` sums squared errors
+        per chunk, so its last ulp depends on the chunk boundaries.
+        """
+        chunked = TrialStream(scenario, m, 611, (3, 1))
+        pieces = [chunked.draw(7) for _ in range(3)]
+        whole = TrialStream(scenario, m, 611, (3, 1)).draw(21)
+        for k, name in enumerate(("theta", "v", "noise")):
+            joined = np.concatenate([piece[k] for piece in pieces], axis=-1)
+            assert np.array_equal(joined, whole[k]), name
+
+    def test_draw_shapes_and_distinct_paths(self, scenario):
+        theta, v, noise = TrialStream(scenario, 6, 612, (0,)).draw(4)
+        assert theta.shape == (4,) and v.shape == (5, 4) and noise.shape == (6, 4)
+        other = TrialStream(scenario, 6, 612, (1,)).draw(4)
+        assert not np.array_equal(theta, other[0])
 
 
 class TestConfigValidation:
@@ -175,6 +200,16 @@ class TestManifest:
         cfg = small_config(scenario)
         replayed = config_from_manifest(manifest_dict(cfg))
         assert run_experiment(replayed).to_csv() == run_experiment(cfg).to_csv()
+
+    @pytest.mark.parametrize("version", [None, 1, STREAM_VERSION + 1])
+    def test_rejects_other_stream_versions(self, scenario, version):
+        data = manifest_dict(small_config(scenario))
+        if version is None:
+            del data["stream_version"]
+        else:
+            data["stream_version"] = version
+        with pytest.raises(ValueError, match="stream_version"):
+            config_from_manifest(data)
 
     def test_scenario_frozen_explicitly(self, scenario):
         data = manifest_dict(small_config(scenario))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimofusion.harness import _trial_draws
+from mimofusion.harness import TrialStream
 from mimofusion.lmmse import (
     lmmse_estimate,
     lmmse_estimate_single,
@@ -26,9 +26,10 @@ def estimation_errors(sc, ch, gv, trials, seed):
     est_minus_truth = np.empty(trials, dtype=complex)
     chunk = 4096
     w = ctx.whitened_steering
+    stream = TrialStream(sc, ch.m_antennas, seed, (0,))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        theta, v, noise = _trial_draws(sc, ch.m_antennas, seed, (0,), start, stop)
+        theta, v, noise = stream.draw(stop - start)
         y1 = (ch.h_matrix * gv.gains) @ v + noise + np.outer(ch.h_matrix @ gv.gains, theta)
         est = (w.conj() @ y1) / (1.0 / sc.signal_var + ctx.snr)
         err_sq[start:stop] = np.abs(theta - est) ** 2
@@ -105,7 +106,7 @@ class TestSingleAntennaEstimator:
         h = sample_channel(sc, 1, derive_rng(321)).h_matrix[0]
         gv = GainVector.equal_power(4.0, 5)
         ctx = SingleAntennaContext.build(gv, h, sc)
-        theta, v, noise = _trial_draws(sc, 1, 322, (0,), 0, 50_000)
+        theta, v, noise = TrialStream(sc, 1, 322, (0,)).draw(50_000)
         y1 = (h * gv.gains) @ v + noise[0] + np.sum(gv.gains * h) * theta
         results = [lmmse_estimate_single(ctx, complex(y), sc.signal_var) for y in y1[:100]]
         g_s = ctx.sigma_s_sq / (sc.signal_var * ctx.sigma_w_sq)

@@ -203,3 +203,21 @@ def test_complex_normal_moments():
     assert abs(np.mean(np.abs(z) ** 2) - 2.0) < 0.05
     assert abs(np.var(z.real) - 1.0) < 0.03
     assert abs(np.var(z.imag) - 1.0) < 0.03
+
+
+def test_complex_normal_in_place_fill_is_circular():
+    n, var = 1_000_000, 2.5
+    x = complex_normal(derive_rng(42), var, out=np.empty(n, complex))
+    power = np.abs(x) ** 2
+    assert abs(power.mean() - var) <= 5 * power.std() / np.sqrt(n)
+    # circularity: the pseudo-variance E x^2 vanishes
+    x2 = x**2
+    assert abs(x2.mean()) <= 5 * np.sqrt(np.mean(np.abs(x2) ** 2) / n)
+    assert abs(np.corrcoef(x.real, x.imag)[0, 1]) <= 5 / np.sqrt(n)
+
+
+def test_complex_normal_in_place_fill_rejects_bad_out():
+    with pytest.raises(ValueError):
+        complex_normal(derive_rng(43), 1.0, out=np.empty(4, np.complex64))
+    with pytest.raises(ValueError):
+        complex_normal(derive_rng(43), 1.0, 4, out=np.empty(4, complex))
