@@ -102,11 +102,24 @@ class QclpSolution:
 
 
 def _solve_diag_rank1(b_diag: np.ndarray, coeff: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (diag(b) + coeff * 11^T) y = rhs in O(N)."""
+    """Solve (diag(b) + coeff * 11^T) y = rhs in O(N).
+
+    The matrix is positive definite, so y . rhs > 0.  The Sherman-Morrison form
+    breaks that when rhs is constant on the free set (one free sensor, say) and
+    coeff * S is huge, S = sum 1/b_j: its subtraction cancels to zero or below.
+    Then the shift is written out, y_i = ((rhs_i - r) + r / (1 + coeff S)) / b_i
+    with r the 1/b-weighted mean of rhs, which does not cancel.  Elsewhere the
+    two forms agree to rounding, and the first is kept so that those
+    allocations keep their exact values.
+    """
     base = rhs / b_diag
     inv_diag_sum = np.sum(1.0 / b_diag)
     correction = coeff * np.sum(base) / (1.0 + coeff * inv_diag_sum)
-    return base - correction / b_diag
+    y = base - correction / b_diag
+    if float(y @ rhs) > 0:
+        return y
+    mean = np.sum(base) / inv_diag_sum
+    return ((rhs - mean) + mean / (1.0 + coeff * inv_diag_sum)) / b_diag
 
 
 def _certificate(problem: EdAllocationProblem, x_unit: np.ndarray) -> tuple[float, np.ndarray]:
@@ -187,6 +200,8 @@ def solve_qclp(problem: EdAllocationProblem) -> QclpSolution:
         mu = np.maximum(mu, 0.0)
 
     x = x_unit * (problem.p / float(x_unit.sum()))
+    if not np.all(np.isfinite(x)):
+        raise SolverError("allocation is not finite")
     return QclpSolution(
         x=x,
         x_unit=x_unit,

@@ -25,10 +25,19 @@ MC_FALLBACK_SAMPLES = 10**6
 _FALLBACK_SEED = 0x5EED
 
 
-def ed_statistic(y: Observation | np.ndarray) -> float:
-    """Average received energy per antenna, y^H y / M."""
+def ed_statistic(y: Observation | np.ndarray) -> float | np.ndarray:
+    """Average received energy per antenna, y^H y / M.
+
+    A received vector (M,) gives a float; an (M, T) block gives one value per
+    column.
+    """
     vec = y.y if isinstance(y, Observation) else np.asarray(y)
-    return float(np.real(np.vdot(vec, vec)) / vec.size)
+    block = vec.reshape(vec.shape[0], -1)
+    energy = (
+        np.einsum("ij,ij->j", block.real, block.real)
+        + np.einsum("ij,ij->j", block.imag, block.imag)
+    ) / vec.shape[0]
+    return float(energy[0]) if vec.ndim == 1 else energy
 
 
 def deflection_exact(gains: GainVector, channel: ChannelRealization, scenario: Scenario) -> float:

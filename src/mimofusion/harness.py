@@ -1,14 +1,17 @@
 """Monte Carlo orchestration: trial streams, empirical rates, and experiments.
 
 A "scenario" here is one channel draw of the fixed network; trials redraw the
-signal and both noises.  Each work unit, one (point, scenario, antenna group)
-of a run, owns one random stream derived from (master_seed, point, scenario,
-antenna group), read in order in chunks (:class:`TrialStream`).  Results are
-therefore bit-identical for any chunk size, any worker-thread count and
-whichever curves share a run.  Manifests record :data:`STREAM_VERSION`, and
-one written under another sampler version is refused, as its bytes would differ.
-Curves with the same gain policy share received vectors, and every detector
-consumes raw statistic arrays so a threshold sweep never resamples.
+signal and both noises.  A scenario runs in antenna groups: the sweep's M for
+the multi-antenna detectors and M = 1 for the ``*_single`` ones, which are the
+same receiver's one-antenna case (one group when the sweep's M is 1).  Each
+work unit, one (point, scenario, antenna group) of a run, owns one random
+stream derived from that path, read in order in chunks (:class:`TrialStream`).
+Results are therefore bit-identical for any chunk size, any worker-thread
+count and whichever curves share a run.  Manifests record :data:`STREAM_VERSION`,
+and one written under another sampler version is refused, as its bytes would
+differ.  Curves with the same gain policy share received vectors, built for one
+gain vector at a time; the detector and estimator modules score them, and every
+detector consumes raw statistic arrays so a threshold sweep never resamples.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,7 +153,11 @@ class ExperimentResult:
 
 
 def resolve_gains(policy: str, scenario: Scenario, m: int, p: float) -> GainVector:
-    """Materialize a multi-antenna gain policy at one operating point."""
+    """Materialize a gain policy at one operating point.
+
+    ``single_antenna_optimal`` needs the channel draw, so it is not resolved
+    here but per draw, by :func:`np_gains.single_antenna_optimal_gains`.
+    """
     if policy == "waterfill":
         return np_gains.waterfill(scenario, m, p).gains
     if policy == "equal":
@@ -193,23 +201,14 @@ class TrialStream:
         return theta, v.T, np.ascontiguousarray(noise.T)
 
 
-def _energy_per_antenna(y: np.ndarray) -> np.ndarray:
-    m = y.shape[0]
-    return (
-        np.einsum("ij,ij->j", y.real, y.real) + np.einsum("ij,ij->j", y.imag, y.imag)
-    ) / m
-
-
-def _multi_statistics(detector, ctx, signal_var, y0, y1):
-    if detector == "np":
-        w = ctx.whitened_steering
-        return (
-            signal_var * np.abs(w.conj() @ y0) ** 2,
-            signal_var * np.abs(w.conj() @ y1) ** 2,
-        )
-    if detector == "ed":
-        return _energy_per_antenna(y0), _energy_per_antenna(y1)
-    raise ValueError(f"unknown multi-antenna detector {detector!r}")
+def _received(channel: ChannelRealization, gains: GainVector, theta, v, noise):
+    """Received (M, count) blocks without and with the signal; the two
+    hypotheses share each trial's draws."""
+    y0 = (channel.h_matrix * gains.gains) @ v
+    y0 += noise
+    y1 = np.outer(channel.h_matrix @ gains.gains, theta)
+    y1 += y0
+    return y0, y1
 
 
 def simulate_statistics(
@@ -225,35 +224,28 @@ def simulate_statistics(
 
     Returns (noise-only statistics, signal-present statistics); thresholding is
     left to the caller so one sampled set serves a whole ROC sweep.  The two
-    hypotheses share each trial's signal and noise draws.
+    hypotheses share each trial's signal and noise draws.  The ``*_single``
+    detectors need a one-antenna channel and return |y|^2, the energy there.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    single = detector in SINGLE_DETECTORS
-    if single and channel.m_antennas != 1:
+    if detector not in DETECTORS:
+        raise ValueError(f"unknown detector {detector!r}")
+    if detector in SINGLE_DETECTORS and channel.m_antennas != 1:
         raise ValueError("single-antenna detectors need a one-antenna channel")
-    t0 = np.empty(trials)
-    t1 = np.empty(trials)
-    ctx = None
+    statistic = energy_detector.ed_statistic
     if detector == "np":
         ctx = np_detector.NpTestContext.build(gains, channel, scenario)
-    h_row = channel.h_matrix[0] if single else None
-    coherent = complex(np.sum(gains.gains * h_row)) if single else 0.0
+        statistic = partial(np_detector.np_statistic, ctx)
+    t0 = np.empty(trials)
+    t1 = np.empty(trials)
     stream = TrialStream(scenario, channel.m_antennas, master_seed, path)
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
         theta, v, noise = stream.draw(stop - start)
-        if single:
-            y0 = (h_row * gains.gains) @ v + noise[0]
-            y1 = y0 + coherent * theta
-            t0[start:stop] = np.abs(y0) ** 2
-            t1[start:stop] = np.abs(y1) ** 2
-        else:
-            y0 = (channel.h_matrix * gains.gains) @ v + noise
-            y1 = y0 + np.outer(channel.h_matrix @ gains.gains, theta)
-            s0, s1 = _multi_statistics(detector, ctx, scenario.signal_var, y0, y1)
-            t0[start:stop] = s0
-            t1[start:stop] = s1
+        y0, y1 = _received(channel, gains, theta, v, noise)
+        t0[start:stop] = statistic(y0)
+        t1[start:stop] = statistic(y1)
     return t0, t1
 
 
@@ -310,120 +302,85 @@ class _Tally:
 
 def _prepare_point(config: ExperimentConfig, point_idx: int, p: float, m: int):
     specs = []
+    gains: dict[str, GainVector | None] = {}
     for curve_idx, (det, pol) in enumerate(config.curves()):
-        if det in MULTI_DETECTORS:
-            gains = resolve_gains(pol, config.scenario, m, p)
-            ed_thr = None
-            if det == "ed":
-                eta = energy_detector.eta_weights(gains, config.scenario)
-                rng = derive_rng(config.master_seed, point_idx, curve_idx, _TAG_ED_THRESHOLD)
-                ed_thr = energy_detector.ed_threshold_for_pfa(
-                    eta, config.scenario, m, config.target_pfa, rng=rng
-                ).gamma_hat
-            specs.append(_CurveSpec(det, pol, gains, ed_thr))
-        else:
-            gains = None
-            if pol == "equal":
-                gains = GainVector.equal_power(p, config.scenario.n_sensors)
-            specs.append(_CurveSpec(det, pol, gains, None))
+        if pol not in gains:
+            needs_csi = pol == "single_antenna_optimal"
+            gains[pol] = None if needs_csi else resolve_gains(pol, config.scenario, m, p)
+        ed_thr = None
+        if det == "ed":
+            eta = energy_detector.eta_weights(gains[pol], config.scenario)
+            rng = derive_rng(config.master_seed, point_idx, curve_idx, _TAG_ED_THRESHOLD)
+            ed_thr = energy_detector.ed_threshold_for_pfa(
+                eta, config.scenario, m, config.target_pfa, rng=rng
+            ).gamma_hat
+        specs.append(_CurveSpec(det, pol, gains[pol], ed_thr))
     return specs
 
 
-def _run_scenario_multi(config, point_idx, p, m, s_idx, specs, tallies):
+def _run_scenario(config, point_idx, p, m, s_idx, specs):
+    """Tally every curve on one scenario, one antenna group at a time."""
+    tallies = [_Tally() for _ in specs]
+    groups: dict[int, dict[str, list[int]]] = {}
+    for i, spec in enumerate(specs):
+        m_group = 1 if spec.detector in SINGLE_DETECTORS else m
+        groups.setdefault(m_group, {}).setdefault(spec.policy, []).append(i)
+    for m_group, policies in groups.items():
+        _run_group(config, point_idx, p, m_group, s_idx, specs, policies, tallies)
+    return tallies
+
+
+def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
+    """One antenna group's channel draw and trials; ``policies`` maps each gain
+    policy to the indices of the curves that use it.
+
+    Every curve but ``ed``'s makes the likelihood-ratio decision, ``ed_single``
+    included: at M = 1 that decision is |y|^2 > sigma_w^2 ln(1/target_pfa),
+    the one-antenna receiver's test.
+    """
     scenario = config.scenario
     sv = scenario.signal_var
+    pfa = config.target_pfa
     channel = sample_channel(
         scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
     )
     prepared = []
-    for i, spec in enumerate(specs):
-        if spec.detector not in MULTI_DETECTORS:
-            continue
-        if spec.detector == "np":
-            ctx = np_detector.NpTestContext.build(spec.gains, channel, scenario)
-            thr = np_detector.threshold_for_pfa(ctx.snr, sv, config.target_pfa)
-            tallies[i].pd_theory += np_detector.pd_closed_form(ctx.snr, sv, config.target_pfa)
-            tallies[i].mse_theory += lmmse.mse_closed_form(ctx.snr, sv)
-        else:
-            ctx = None
-            thr = spec.ed_threshold
-            tallies[i].deflection += energy_detector.deflection_exact(spec.gains, channel, scenario)
-        tallies[i].theory_count += 1
-        prepared.append((i, spec, ctx, thr))
-    if not prepared:
-        return
+    for curves in policies.values():
+        gains = specs[curves[0]].gains
+        if gains is None:
+            gains = np_gains.single_antenna_optimal_gains(scenario, channel.h_matrix[0], p)
+        ctx = None
+        if any(specs[i].detector != "ed" for i in curves):
+            ctx = np_detector.NpTestContext.build(gains, channel, scenario, target_pfa=pfa)
+        for i in curves:
+            tally = tallies[i]
+            if specs[i].detector != "ed":
+                tally.pd_theory += np_detector.pd_closed_form(ctx.snr, sv, pfa)
+                tally.mse_theory += lmmse.mse_closed_form(ctx.snr, sv)
+            if specs[i].detector in ("ed", "ed_single"):
+                tally.deflection += energy_detector.deflection_exact(gains, channel, scenario)
+            tally.theory_count += 1
+        prepared.append((gains, ctx, curves))
     stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
     trials = config.trials_per_scenario
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
         theta, v, noise = stream.draw(stop - start)
-        by_policy: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for i, spec, ctx, thr in prepared:
-            if spec.policy not in by_policy:
-                y0 = (channel.h_matrix * spec.gains.gains) @ v + noise
-                y1 = y0 + np.outer(channel.h_matrix @ spec.gains.gains, theta)
-                by_policy[spec.policy] = (y0, y1)
-            y0, y1 = by_policy[spec.policy]
-            s0, s1 = _multi_statistics(spec.detector, ctx, sv, y0, y1)
-            tallies[i].fa += int(np.count_nonzero(s0 > thr))
-            tallies[i].det += int(np.count_nonzero(s1 > thr))
-            tallies[i].trials += stop - start
-            if spec.detector == "np":
-                est = (ctx.whitened_steering.conj() @ y1) / (1.0 / sv + ctx.snr)
-                tallies[i].err_sq += float(np.sum(np.abs(theta - est) ** 2))
-
-
-def _run_scenario_single(config, point_idx, p, m, s_idx, specs, tallies):
-    scenario = config.scenario
-    sv = scenario.signal_var
-    channel = sample_channel(
-        scenario, 1, derive_rng(config.master_seed, point_idx, s_idx, 1, _TAG_CHANNEL)
-    )
-    h = channel.h_matrix[0]
-    prepared = []
-    for i, spec in enumerate(specs):
-        if spec.detector not in SINGLE_DETECTORS:
-            continue
-        gains = spec.gains
-        if gains is None:
-            gains = np_gains.single_antenna_optimal_gains(scenario, h, p)
-        ctx = np_detector.SingleAntennaContext.build(gains, h, scenario, config.target_pfa)
-        tallies[i].pd_theory += np_detector.single_antenna_pd(ctx)
-        g_s = ctx.sigma_s_sq / (sv * ctx.sigma_w_sq)
-        if spec.detector == "np_single":
-            tallies[i].mse_theory += lmmse.mse_closed_form(g_s, sv)
-        else:
-            tallies[i].deflection += energy_detector.single_antenna_deflection(gains, h, scenario)
-        tallies[i].theory_count += 1
-        coherent = complex(np.sum(gains.gains * h))
-        prepared.append((i, spec, gains, ctx, g_s, coherent))
-    if not prepared:
-        return
-    stream = TrialStream(scenario, 1, config.master_seed, (point_idx, s_idx, 1, _TAG_TRIALS))
-    trials = config.trials_per_scenario
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        theta, v, noise = stream.draw(stop - start)
-        cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for i, spec, gains, ctx, g_s, coherent in prepared:
-            key = id(gains)
-            if key not in cache:
-                y0 = (h * gains.gains) @ v + noise[0]
-                cache[key] = (y0, y0 + coherent * theta)
-            y0, y1 = cache[key]
-            tallies[i].fa += int(np.count_nonzero(np.abs(y0) ** 2 > ctx.threshold))
-            tallies[i].det += int(np.count_nonzero(np.abs(y1) ** 2 > ctx.threshold))
-            tallies[i].trials += stop - start
-            if spec.detector == "np_single":
-                est = (np.conj(coherent) / ctx.sigma_w_sq) * y1 / (1.0 / sv + g_s)
-                tallies[i].err_sq += float(np.sum(np.abs(theta - est) ** 2))
-
-
-def _run_scenario(config, point_idx, p, m, s_idx, specs):
-    tallies = [_Tally() for _ in specs]
-    _run_scenario_multi(config, point_idx, p, m, s_idx, specs, tallies)
-    _run_scenario_single(config, point_idx, p, m, s_idx, specs, tallies)
-    return tallies
+        for gains, ctx, curves in prepared:
+            y0, y1 = _received(channel, gains, theta, v, noise)
+            for i in curves:
+                spec, tally = specs[i], tallies[i]
+                if spec.detector == "ed":
+                    thr, statistic = spec.ed_threshold, energy_detector.ed_statistic
+                else:
+                    thr, statistic = ctx.threshold, partial(np_detector.np_statistic, ctx)
+                tally.fa += int(np.count_nonzero(statistic(y0) > thr))
+                tally.det += int(np.count_nonzero(statistic(y1) > thr))
+                tally.trials += stop - start
+                if spec.detector in ("np", "np_single"):
+                    est = lmmse.lmmse_estimate(ctx, y1).estimate
+                    tally.err_sq += float(np.sum(np.abs(theta - est) ** 2))
+            del y0, y1  # hold one gain vector's blocks at a time
 
 
 def _point_rows(config, point_idx, p, m, specs, merged) -> list[ResultRow]:

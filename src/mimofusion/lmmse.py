@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .np_detector import NpTestContext, SingleAntennaContext
+from .np_detector import NpTestContext
 from .scenario import Observation, Scenario
 
 
 @dataclass(frozen=True)
 class LmmseResult:
-    estimate: complex
+    estimate: complex | np.ndarray
     theoretical_mse: float
 
 
@@ -30,20 +30,15 @@ def mse_closed_form(snr: float, signal_var: float) -> float:
 
 
 def lmmse_estimate(ctx: NpTestContext, y: Observation | np.ndarray) -> LmmseResult:
-    """Estimate the signal from one received vector using the cached context."""
+    """Estimate the signal using the cached context.
+
+    A received vector (M,) gives a complex estimate; an (M, T) block gives one
+    estimate per column.  At M = 1 this is the scalar receiver's estimator.
+    """
     vec = y.y if isinstance(y, Observation) else np.asarray(y)
     sv = ctx.scenario.signal_var
-    num = np.vdot(ctx.whitened_steering, vec)
-    est = num / (1.0 / sv + ctx.snr)
-    return LmmseResult(complex(est), mse_closed_form(ctx.snr, sv))
-
-
-def lmmse_estimate_single(ctx: SingleAntennaContext, y: complex, signal_var: float) -> LmmseResult:
-    """Scalar-receiver estimator; the effective SNR is sigma_s_sq / (signal_var * sigma_w_sq)."""
-    coherent = complex(np.sum(ctx.gains.gains * np.asarray(ctx.h)))
-    g = ctx.sigma_s_sq / (signal_var * ctx.sigma_w_sq)
-    est = (np.conj(coherent) / ctx.sigma_w_sq) * y / (1.0 / signal_var + g)
-    return LmmseResult(complex(est), mse_closed_form(g, signal_var))
+    est = (ctx.whitened_steering.conj() @ vec) / (1.0 / sv + ctx.snr)
+    return LmmseResult(complex(est) if vec.ndim == 1 else est, mse_closed_form(ctx.snr, sv))
 
 
 def lmmse_mse_bound(scenario: Scenario, regime: str) -> float:

@@ -150,15 +150,23 @@ class NpTestContext:
         return cls(gains, channel, scenario, w, g, thr)
 
 
-def np_statistic(ctx: NpTestContext, y: Observation | np.ndarray) -> float:
-    """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2 for one received vector."""
+def np_statistic(ctx: NpTestContext, y: Observation | np.ndarray) -> float | np.ndarray:
+    """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2.
+
+    A received vector (M,) gives a float; an (M, T) block gives one value per
+    column.
+    """
     vec = y.y if isinstance(y, Observation) else np.asarray(y)
-    return float(ctx.scenario.signal_var * np.abs(np.vdot(ctx.whitened_steering, vec)) ** 2)
+    stat = ctx.scenario.signal_var * np.abs(ctx.whitened_steering.conj() @ vec) ** 2
+    return float(stat) if vec.ndim == 1 else stat
 
 
 @dataclass(frozen=True, eq=False)
 class SingleAntennaContext:
-    """Scalar-receiver specialization: signal power, noise power, and threshold.
+    """Scalar-receiver closed forms: signal power, noise power, and threshold.
+
+    The general path on a one-antenna channel is the same receiver; these
+    scalar forms are the reference it is tested against.
 
     sigma_s_sq = signal_var * |sum_i a_i h_i|^2 and
     sigma_w_sq = sum_i |a_i h_i|^2 v_i + fc_noise_var.

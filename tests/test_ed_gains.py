@@ -64,6 +64,18 @@ class TestSolveQclp:
         sol = solve_qclp(EdAllocationProblem.from_scenario(sc, 50, 3.0))
         assert sol.x[0] == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, distance, m, p",
+        [(1, 100.0, 1, 1e-4), (1, 1000.0, 302, 1.2e-4), (1, 1e4, 1, 1.0), (5, 1000.0, 1, 1e-4)],
+    )
+    def test_huge_rank_one_coefficient_stays_finite(self, n, distance, m, p):
+        # s^2 / (M P^2) times sum 1/b_j is huge here and the sensors are alike;
+        # the rank-one solve once cancelled to NaN gains and returned them
+        sc = Scenario(np.full(n, distance), np.full(n, 0.25), 1.0, 0.3, 2.0)
+        sol = solve_qclp(EdAllocationProblem.from_scenario(sc, m, p))
+        assert_allclose(sol.x, np.full(n, p / n), rtol=1e-12)
+        assert np.isfinite(sol.deflection)
+
     def test_identical_sensors_uniform(self):
         sc = Scenario(np.full(5, 3.0), np.full(5, 0.4), 1.0, 0.3, 2.0)
         sol = solve_qclp(EdAllocationProblem.from_scenario(sc, 50, 10.0))

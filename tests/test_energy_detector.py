@@ -29,6 +29,18 @@ class TestStatistic:
     def test_zero_vector(self):
         assert ed_statistic(np.zeros(8, complex)) == 0.0
 
+    def test_block_matches_per_column_calls(self):
+        sc = sample_scenario(3, derive_rng(407))
+        ch = sample_channel(sc, 16, derive_rng(408))
+        gv = GainVector.equal_power(2.0, 3)
+        block = np.stack(
+            [sample_observation(ch, gv, sc, "H1", derive_rng(409, k)).y for k in range(5)], axis=1
+        )
+        stats = ed_statistic(block)
+        assert stats.shape == (5,)
+        for k in range(5):
+            assert stats[k] == pytest.approx(ed_statistic(block[:, k]), rel=1e-12)
+
     def test_pure_noise_mean(self):
         sc = sample_scenario(3, derive_rng(401))
         ch = sample_channel(sc, 16, derive_rng(402))

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from mimofusion.harness import TrialStream
-from mimofusion.lmmse import (
-    lmmse_estimate,
-    lmmse_estimate_single,
-    lmmse_mse_bound,
-    mse_closed_form,
-)
+from mimofusion.lmmse import lmmse_estimate, lmmse_mse_bound, mse_closed_form
 from mimofusion.np_detector import NpTestContext, SingleAntennaContext
 from mimofusion.scenario import (
     GainVector,
@@ -98,25 +93,38 @@ class TestEstimator:
         result = lmmse_estimate(ctx, y)
         manual = np.vdot(ctx.whitened_steering, y.y) / (1.0 / sc.signal_var + ctx.snr)
         assert result.estimate == pytest.approx(complex(manual), rel=1e-12)
+        # an (M, T) block gives the per-column estimates
+        block = np.stack(
+            [sample_observation(ch, gv, sc, "H1", derive_rng(314, k)).y for k in range(6)], axis=1
+        )
+        batched = lmmse_estimate(ctx, block)
+        assert batched.estimate.shape == (6,)
+        assert batched.theoretical_mse == result.theoretical_mse
+        for k in range(6):
+            one = lmmse_estimate(ctx, block[:, k]).estimate
+            assert batched.estimate[k] == pytest.approx(one, rel=1e-12)
 
 
 class TestSingleAntennaEstimator:
     def test_empirical_mse_matches_theory(self):
+        """The estimator on a one-antenna channel is the scalar receiver's."""
         sc = sample_scenario(5, derive_rng(320))
-        h = sample_channel(sc, 1, derive_rng(321)).h_matrix[0]
+        ch = sample_channel(sc, 1, derive_rng(321))
+        h = ch.h_matrix[0]
         gv = GainVector.equal_power(4.0, 5)
-        ctx = SingleAntennaContext.build(gv, h, sc)
+        ctx = NpTestContext.build(gv, ch, sc)
         theta, v, noise = TrialStream(sc, 1, 322, (0,)).draw(50_000)
         y1 = (h * gv.gains) @ v + noise[0] + np.sum(gv.gains * h) * theta
-        results = [lmmse_estimate_single(ctx, complex(y), sc.signal_var) for y in y1[:100]]
-        g_s = ctx.sigma_s_sq / (sc.signal_var * ctx.sigma_w_sq)
+        result = lmmse_estimate(ctx, y1[None, :])
+        ref = SingleAntennaContext.build(gv, h, sc)
+        g_s = ref.sigma_s_sq / (sc.signal_var * ref.sigma_w_sq)
         theory = mse_closed_form(g_s, sc.signal_var)
-        assert results[0].theoretical_mse == pytest.approx(theory, rel=1e-12)
+        assert result.theoretical_mse == pytest.approx(theory, rel=1e-12)
         coherent = np.sum(gv.gains * h)
-        est = (np.conj(coherent) / ctx.sigma_w_sq) * y1 / (1.0 / sc.signal_var + g_s)
-        assert np.mean(np.abs(theta - est) ** 2) == pytest.approx(theory, rel=0.03)
-        # the vectorized path matches the per-sample call
-        assert results[3].estimate == pytest.approx(complex(est[3]), rel=1e-12)
+        est = (np.conj(coherent) / ref.sigma_w_sq) * y1 / (1.0 / sc.signal_var + g_s)
+        assert np.mean(np.abs(theta - result.estimate) ** 2) == pytest.approx(theory, rel=0.03)
+        # the general estimator matches the scalar formula sample by sample
+        assert result.estimate[3] == pytest.approx(complex(est[3]), rel=1e-12)
 
 
 class TestBounds:

@@ -72,6 +72,19 @@ class TestStatistic:
             assert np_statistic(ctx, y) == pytest.approx(dense_statistic(sc, ch, gv, y), rel=1e-10)
             assert ctx.snr == pytest.approx(dense_snr(sc, ch, gv), rel=1e-10)
 
+    def test_block_matches_per_column_calls(self):
+        sc = small_scenario()
+        ch = sample_channel(sc, 6, derive_rng(114))
+        gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
+        ctx = NpTestContext.build(gv, ch, sc)
+        block = np.stack(
+            [sample_observation(ch, gv, sc, "H1", derive_rng(115, k)).y for k in range(5)], axis=1
+        )
+        stats = np_statistic(ctx, block)
+        assert stats.shape == (5,)
+        for k in range(5):
+            assert stats[k] == pytest.approx(np_statistic(ctx, block[:, k]), rel=1e-12)
+
     def test_zero_gains_zero_statistic(self):
         sc = small_scenario()
         ch = sample_channel(sc, 6, derive_rng(107))
