@@ -41,7 +41,6 @@ from .np_gains import (
 )
 from .lmmse import LmmseResult, lmmse_estimate, lmmse_mse_bound, mse_closed_form
 from .energy_detector import (
-    ChiSquareTail,
     DeflectionReport,
     EdThreshold,
     deflection_asymptotic,

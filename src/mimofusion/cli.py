@@ -205,8 +205,6 @@ def _cmd_threshold(args) -> int:
         eta = energy_detector.eta_weights(gains, scenario)
         thr = energy_detector.ed_threshold_for_pfa(eta, scenario, args.antennas, pfa)
         print(f"threshold = {thr.gamma_hat!r}")
-        if thr.mc_fallback:
-            print("note: clustered eigenvalue weights; threshold set by Monte Carlo")
     return 0
 
 

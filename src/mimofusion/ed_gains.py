@@ -5,9 +5,8 @@ Maximizing its tight upper bound reduces to a linear objective under one
 convex quadratic constraint plus nonnegativity: minimize -x.d subject to
 x^T Bt x <= 1, x >= 0, with Bt = B + (s^2 / (M P^2)) 11^T, followed by a
 rescale onto the power budget.  Bt is diagonal plus rank one, so every solve
-in the active-set loop is O(N) through the rank-one update identity; a
-projected-gradient fallback covers the (unobserved) case where the active-set
-certificate fails.
+in the active-set loop is O(N) through the rank-one update identity.  An
+allocation that fails the optimality certificate raises SolverError.
 """
 
 from __future__ import annotations
@@ -104,22 +103,17 @@ class QclpSolution:
 def _solve_diag_rank1(b_diag: np.ndarray, coeff: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(b) + coeff * 11^T) y = rhs in O(N).
 
-    The matrix is positive definite, so y . rhs > 0.  The Sherman-Morrison form
-    breaks that when rhs is constant on the free set (one free sensor, say) and
-    coeff * S is huge, S = sum 1/b_j: its subtraction cancels to zero or below.
-    Then the shift is written out, y_i = ((rhs_i - r) + r / (1 + coeff S)) / b_i
-    with r the 1/b-weighted mean of rhs, which does not cancel.  Elsewhere the
-    two forms agree to rounding, and the first is kept so that those
-    allocations keep their exact values.
+    The rank-one update is written as a shift of rhs by its 1/b-weighted mean r,
+    y_i = ((rhs_i - r) + r / (1 + coeff S)) / b_i with S = sum 1/b_j, so a huge
+    coeff * S does not cancel y to zero or below.  r is taken as rhs_0 plus the
+    mean of rhs - rhs_0, so rhs_i - r carries rounding of the spread of rhs
+    only, and is exactly zero for constant rhs (one free sensor).
     """
-    base = rhs / b_diag
     inv_diag_sum = np.sum(1.0 / b_diag)
-    correction = coeff * np.sum(base) / (1.0 + coeff * inv_diag_sum)
-    y = base - correction / b_diag
-    if float(y @ rhs) > 0:
-        return y
-    mean = np.sum(base) / inv_diag_sum
-    return ((rhs - mean) + mean / (1.0 + coeff * inv_diag_sum)) / b_diag
+    spread = rhs - rhs[0]
+    spread_mean = np.sum(spread / b_diag) / inv_diag_sum
+    mean = rhs[0] + spread_mean
+    return ((spread - spread_mean) + mean / (1.0 + coeff * inv_diag_sum)) / b_diag
 
 
 def _certificate(problem: EdAllocationProblem, x_unit: np.ndarray) -> tuple[float, np.ndarray]:
@@ -139,29 +133,6 @@ def certificate_residual(problem: EdAllocationProblem, x_unit: np.ndarray) -> fl
     quad = float(problem.b_diag @ x_unit**2 + problem.rank1_coeff * x_unit.sum() ** 2)
     complementarity = float(np.max(np.abs(mu * x_unit))) if (~support).any() else 0.0
     return max(stationarity, dual_feas, complementarity, abs(quad - 1.0) * scale) / scale
-
-
-def _projected_gradient(problem: EdAllocationProblem, max_iter: int = 20000) -> np.ndarray:
-    d, b = problem.d_vec, problem.b_diag
-    c = problem.rank1_coeff
-
-    def quad(x):
-        return float(x @ (b * x)) + c * float(x.sum()) ** 2
-
-    x = d / b
-    x /= np.sqrt(quad(x))
-    value = float(x @ d) ** 2
-    for _ in range(max_iter):
-        bt_x = b * x + c * x.sum()
-        grad = 2.0 * float(x @ d) * d - 2.0 * value * bt_x
-        step = 1.0 / max(float(np.max(b)) + c * x.size, 1e-300)
-        candidate = np.maximum(x + step * grad, 0.0)
-        candidate /= np.sqrt(quad(candidate))
-        new_value = float(candidate @ d) ** 2
-        if new_value <= value * (1.0 + 1e-15):
-            break
-        x, value = candidate, new_value
-    return x
 
 
 def solve_qclp(problem: EdAllocationProblem) -> QclpSolution:
@@ -192,12 +163,7 @@ def solve_qclp(problem: EdAllocationProblem) -> QclpSolution:
     mu = np.where(free, 0.0, mu)
     tol = 1e-9 * float(np.max(problem.d_vec))
     if np.any(x_unit < 0) or float(np.min(mu)) < -tol:
-        x_unit = _projected_gradient(problem)
-        resid = certificate_residual(problem, x_unit)
-        if resid > 1e-8:
-            raise SolverError(f"allocation certificate residual {resid:.3e} exceeds 1e-8")
-        nu, mu = _certificate(problem, x_unit)
-        mu = np.maximum(mu, 0.0)
+        raise SolverError("active-set allocation fails its optimality certificate")
 
     x = x_unit * (problem.p / float(x_unit.sum()))
     if not np.all(np.isfinite(x)):

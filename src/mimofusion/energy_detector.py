@@ -4,25 +4,26 @@ The statistic is the per-antenna received energy T = y^H y / M.  Its operating
 point is characterized through the deflection (squared mean separation of T
 under the two hypotheses over its noise-only variance), and its false-alarm
 threshold comes from the large-M eigenvalue structure of the noise covariance:
-N boosted eigenvalues M eta_i + s on top of an s-level bulk, giving a
-weighted-chi-square tail with a closed partial-fraction form when the weights
-are distinct.  Clustered weights make the partial-fraction coefficients
-numerically explosive, so that case falls back to Monte Carlo tail estimation
-and is flagged in the result.
+N boosted eigenvalues M eta_i + s on top of an s-level bulk.  Above the bulk
+level, T is a weighted sum of exponentials, whose tail is evaluated by
+uniformizing the chain of exponential phases (Jensen 1953): a Poisson mixture
+of survival probabilities, a sum of nonnegative terms that is exact for
+clustered and equal weights alike.  One survival table per weight set serves
+every evaluation of a threshold search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
-from .scenario import ChannelRealization, GainVector, Observation, Scenario, derive_rng
+from .scenario import ChannelRealization, GainVector, Observation, Scenario
 
-ETA_SEPARATION_RTOL = 1e-6
-MC_FALLBACK_SAMPLES = 10**6
-_FALLBACK_SEED = 0x5EED
+# survival table cap, 32 MiB: at N = 100 it serves a weight spread max w / min w
+# up to about 700, at N = 20 up to 1e4 (the gain policies give at most ~150)
+_MAX_TABLE_ENTRIES = 1 << 22
 
 
 def ed_statistic(y: Observation | np.ndarray) -> float | np.ndarray:
@@ -136,123 +137,106 @@ def eta_weights(gains: GainVector, scenario: Scenario) -> np.ndarray:
     return gains.magnitudes_sq * scenario.meas_noise_vars / d_alpha
 
 
-class ChiSquareTail(NamedTuple):
-    probability: float
-    mc_fallback: bool
-
-
-def _positive_weights(eta: np.ndarray) -> np.ndarray:
+def _bulk_and_weights(eta: np.ndarray, scenario: Scenario, m: int) -> tuple[float, np.ndarray]:
+    """Bulk level (M - K) s / M and the K weights eta_i + s / M of the positive eta_i."""
+    if m < 1:
+        raise ValueError("antenna count must be >= 1")
     eta = np.asarray(eta, dtype=float)
     if np.any(eta < 0):
         raise ValueError("eta weights must be nonnegative")
     pos = eta[eta > 0]
     if pos.size == 0:
         raise ValueError("all eta weights are zero: the energy statistic is pure noise")
-    return pos
+    s = scenario.fc_noise_var
+    return (m - pos.size) / m * s, pos + s / m
 
 
-def _is_clustered(eta_pos: np.ndarray) -> bool:
-    if eta_pos.size < 2:
-        return False
-    sorted_eta = np.sort(eta_pos)
-    return bool(np.min(np.diff(sorted_eta)) < ETA_SEPARATION_RTOL * sorted_eta[-1])
+class _SumOfExponentialsTail:
+    """P(sum_i w_i E_i > x) for independent standard exponential E_i.
+
+    The sum is the absorption time of a chain of phases with rates 1 / w_i.
+    Uniformized at the fastest rate L = 1 / min w, P(S > x) is the sum over j
+    of Poisson(j; L x) times F_j, the probability that the chain survives j
+    jumps of its stay/advance matrix P.  F_j does not depend on x, so the rows
+    e_1 P^j are tabulated once, by doubling: rows for j < 2^t times P^(2^t)
+    give the rows for j < 2^(t+1).  Every term is nonnegative, so nothing
+    cancels, and equal weights give the Erlang tail exactly.
+    """
+
+    def __init__(self, weights: np.ndarray):
+        w = np.sort(weights)
+        advance = w[0] / w
+        self._rate = 1.0 / w[0]
+        self._step = np.diag(1.0 - advance) + np.diag(advance[:-1], 1)
+        self._rows = np.eye(1, w.size)
+        self._survival = np.ones(1)
+
+    def _grow(self, count: int) -> None:
+        while self._rows.shape[0] < count:
+            if 2 * self._rows.size > _MAX_TABLE_ENTRIES:
+                raise ValueError(
+                    f"eigenvalue weights spread too far: the tail needs {count} jumps of "
+                    f"{self._rows.shape[1]} phases"
+                )
+            self._rows = np.vstack((self._rows, self._rows @ self._step))
+            self._step = self._step @ self._step
+        self._survival = self._rows.sum(axis=1)
+
+    def __call__(self, excess: float) -> float:
+        mu = self._rate * excess
+        if not mu > 0:
+            return 1.0
+        # the Poisson mass outside mu +- (10 sqrt(mu) + 30) is below 1e-20
+        half = 10.0 * np.sqrt(mu) + 30.0
+        lo, hi = int(max(mu - half, 0.0)), int(mu + half) + 1
+        if hi > self._survival.size:
+            self._grow(hi)
+        # Poisson weights relative to j = lo, log(mu^j / j!) differences summed
+        # over small terms, then normalized over the window
+        log_pois = np.concatenate(([0.0], -np.cumsum(np.log(np.arange(lo + 1, hi) / mu))))
+        pois = np.exp(log_pois - log_pois.max())
+        return min(float(pois @ self._survival[lo:hi]) / float(pois.sum()), 1.0)
 
 
-def _partial_fraction_coeffs(weights: np.ndarray, eta_pos: np.ndarray) -> np.ndarray:
-    # coeff_i = w_i^(k-1) / prod_{l != i} (eta_i - eta_l); the shift common to
-    # all weights cancels in the denominator differences
-    k = eta_pos.size
-    diffs = eta_pos[:, None] - eta_pos[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    return weights ** (k - 1) / np.prod(diffs, axis=1)
-
-
-def _sample_weighted_sum(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty(n)
-    chunk = 1 << 17
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        out[start:stop] = weights @ rng.standard_exponential((weights.size, stop - start))
-    return out
-
-
-def weighted_chi2_tail(
-    eta: np.ndarray,
-    scenario: Scenario,
-    m: int,
-    gamma_hat: float,
-    rng: np.random.Generator | None = None,
-) -> ChiSquareTail:
+def weighted_chi2_tail(eta: np.ndarray, scenario: Scenario, m: int, gamma_hat: float) -> float:
     """False-alarm probability of the energy statistic at threshold gamma_hat.
 
     Zero eta entries contribute ordinary noise-level eigenvalues and are folded
-    into the bulk exactly.  The remaining weights must be pairwise distinct
-    beyond a relative separation of ETA_SEPARATION_RTOL; otherwise the tail is
-    estimated from MC_FALLBACK_SAMPLES Monte Carlo draws and flagged.
+    into the bulk exactly; the rest add w_i E_i with w_i = eta_i + s / M.
     """
-    if m < 1:
-        raise ValueError("antenna count must be >= 1")
-    s = scenario.fc_noise_var
-    eta_pos = _positive_weights(eta)
-    k = eta_pos.size
-    offset = (m - k) / m * s
-    weights = eta_pos + s / m
-    excess = gamma_hat - offset
-    if excess <= 0:
-        return ChiSquareTail(1.0, False)
-    if _is_clustered(eta_pos):
-        if rng is None:
-            rng = derive_rng(_FALLBACK_SEED)
-        samples = _sample_weighted_sum(weights, MC_FALLBACK_SAMPLES, rng)
-        return ChiSquareTail(float(np.mean(samples > excess)), True)
-    coeffs = _partial_fraction_coeffs(weights, eta_pos)
-    tail = float(np.sum(coeffs * np.exp(-excess / weights)))
-    return ChiSquareTail(min(max(tail, 0.0), 1.0), False)
+    offset, weights = _bulk_and_weights(eta, scenario, m)
+    return _SumOfExponentialsTail(weights)(gamma_hat - offset)
 
 
 @dataclass(frozen=True, eq=False)
 class EdThreshold:
-    """A false-alarm-calibrated energy threshold and how it was obtained."""
+    """A false-alarm-calibrated energy threshold."""
 
     gamma_hat: float
     target_pfa: float
     eta: np.ndarray
-    mc_fallback: bool = False
+    # always False; kept only for perfbench's Monte Carlo fallback counter
+    mc_fallback: ClassVar[bool] = False
 
 
 def ed_threshold_for_pfa(
-    eta: np.ndarray,
-    scenario: Scenario,
-    m: int,
-    target_pfa: float,
-    rng: np.random.Generator | None = None,
+    eta: np.ndarray, scenario: Scenario, m: int, target_pfa: float
 ) -> EdThreshold:
     """Invert the weighted-chi-square tail to hit the requested false-alarm rate.
 
     The tail is continuous and strictly decreasing in the threshold, so a
     bisection over [bulk level, geometrically grown upper bracket] converges;
-    iteration stops once the tail matches to 1e-6.  With clustered weights the
-    threshold is read off the empirical quantile of Monte Carlo draws instead,
-    and the result is flagged.
+    iteration stops once the tail matches to 1e-6.  Every step evaluates one
+    survival table, built for this weight set.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
     eta = np.asarray(eta, dtype=float)
-    s = scenario.fc_noise_var
-    eta_pos = _positive_weights(eta)
-    k = eta_pos.size
-    offset = (m - k) / m * s
-    weights = eta_pos + s / m
-
-    if _is_clustered(eta_pos):
-        if rng is None:
-            rng = derive_rng(_FALLBACK_SEED)
-        samples = _sample_weighted_sum(weights, MC_FALLBACK_SAMPLES, rng)
-        gamma = offset + float(np.quantile(samples, 1.0 - target_pfa))
-        return EdThreshold(gamma, target_pfa, eta, mc_fallback=True)
+    offset, weights = _bulk_and_weights(eta, scenario, m)
+    survival = _SumOfExponentialsTail(weights)
 
     def tail(gamma: float) -> float:
-        return weighted_chi2_tail(eta_pos, scenario, m, gamma).probability
+        return survival(gamma - offset)
 
     width = float(weights.max())
     hi = offset + width
@@ -272,7 +256,7 @@ def ed_threshold_for_pfa(
             lo = gamma
         else:
             hi = gamma
-    return EdThreshold(gamma, target_pfa, eta, mc_fallback=False)
+    return EdThreshold(gamma, target_pfa, eta)
 
 
 def quadratic_form_variance(a_matrix: np.ndarray) -> float:

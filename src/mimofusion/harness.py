@@ -48,7 +48,6 @@ CSV_COLUMNS = (
 
 _TAG_CHANNEL = 0
 _TAG_TRIALS = 1
-_TAG_ED_THRESHOLD = 2
 _CHUNK = 2048
 STREAM_VERSION = 2
 
@@ -300,19 +299,18 @@ class _Tally:
         self.theory_count += other.theory_count
 
 
-def _prepare_point(config: ExperimentConfig, point_idx: int, p: float, m: int):
+def _prepare_point(config: ExperimentConfig, p: float, m: int):
     specs = []
     gains: dict[str, GainVector | None] = {}
-    for curve_idx, (det, pol) in enumerate(config.curves()):
+    for det, pol in config.curves():
         if pol not in gains:
             needs_csi = pol == "single_antenna_optimal"
             gains[pol] = None if needs_csi else resolve_gains(pol, config.scenario, m, p)
         ed_thr = None
         if det == "ed":
             eta = energy_detector.eta_weights(gains[pol], config.scenario)
-            rng = derive_rng(config.master_seed, point_idx, curve_idx, _TAG_ED_THRESHOLD)
             ed_thr = energy_detector.ed_threshold_for_pfa(
-                eta, config.scenario, m, config.target_pfa, rng=rng
+                eta, config.scenario, m, config.target_pfa
             ).gamma_hat
         specs.append(_CurveSpec(det, pol, gains[pol], ed_thr))
     return specs
@@ -437,7 +435,7 @@ def _run_sweep(config: ExperimentConfig, map_scenarios) -> ExperimentResult:
     errors: list[tuple[int, str]] = []
     for point_idx, (p, m) in enumerate(config.sweep):
         try:
-            specs = _prepare_point(config, point_idx, p, m)
+            specs = _prepare_point(config, p, m)
             per_scenario = list(map_scenarios(
                 lambda s: _run_scenario(config, point_idx, p, m, s, specs),
                 range(config.n_scenarios),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mimofusion.ed_gains import (
@@ -163,6 +165,21 @@ class TestSolveQclp:
         assert sol.deflection == pytest.approx(
             deflection_asymptotic(sol.x, sc, 30), rel=1e-12
         )
+
+
+@settings(max_examples=5000, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 100),
+    log_m=st.floats(0.0, 5.0),
+    log_p=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**31 - 1),
+    variant=st.sampled_from(("deflection", "modified_deflection")),
+)
+def test_active_set_certifies_over_the_domain(n, log_m, log_p, seed, variant):
+    sc = sample_scenario(n, derive_rng(seed))
+    problem = EdAllocationProblem.from_scenario(sc, round(10.0**log_m), 10.0**log_p, variant)
+    sol = solve_qclp(problem)
+    assert certificate_residual(problem, sol.x_unit) <= 1e-8
 
 
 class TestClosedForms:

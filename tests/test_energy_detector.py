@@ -1,6 +1,12 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mimofusion.config import load_packaged_experiment
 from mimofusion.energy_detector import (
     deflection_asymptotic,
     deflection_exact,
@@ -12,7 +18,7 @@ from mimofusion.energy_detector import (
     single_antenna_deflection,
     weighted_chi2_tail,
 )
-from mimofusion.harness import simulate_statistics
+from mimofusion.harness import resolve_gains, simulate_statistics
 from mimofusion.np_detector import SingleAntennaContext
 from mimofusion.scenario import (
     GainVector,
@@ -23,6 +29,40 @@ from mimofusion.scenario import (
     sample_observation,
     sample_scenario,
 )
+
+
+def oracle_tail(weights, excess) -> float:
+    """P(sum_i w_i E_i > excess) for distinct weights, from the partial-fraction
+    form in mpmath; the working precision doubles until the cancellation among
+    the terms leaves at least 20 significant digits."""
+    dps = 30
+    while True:
+        with mpmath.workdps(dps):
+            w = [mpmath.mpf(float(v)) for v in weights]
+            x = mpmath.mpf(float(excess))
+            terms = []
+            for i, wi in enumerate(w):
+                coeff = wi ** (len(w) - 1)
+                for j, wj in enumerate(w):
+                    if j != i:
+                        coeff /= wi - wj
+                terms.append(coeff * mpmath.exp(-x / wi))
+            total = mpmath.fsum(terms)
+            if total > 0 and max(abs(t) for t in terms) < total * mpmath.mpf(10) ** (dps - 20):
+                return float(total)
+        dps *= 2
+
+
+def erlang_tail(k: int, rate: float) -> float:
+    """P(Poisson(rate) < k): the tail of k equal-weight exponentials."""
+    return math.fsum(math.exp(j * math.log(rate) - rate - math.lgamma(j + 1)) for j in range(k))
+
+
+def oracle_pfa(thr, sc, m) -> tuple[float, float]:
+    """Bulk level and the oracle's false-alarm rate at a returned threshold."""
+    eta_pos = thr.eta[thr.eta > 0]
+    offset = (m - eta_pos.size) / m * sc.fc_noise_var
+    return offset, oracle_tail(eta_pos + sc.fc_noise_var / m, thr.gamma_hat - offset)
 
 
 class TestStatistic:
@@ -203,9 +243,7 @@ class TestWeightedChi2Tail:
         w = 0.08 + sc.fc_noise_var / m
         for gamma in (offset + 0.01, offset + 0.1, offset + 0.5):
             expected = np.exp(-(gamma - offset) / w)
-            tail = weighted_chi2_tail(eta, sc, m, gamma)
-            assert tail.probability == pytest.approx(expected, rel=1e-12)
-            assert not tail.mc_fallback
+            assert weighted_chi2_tail(eta, sc, m, gamma) == pytest.approx(expected, rel=1e-12)
 
     def test_tail_is_one_at_the_bulk_level(self):
         sc = self.scenario()
@@ -214,8 +252,8 @@ class TestWeightedChi2Tail:
             k = eta.size
             offset = (m - k) / m * sc.fc_noise_var
             tail = weighted_chi2_tail(eta, sc, m, offset)
-            # partial-fraction coefficients must sum to one
-            assert tail.probability == pytest.approx(1.0, abs=1e-9)
+            # the bulk level is the least value of the limiting statistic
+            assert tail == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_monte_carlo_oracle(self):
         sc = self.scenario()
@@ -228,28 +266,49 @@ class TestWeightedChi2Tail:
         for gamma in (offset + 0.05, offset + 0.2, offset + 0.6):
             emp = float(np.mean(samples > gamma - offset))
             tail = weighted_chi2_tail(eta, sc, m, gamma)
-            assert abs(tail.probability - emp) < 0.005
+            assert abs(tail - emp) < 0.005
 
     def test_monotone_and_bounded(self):
         sc = self.scenario()
         m = 100
         eta = np.array([0.02, 0.06, 0.13])
         gammas = np.linspace(0.0, 3.0, 80)
-        values = [weighted_chi2_tail(eta, sc, m, g).probability for g in gammas]
+        values = [weighted_chi2_tail(eta, sc, m, g) for g in gammas]
         assert np.all(np.diff(values) <= 1e-12)
         assert all(0.0 <= v <= 1.0 for v in values)
 
-    def test_clustered_weights_fall_back_to_monte_carlo(self):
+    def test_clustered_weights_match_high_precision_oracle(self):
         sc = self.scenario()
+        m = 100
         eta = np.array([0.1, 0.1 * (1 + 1e-9), 0.25])
-        tail = weighted_chi2_tail(eta, sc, 100, 0.5, rng=derive_rng(441))
-        assert tail.mc_fallback
-        assert 0.0 <= tail.probability <= 1.0
+        offset = (m - 3) / m * sc.fc_noise_var
+        weights = eta + sc.fc_noise_var / m
+        for gamma in (0.5, offset + 0.1, offset + 0.6, offset + 2.0):
+            expected = oracle_tail(weights, gamma - offset)
+            assert weighted_chi2_tail(eta, sc, m, gamma) == pytest.approx(expected, rel=1e-12)
+
+    def test_equal_weights_match_erlang_tail(self):
+        sc = self.scenario()
+        m = 100
+        for k in (1, 2, 3, 40):
+            eta = np.full(k, 0.1)
+            offset = (m - k) / m * sc.fc_noise_var
+            w = 0.1 + sc.fc_noise_var / m
+            for excess in (0.01, 0.3, 1.0, 5.0):
+                tail = weighted_chi2_tail(eta, sc, m, offset + excess)
+                assert tail == pytest.approx(erlang_tail(k, excess / w), rel=1e-12)
 
     def test_all_zero_weights_rejected(self):
         sc = self.scenario()
         with pytest.raises(ValueError):
             weighted_chi2_tail(np.zeros(3), sc, 100, 0.5)
+
+    def test_weight_spread_beyond_the_table_raises(self):
+        # a spread of 1e4 over 100 weights needs more jumps than the table holds
+        sc = self.scenario()
+        eta = np.geomspace(1e-3, 10.0, 100)
+        with pytest.raises(ValueError, match="spread too far"):
+            ed_threshold_for_pfa(eta, sc, 10**5, 0.05)
 
 
 class TestEdThreshold:
@@ -281,17 +340,17 @@ class TestEdThreshold:
         thr = ed_threshold_for_pfa(eta, sc, 100, 0.05)
         assert not thr.mc_fallback
         back = weighted_chi2_tail(eta, sc, 100, thr.gamma_hat)
-        assert back.probability == pytest.approx(0.05, abs=2e-6)
+        assert back == pytest.approx(0.05, abs=2e-6)
 
-    def test_clustered_weights_flagged_and_calibrated(self):
+    def test_equal_weights_calibrated_against_erlang_tail(self):
         sc = self.scenario()
-        eta = np.array([0.1, 0.1, 0.25])
-        thr = ed_threshold_for_pfa(eta, sc, 100, 0.05, rng=derive_rng(442))
-        assert thr.mc_fallback
-        weights = eta + sc.fc_noise_var / 100
-        offset = (100 - 3) / 100 * sc.fc_noise_var
-        samples = weights @ derive_rng(443).standard_exponential((3, 400_000))
-        assert np.mean(samples > thr.gamma_hat - offset) == pytest.approx(0.05, abs=0.003)
+        m = 100
+        for k in (1, 3, 10):
+            eta = np.full(k, 0.1)
+            thr = ed_threshold_for_pfa(eta, sc, m, 0.05)
+            offset = (m - k) / m * sc.fc_noise_var
+            rate = (thr.gamma_hat - offset) / (0.1 + sc.fc_noise_var / m)
+            assert abs(erlang_tail(k, rate) - 0.05) <= 1e-6
 
     def test_empirical_false_alarm_rate(self):
         # channel-averaged false-alarm rate at a finite antenna count
@@ -311,6 +370,48 @@ class TestEdThreshold:
         sc = self.scenario()
         with pytest.raises(ValueError):
             ed_threshold_for_pfa(np.array([0.1, 0.2, 0.3]), sc, 100, 1.0)
+
+
+class TestThresholdAgainstOracle:
+    def test_pinned_collapse_case(self):
+        # the partial-fraction tail returned the bulk level here (realized rate 1)
+        sc = sample_scenario(30, derive_rng(73))
+        m = 1024
+        thr = ed_threshold_for_pfa(
+            eta_weights(resolve_gains("waterfill", sc, m, 10.0), sc), sc, m, 0.05
+        )
+        offset, pfa = oracle_pfa(thr, sc, m)
+        assert thr.gamma_hat > offset
+        assert abs(pfa - 0.05) <= 1e-6
+
+    def test_fig5_left_edge_closed_form_high(self):
+        cfg = load_packaged_experiment("fig5")
+        p, m = cfg.sweep[0]
+        assert p == 0.1
+        sc = cfg.scenario
+        gains = resolve_gains("closed_form_high", sc, m, p)
+        thr = ed_threshold_for_pfa(eta_weights(gains, sc), sc, m, cfg.target_pfa)
+        offset, pfa = oracle_pfa(thr, sc, m)
+        assert thr.gamma_hat > offset
+        assert abs(pfa - cfg.target_pfa) <= 1e-6
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 100),
+    log_m=st.floats(0.0, 5.0),
+    log_p=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**31 - 1),
+    policy=st.sampled_from(("waterfill", "qclp", "equal")),
+)
+def test_threshold_hits_target_against_oracle(n, log_m, log_p, seed, policy):
+    m = round(10.0**log_m)
+    sc = sample_scenario(n, derive_rng(seed))
+    gains = resolve_gains(policy, sc, m, 10.0**log_p)
+    thr = ed_threshold_for_pfa(eta_weights(gains, sc), sc, m, 0.05)
+    offset, pfa = oracle_pfa(thr, sc, m)
+    assert thr.gamma_hat > offset
+    assert abs(pfa - 0.05) <= 1e-6
 
 
 class TestQuadraticFormVariance:
