@@ -7,6 +7,7 @@ from .scenario import (
     ChannelRealization,
     GainVector,
     Observation,
+    ReducedObservation,
     Scenario,
     asymptotic_gram,
     complex_normal,

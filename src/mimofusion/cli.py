@@ -112,6 +112,8 @@ def _load_scenario(path):
 
 
 def _cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     if args.replay:
         if not os.path.exists(args.replay):
             raise ConfigError(f"manifest not found: {args.replay}")
@@ -128,7 +130,7 @@ def _cmd_run(args) -> int:
 
     out_dir = args.output_dir or os.environ.get("MIMOFUSION_OUTPUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
-    result = run_experiment(config, threads=max(args.threads, 1))
+    result = run_experiment(config, threads=args.threads)
     csv_path = os.path.join(out_dir, f"{config.experiment_id}.csv")
     manifest_path = os.path.join(out_dir, f"{config.experiment_id}.manifest.json")
     result.write_csv(csv_path)

@@ -19,25 +19,32 @@ from typing import ClassVar
 
 import numpy as np
 
-from .scenario import ChannelRealization, GainVector, Observation, Scenario
+from .scenario import ChannelRealization, GainVector, Observation, ReducedObservation, Scenario
 
 # survival table cap, 32 MiB: at N = 100 it serves a weight spread max w / min w
 # up to about 700, at N = 20 up to 1e4 (the gain policies give at most ~150)
 _MAX_TABLE_ENTRIES = 1 << 22
 
 
-def ed_statistic(y: Observation | np.ndarray) -> float | np.ndarray:
+def ed_statistic(y: Observation | ReducedObservation | np.ndarray) -> float | np.ndarray:
     """Average received energy per antenna, y^H y / M.
 
     A received vector (M,) gives a float; an (M, T) block gives one value per
-    column.
+    column.  A reduced observation gives (|z|^2 + outside_energy) / M, the
+    same energy split into its parts inside and outside range(H).
     """
-    vec = y.y if isinstance(y, Observation) else np.asarray(y)
+    outside = 0.0
+    if isinstance(y, ReducedObservation):
+        vec, m, outside = y.z, y.m_antennas, y.outside_energy
+    else:
+        vec = y.y if isinstance(y, Observation) else np.asarray(y)
+        m = vec.shape[0]
     block = vec.reshape(vec.shape[0], -1)
     energy = (
         np.einsum("ij,ij->j", block.real, block.real)
         + np.einsum("ij,ij->j", block.imag, block.imag)
-    ) / vec.shape[0]
+        + outside
+    ) / m
     return float(energy[0]) if vec.ndim == 1 else energy
 
 
@@ -226,8 +233,10 @@ def ed_threshold_for_pfa(
 
     The tail is continuous and strictly decreasing in the threshold, so a
     bisection over [bulk level, geometrically grown upper bracket] converges;
-    iteration stops once the tail matches to 1e-6.  Every step evaluates one
-    survival table, built for this weight set.
+    iteration stops once the tail is within min(1e-6, 2e-5 * target_pfa) of the
+    target, so a small target is met to 2e-5 relative, not only to 1e-6
+    absolute.  Every step evaluates one survival table, built for this
+    weight set.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
@@ -247,10 +256,11 @@ def ed_threshold_for_pfa(
         hi = offset + width
     lo = offset
     gamma = hi
+    tol = min(1e-6, 2e-5 * target_pfa)
     for _ in range(200):
         gamma = 0.5 * (lo + hi)
         t = tail(gamma)
-        if abs(t - target_pfa) <= 1e-6:
+        if abs(t - target_pfa) <= tol:
             break
         if t > target_pfa:
             lo = gamma

@@ -9,9 +9,16 @@ stream derived from that path, read in order in chunks (:class:`TrialStream`).
 Results are therefore bit-identical for any chunk size, any worker-thread
 count and whichever curves share a run.  Manifests record :data:`STREAM_VERSION`,
 and one written under another sampler version is refused, as its bytes would
-differ.  Curves with the same gain policy share received vectors, built for one
-gain vector at a time; the detector and estimator modules score them, and every
-detector consumes raw statistic arrays so a threshold sweep never resamples.
+differ.
+
+Trials are sampled in the range of the channel.  Every statistic reads a
+received vector only through z = Q^H y, for a thin QR H = QR factored once per
+channel draw, and through the energy of y outside range(H)
+(:class:`ReducedObservation`); those are drawn directly, so a trial costs
+O(N^2) whatever M is.  Curves with the same gain policy share these reduced
+blocks, built for one gain vector at a time; the detector and estimator
+modules score them, and every detector consumes raw statistic arrays so a
+threshold sweep never resamples.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from . import ed_gains, energy_detector, lmmse, np_detector, np_gains
 from .scenario import (
     ChannelRealization,
     GainVector,
+    ReducedObservation,
     Scenario,
     complex_normal,
     derive_rng,
@@ -49,7 +57,7 @@ CSV_COLUMNS = (
 _TAG_CHANNEL = 0
 _TAG_TRIALS = 1
 _CHUNK = 2048
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 def compatible(detector: str, policy: str) -> bool:
@@ -174,40 +182,51 @@ def resolve_gains(policy: str, scenario: Scenario, m: int, p: float) -> GainVect
 class TrialStream:
     """The random draws of one work unit's trials, read in order in chunks.
 
-    The path seeds one stream, which spawns three children: one each for the
-    signal theta, the measurement noise v and the receiver noise.  Each child
-    is drawn trial-major, so reading the trials in chunks of any size gives the
-    same values as reading them all at once.
+    A trial receives y = H a theta + H D v + n with n ~ CN(0, s I_M).  With
+    H = QR a thin QR (k = min(M, N) columns in Q), the statistics read y only
+    through z = Q^H y = R a theta + R D v + Q^H n and the energy of n outside
+    range(H).  For white n these two are independent, Q^H n ~ CN(0, s I_k)
+    and the outside energy ~ s Gamma(M - k, 1), whichever Q the factorization
+    gives, so both are drawn directly and the reduced trial is exact in
+    distribution.
+
+    The path seeds one stream, which spawns four children: one each for the
+    signal theta, the measurement noise v, Q^H n and the outside energy.  Each
+    child is drawn trial-major, so reading the trials in chunks of any size
+    gives the same values as reading them all at once.
     """
 
     def __init__(self, scenario: Scenario, m: int, master_seed: int, path: tuple[int, ...]):
         self._scenario = scenario
         self._m = m
+        self._k = min(m, scenario.n_sensors)
         self._v_scale = np.sqrt(scenario.meas_noise_vars)
-        self._theta, self._v, self._noise = derive_rng(master_seed, *path).spawn(3)
+        self._theta, self._v, self._noise, self._outside = derive_rng(master_seed, *path).spawn(4)
 
-    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``count`` trials: theta (count,), v (N, count), noise (M, count)."""
+    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` trials: theta (count,), v (N, count), Q^H n
+        (k, count) and the receiver-noise energy outside range(H) (count,),
+        zero when k = M."""
         sc = self._scenario
+        s = sc.fc_noise_var
         theta = complex_normal(self._theta, sc.signal_var, out=np.empty(count, complex))
         v = complex_normal(self._v, 1.0, out=np.empty((count, sc.n_sensors), complex))
         v *= self._v_scale
-        noise = complex_normal(
-            self._noise, sc.fc_noise_var, out=np.empty((count, self._m), complex)
-        )
-        # one transposing copy: the synthesis adds noise to C-ordered (M, count)
-        # blocks once per gain policy, and a strided operand there costs more
-        return theta, v.T, np.ascontiguousarray(noise.T)
+        noise = complex_normal(self._noise, s, out=np.empty((count, self._k), complex))
+        outside = np.zeros(count)
+        if self._m > self._k:
+            outside = s * self._outside.standard_gamma(self._m - self._k, count)
+        return theta, v.T, noise.T, outside
 
 
-def _received(channel: ChannelRealization, gains: GainVector, theta, v, noise):
-    """Received (M, count) blocks without and with the signal; the two
-    hypotheses share each trial's draws."""
-    y0 = (channel.h_matrix * gains.gains) @ v
-    y0 += noise
-    y1 = np.outer(channel.h_matrix @ gains.gains, theta)
-    y1 += y0
-    return y0, y1
+def _received(r: np.ndarray, m: int, gains: GainVector, theta, v, noise, outside):
+    """Reduced received blocks without and with the signal, z = R D v + Q^H n
+    and z + R a theta; the two hypotheses share each trial's draws."""
+    z0 = (r * gains.gains) @ v
+    z0 += noise
+    z1 = np.outer(r @ gains.gains, theta)
+    z1 += z0
+    return ReducedObservation(z0, outside, r, m), ReducedObservation(z1, outside, r, m)
 
 
 def simulate_statistics(
@@ -223,8 +242,9 @@ def simulate_statistics(
 
     Returns (noise-only statistics, signal-present statistics); thresholding is
     left to the caller so one sampled set serves a whole ROC sweep.  The two
-    hypotheses share each trial's signal and noise draws.  The ``*_single``
-    detectors need a one-antenna channel and return |y|^2, the energy there.
+    hypotheses share each trial's signal and noise draws, sampled in the
+    range of the channel (:class:`TrialStream`).  The ``*_single`` detectors
+    need a one-antenna channel and return |y|^2, the energy there.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -238,11 +258,12 @@ def simulate_statistics(
         statistic = partial(np_detector.np_statistic, ctx)
     t0 = np.empty(trials)
     t1 = np.empty(trials)
-    stream = TrialStream(scenario, channel.m_antennas, master_seed, path)
+    m = channel.m_antennas
+    r = np.linalg.qr(channel.h_matrix, mode="r")
+    stream = TrialStream(scenario, m, master_seed, path)
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        theta, v, noise = stream.draw(stop - start)
-        y0, y1 = _received(channel, gains, theta, v, noise)
+        y0, y1 = _received(r, m, gains, *stream.draw(stop - start))
         t0[start:stop] = statistic(y0)
         t1[start:stop] = statistic(y1)
     return t0, t1
@@ -342,6 +363,7 @@ def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
     channel = sample_channel(
         scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
     )
+    r = np.linalg.qr(channel.h_matrix, mode="r")
     prepared = []
     for curves in policies.values():
         gains = specs[curves[0]].gains
@@ -363,9 +385,9 @@ def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
     trials = config.trials_per_scenario
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        theta, v, noise = stream.draw(stop - start)
+        theta, v, noise, outside = stream.draw(stop - start)
         for gains, ctx, curves in prepared:
-            y0, y1 = _received(channel, gains, theta, v, noise)
+            y0, y1 = _received(r, m, gains, theta, v, noise, outside)
             for i in curves:
                 spec, tally = specs[i], tallies[i]
                 if spec.detector == "ed":
@@ -378,7 +400,6 @@ def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
                 if spec.detector in ("np", "np_single"):
                     est = lmmse.lmmse_estimate(ctx, y1).estimate
                     tally.err_sq += float(np.sum(np.abs(theta - est) ** 2))
-            del y0, y1  # hold one gain vector's blocks at a time
 
 
 def _point_rows(config, point_idx, p, m, specs, merged) -> list[ResultRow]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .np_detector import NpTestContext
-from .scenario import Observation, Scenario
+from .np_detector import NpTestContext, steering_response
+from .scenario import Observation, ReducedObservation, Scenario
 
 
 @dataclass(frozen=True)
@@ -29,16 +29,18 @@ def mse_closed_form(snr: float, signal_var: float) -> float:
     return 1.0 / (1.0 / signal_var + snr)
 
 
-def lmmse_estimate(ctx: NpTestContext, y: Observation | np.ndarray) -> LmmseResult:
-    """Estimate the signal using the cached context.
+def lmmse_estimate(
+    ctx: NpTestContext, y: Observation | ReducedObservation | np.ndarray
+) -> LmmseResult:
+    """Estimate the signal using the cached context: w^H y / (1/signal_var + g).
 
-    A received vector (M,) gives a complex estimate; an (M, T) block gives one
-    estimate per column.  At M = 1 this is the scalar receiver's estimator.
+    A received vector (M,) or its reduced form gives a complex estimate; a
+    block gives one estimate per column.  At M = 1 this is the scalar
+    receiver's estimator.
     """
-    vec = y.y if isinstance(y, Observation) else np.asarray(y)
     sv = ctx.scenario.signal_var
-    est = (ctx.whitened_steering.conj() @ vec) / (1.0 / sv + ctx.snr)
-    return LmmseResult(complex(est) if vec.ndim == 1 else est, mse_closed_form(ctx.snr, sv))
+    est = steering_response(ctx, y) / (1.0 / sv + ctx.snr)
+    return LmmseResult(est, mse_closed_form(ctx.snr, sv))
 
 
 def lmmse_mse_bound(scenario: Scenario, regime: str) -> float:

@@ -3,9 +3,12 @@
 The optimal test statistic is sigma_theta^2 |a^H H^H C_w^{-1} y|^2, where
 C_w = H D V D^H H^H + sigma_n^2 I is the noise covariance at the receiver.
 C_w^{-1} is always applied through the matrix inversion lemma with an N x N
-solve (O(M N^2 + N^3)); the M x M covariance is never formed.  Closed-form
-detection and false-alarm probabilities follow from the statistic being a
-scaled chi-square variable with two degrees of freedom under both hypotheses.
+solve (O(M N^2 + N^3)); the M x M covariance is never formed.  The steering
+vector w = C_w^{-1} H a lies in range(H), so the statistic reads a received
+vector only through its coordinates in range(H) (:class:`ReducedObservation`),
+which is what the Monte Carlo harness samples.  Closed-form detection and
+false-alarm probabilities follow from the statistic being a scaled chi-square
+variable with two degrees of freedom under both hypotheses.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ChannelRealization, GainVector, Observation, Scenario
+from .scenario import ChannelRealization, GainVector, Observation, ReducedObservation, Scenario
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -31,29 +34,28 @@ def _support(gains: GainVector, scenario: Scenario) -> tuple[np.ndarray, np.ndar
     return e > 0, e
 
 
-def apply_whitened(
-    gains: GainVector,
-    channel: ChannelRealization,
-    scenario: Scenario,
-    vecs: np.ndarray,
+def _steering_coefficients(
+    gains: GainVector, channel: ChannelRealization, scenario: Scenario
 ) -> np.ndarray:
-    """Apply C_w^{-1} to one or more M-vectors via the low-rank update identity.
+    """The N-vector c with C_w^{-1} H a = H c, from the Gram matrix alone.
 
-    C_w^{-1} = (1/s) (I - H_s K^{-1} H_s^H) with K = G_ss + s E_s^{-1}, where s is
-    the receiver noise variance, E = diag(|a_i|^2 v_i) and the subscript keeps
-    only sensors with nonzero forwarded noise.
+    By the low-rank update identity C_w^{-1} = (1/s) (I - H_s K^{-1} H_s^H)
+    with K = G_ss + s E_s^{-1}, where s is the receiver noise variance,
+    E = diag(|a_i|^2 v_i) and the subscript keeps only sensors with nonzero
+    forwarded noise, c = (a - K^{-1} (G a)_s) / s, the solve entering on the
+    support only.
     """
     s = scenario.fc_noise_var
     sup, e = _support(gains, scenario)
-    if not sup.any():
-        return vecs / s
-    hs = channel.h_matrix[:, sup]
-    k = channel.gram[np.ix_(sup, sup)] + np.diag(s / e[sup])
-    try:
-        z = np.linalg.solve(k, hs.conj().T @ vecs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("reduced noise-covariance system is singular") from exc
-    return (vecs - hs @ z) / s
+    a = gains.gains
+    c = a.copy()
+    if sup.any():
+        k = channel.gram[np.ix_(sup, sup)] + np.diag(s / e[sup])
+        try:
+            c[sup] -= np.linalg.solve(k, (channel.gram @ a)[sup])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDegeneracyError("reduced noise-covariance system is singular") from exc
+    return c / s
 
 
 def snr_exact(gains: GainVector, channel: ChannelRealization, scenario: Scenario) -> float:
@@ -122,16 +124,22 @@ def pd_closed_form(snr: float, signal_var: float, target_pfa: float) -> float:
 class NpTestContext:
     """Cached quantities for repeated evaluation of the likelihood-ratio statistic.
 
-    whitened_steering is w = C_w^{-1} H a, so each statistic costs one inner
-    product.  threshold is None until a false-alarm target is supplied.
+    steering_coeffs is the N-vector c with w = C_w^{-1} H a = H c, so each
+    statistic costs one inner product.  threshold is None until a false-alarm
+    target is supplied.
     """
 
     gains: GainVector
     channel: ChannelRealization
     scenario: Scenario
-    whitened_steering: np.ndarray
+    steering_coeffs: np.ndarray
     snr: float
     threshold: float | None = None
+
+    @property
+    def whitened_steering(self) -> np.ndarray:
+        """The M-vector w = C_w^{-1} H a."""
+        return self.channel.h_matrix @ self.steering_coeffs
 
     @classmethod
     def build(
@@ -141,24 +149,40 @@ class NpTestContext:
         scenario: Scenario,
         target_pfa: float | None = None,
     ) -> "NpTestContext":
-        b = channel.h_matrix @ gains.gains
-        w = apply_whitened(gains, channel, scenario, b)
+        c = _steering_coefficients(gains, channel, scenario)
         g = snr_exact(gains, channel, scenario)
         thr = None
         if target_pfa is not None:
             thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)
-        return cls(gains, channel, scenario, w, g, thr)
+        return cls(gains, channel, scenario, c, g, thr)
 
 
-def np_statistic(ctx: NpTestContext, y: Observation | np.ndarray) -> float | np.ndarray:
+def steering_response(
+    ctx: NpTestContext, y: Observation | ReducedObservation | np.ndarray
+) -> complex | np.ndarray:
+    """w^H y, the one inner product the statistic and the LMMSE estimate read.
+
+    A received vector (M,) gives a complex number; an (M, T) block gives one
+    per column.  A reduced observation gives the same values from z = Q^H y,
+    as (R c)^H z with w = H c.
+    """
+    if isinstance(y, ReducedObservation):
+        out = (y.r @ ctx.steering_coeffs).conj() @ y.z
+    else:
+        out = ctx.whitened_steering.conj() @ (y.y if isinstance(y, Observation) else np.asarray(y))
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+def np_statistic(
+    ctx: NpTestContext, y: Observation | ReducedObservation | np.ndarray
+) -> float | np.ndarray:
     """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2.
 
-    A received vector (M,) gives a float; an (M, T) block gives one value per
-    column.
+    A received vector (M,) or its reduced form gives a float; a block gives
+    one value per column.
     """
-    vec = y.y if isinstance(y, Observation) else np.asarray(y)
-    stat = ctx.scenario.signal_var * np.abs(ctx.whitened_steering.conj() @ vec) ** 2
-    return float(stat) if vec.ndim == 1 else stat
+    stat = ctx.scenario.signal_var * np.abs(steering_response(ctx, y)) ** 2
+    return float(stat) if np.ndim(stat) == 0 else stat
 
 
 @dataclass(frozen=True, eq=False)

@@ -228,6 +228,23 @@ class Observation:
             raise ValueError("hypothesis_label must be 'H0' or 'H1'")
 
 
+@dataclass(frozen=True, eq=False)
+class ReducedObservation:
+    """Received vectors reduced to the part every statistic reads.
+
+    For a thin QR H = QR of the channel (k = min(M, N) columns in Q), z = Q^H y
+    are the coordinates of y in range(H) and outside_energy = |y - Q z|^2 is
+    the energy of the rest, so |y|^2 = |z|^2 + outside_energy.  A vector
+    w = H c in range(H) gives w^H y = (R c)^H z exactly, which is why R is kept.
+    z is (k,) or (k, T), outside_energy a float or (T,).
+    """
+
+    z: np.ndarray
+    outside_energy: float | np.ndarray
+    r: np.ndarray
+    m_antennas: int
+
+
 def sample_observation(
     channel: ChannelRealization,
     gains: GainVector,

@@ -142,14 +142,16 @@ def test_criterion_5_lmmse_identity_and_floor(scenario):
             channel = sample_channel(scenario, m, derive_rng(SCENARIO_SEED, 5, c))
             ctx = NpTestContext.build(gains, channel, scenario)
             theory_total += mse_closed_form(ctx.snr, scenario.signal_var)
-            w = ctx.whitened_steering
+            # reduced draws: z1 = Q^H y1 for a thin QR H = QR, w^H y1 = (Q^H w)^H z1
+            q, r = np.linalg.qr(channel.h_matrix)
+            w = q.conj().T @ ctx.whitened_steering
             stream = TrialStream(scenario, m, 505, (c,))
             for start in range(0, trials_per, 4096):
                 stop = min(start + 4096, trials_per)
-                theta, v, noise = stream.draw(stop - start)
-                y1 = (channel.h_matrix * gains.gains) @ v + noise
-                y1 += np.outer(channel.h_matrix @ gains.gains, theta)
-                est = (w.conj() @ y1) / (1.0 / scenario.signal_var + ctx.snr)
+                theta, v, noise, _ = stream.draw(stop - start)
+                z1 = (r * gains.gains) @ v + noise
+                z1 += np.outer(r @ gains.gains, theta)
+                est = (w.conj() @ z1) / (1.0 / scenario.signal_var + ctx.snr)
                 err_total += float(np.sum(np.abs(theta - est) ** 2))
         mse_emp = err_total / (n_channels * trials_per)
         mse_theory = theory_total / n_channels

@@ -210,6 +210,15 @@ class TestExitCodes:
         assert main(["run"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_is_config_error(self, experiment_cfg, tmp_path, capsys, threads):
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", experiment_cfg, "--output-dir", str(out_dir),
+                   "--threads", threads])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (out_dir / "unit_cli.csv").exists()
+
     def test_bad_calculator_arguments(self, scenario_cfg):
         assert main(["waterfill", "--config", scenario_cfg, "--power", "-1",
                      "--antennas", "8"]) == 2

@@ -342,6 +342,14 @@ class TestEdThreshold:
         back = weighted_chi2_tail(eta, sc, 100, thr.gamma_hat)
         assert back == pytest.approx(0.05, abs=2e-6)
 
+    def test_small_targets_met_relative_to_target(self):
+        # an absolute 1e-6 stop returned a tail of 3.1e-7 for a 1e-8 target
+        sc = self.scenario()
+        eta = np.array([0.03, 0.08, 0.15])
+        for target in (1e-8, 1e-6):
+            _, exact = oracle_pfa(ed_threshold_for_pfa(eta, sc, 100, target), sc, 100)
+            assert exact == pytest.approx(target, rel=2e-5)
+
     def test_equal_weights_calibrated_against_erlang_tail(self):
         sc = self.scenario()
         m = 100

@@ -1,7 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from mimofusion import np_gains
+from mimofusion.energy_detector import ed_statistic
 from mimofusion.harness import (
     CSV_COLUMNS,
     STREAM_VERSION,
@@ -14,7 +18,16 @@ from mimofusion.harness import (
     run_experiment,
     simulate_statistics,
 )
-from mimofusion.scenario import GainVector, derive_rng, sample_channel, sample_scenario
+from mimofusion.lmmse import lmmse_estimate
+from mimofusion.np_detector import NpTestContext, np_statistic
+from mimofusion.scenario import (
+    GainVector,
+    ReducedObservation,
+    complex_normal,
+    derive_rng,
+    sample_channel,
+    sample_scenario,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,26 +80,94 @@ class TestEstimatePdPfa:
 
 
 class TestTrialStream:
-    @pytest.mark.parametrize("m", [1, 16])
+    @pytest.mark.parametrize("m", [1, 4, 16])
     def test_chunked_draws_equal_one_draw(self, scenario, m):
         """Three chunks of 7 trials equal one draw of 21, for every quantity.
 
         Draw equality is what makes the chunk size no part of the output
         contract.  Whole CSVs are not compared: ``mse_emp`` sums squared errors
-        per chunk, so its last ulp depends on the chunk boundaries.
+        per chunk, so its last ulp depends on the chunk boundaries.  With five
+        sensors, M = 1 and 4 have k = M and no outside energy; M = 16 draws it.
         """
         chunked = TrialStream(scenario, m, 611, (3, 1))
         pieces = [chunked.draw(7) for _ in range(3)]
         whole = TrialStream(scenario, m, 611, (3, 1)).draw(21)
-        for k, name in enumerate(("theta", "v", "noise")):
+        for k, name in enumerate(("theta", "v", "noise", "outside")):
             joined = np.concatenate([piece[k] for piece in pieces], axis=-1)
             assert np.array_equal(joined, whole[k]), name
+        assert np.all(whole[3] > 0) if m > scenario.n_sensors else np.all(whole[3] == 0)
 
     def test_draw_shapes_and_distinct_paths(self, scenario):
-        theta, v, noise = TrialStream(scenario, 6, 612, (0,)).draw(4)
-        assert theta.shape == (4,) and v.shape == (5, 4) and noise.shape == (6, 4)
-        other = TrialStream(scenario, 6, 612, (1,)).draw(4)
-        assert not np.array_equal(theta, other[0])
+        # Q^H n has k = min(M, N) rows; N = 5 here
+        for m, k in ((1, 1), (4, 4), (6, 5), (16, 5)):
+            theta, v, noise, outside = TrialStream(scenario, m, 612, (0,)).draw(4)
+            assert theta.shape == (4,) and v.shape == (5, 4)
+            assert noise.shape == (k, 4) and outside.shape == (4,)
+            other = TrialStream(scenario, m, 612, (1,)).draw(4)
+            assert not np.array_equal(theta, other[0])
+
+
+def full_synthesis(channel, gains, scenario, trials, rng):
+    """Independent M-vector trials: theta, y0 = H D v + n and y1 = y0 + H a theta."""
+    m, n = channel.h_matrix.shape
+    theta = complex_normal(rng, scenario.signal_var, trials)
+    v = complex_normal(rng, 1.0, (n, trials)) * np.sqrt(scenario.meas_noise_vars)[:, None]
+    noise = complex_normal(rng, scenario.fc_noise_var, (m, trials))
+    y0 = channel.h_matrix @ (gains.gains[:, None] * v) + noise
+    return theta, y0, y0 + np.outer(channel.h_matrix @ gains.gains, theta)
+
+
+class TestReducedSampler:
+    """The range(H) sampler against full M-vector synthesis on ten sensors,
+    at M below and above N."""
+
+    TRIALS = 4000
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        return sample_scenario(10, derive_rng(620))
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_statistics_match_full_synthesis(self, network, m):
+        sc, trials = network, self.TRIALS
+        ch = sample_channel(sc, m, derive_rng(621, m))
+        gv = GainVector.equal_power(5.0, sc.n_sensors)
+        ctx = NpTestContext.build(gv, ch, sc)
+        theta, y0, y1 = full_synthesis(ch, gv, sc, trials, derive_rng(622, m))
+        pvalues = {}
+        for det, statistic in (("np", partial(np_statistic, ctx)), ("ed", ed_statistic)):
+            t0, t1 = simulate_statistics(det, gv, ch, sc, trials, 623, (m,))
+            pvalues[f"{det} H0"] = ks_2samp(t0, statistic(y0)).pvalue
+            pvalues[f"{det} H1"] = ks_2samp(t1, statistic(y1)).pvalue
+        # LMMSE errors on the reduced draws of a trial stream
+        theta_r, v, noise, outside = TrialStream(sc, m, 624, (m,)).draw(trials)
+        r = np.linalg.qr(ch.h_matrix, mode="r")
+        z1 = (r * gv.gains) @ v + noise + np.outer(r @ gv.gains, theta_r)
+        est_r = lmmse_estimate(ctx, ReducedObservation(z1, outside, r, m)).estimate
+        est = lmmse_estimate(ctx, y1).estimate
+        pvalues["lmmse"] = ks_2samp(np.abs(theta_r - est_r) ** 2, np.abs(theta - est) ** 2).pvalue
+        assert min(pvalues.values()) >= 1e-3, pvalues
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_projected_block_gives_the_same_values(self, network, m):
+        """Projecting one synthesized block onto range(H) changes no statistic."""
+        sc = network
+        ch = sample_channel(sc, m, derive_rng(625, m))
+        gv = GainVector.equal_power(5.0, sc.n_sensors)
+        ctx = NpTestContext.build(gv, ch, sc)
+        _, y0, y1 = full_synthesis(ch, gv, sc, 16, derive_rng(626, m))
+        q, r = np.linalg.qr(ch.h_matrix)
+        for y in (y0, y1, y1[:, 0]):
+            z = q.conj().T @ y
+            outside = np.sum(np.abs(y - q @ z) ** 2, axis=0)
+            reduced = ReducedObservation(z, outside, r, m)
+            for name, got, want in (
+                ("np", np_statistic(ctx, reduced), np_statistic(ctx, y)),
+                ("lmmse", lmmse_estimate(ctx, reduced).estimate, lmmse_estimate(ctx, y).estimate),
+                ("ed", ed_statistic(reduced), ed_statistic(y)),
+            ):
+                assert np.shape(got) == np.shape(want), name
+                np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
 
 
 class TestConfigValidation:
@@ -201,7 +282,7 @@ class TestManifest:
         replayed = config_from_manifest(manifest_dict(cfg))
         assert run_experiment(replayed).to_csv() == run_experiment(cfg).to_csv()
 
-    @pytest.mark.parametrize("version", [None, 1, STREAM_VERSION + 1])
+    @pytest.mark.parametrize("version", [None, 1, STREAM_VERSION - 1, STREAM_VERSION + 1])
     def test_rejects_other_stream_versions(self, scenario, version):
         data = manifest_dict(small_config(scenario))
         if version is None:

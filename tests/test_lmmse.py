@@ -6,6 +6,7 @@ from mimofusion.lmmse import lmmse_estimate, lmmse_mse_bound, mse_closed_form
 from mimofusion.np_detector import NpTestContext, SingleAntennaContext
 from mimofusion.scenario import (
     GainVector,
+    ReducedObservation,
     Scenario,
     derive_rng,
     sample_channel,
@@ -15,18 +16,23 @@ from mimofusion.scenario import (
 
 
 def estimation_errors(sc, ch, gv, trials, seed):
-    """Empirical squared errors and estimates of the signal over fresh trials."""
+    """Empirical squared errors and estimates of the signal over fresh trials.
+
+    Trials are the harness's reduced draws: z1 = Q^H y1 for a thin QR H = QR,
+    and the estimate reads w^H y1 = (Q^H w)^H z1.
+    """
     ctx = NpTestContext.build(gv, ch, sc)
     err_sq = np.empty(trials)
     est_minus_truth = np.empty(trials, dtype=complex)
     chunk = 4096
-    w = ctx.whitened_steering
+    q, r = np.linalg.qr(ch.h_matrix)
+    w = q.conj().T @ ctx.whitened_steering
     stream = TrialStream(sc, ch.m_antennas, seed, (0,))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        theta, v, noise = stream.draw(stop - start)
-        y1 = (ch.h_matrix * gv.gains) @ v + noise + np.outer(ch.h_matrix @ gv.gains, theta)
-        est = (w.conj() @ y1) / (1.0 / sc.signal_var + ctx.snr)
+        theta, v, noise, _ = stream.draw(stop - start)
+        z1 = (r * gv.gains) @ v + noise + np.outer(r @ gv.gains, theta)
+        est = (w.conj() @ z1) / (1.0 / sc.signal_var + ctx.snr)
         err_sq[start:stop] = np.abs(theta - est) ** 2
         est_minus_truth[start:stop] = est - theta
     return ctx, err_sq, est_minus_truth
@@ -113,9 +119,12 @@ class TestSingleAntennaEstimator:
         h = ch.h_matrix[0]
         gv = GainVector.equal_power(4.0, 5)
         ctx = NpTestContext.build(gv, ch, sc)
-        theta, v, noise = TrialStream(sc, 1, 322, (0,)).draw(50_000)
-        y1 = (h * gv.gains) @ v + noise[0] + np.sum(gv.gains * h) * theta
-        result = lmmse_estimate(ctx, y1[None, :])
+        theta, v, noise, outside = TrialStream(sc, 1, 322, (0,)).draw(50_000)
+        # reduced draws: z1 = q^H y1 with q the 1 x 1 factor of a QR of H
+        q, r = np.linalg.qr(ch.h_matrix)
+        z1 = (r * gv.gains) @ v + noise + np.outer(r @ gv.gains, theta)
+        result = lmmse_estimate(ctx, ReducedObservation(z1, outside, r, 1))
+        y1 = q[0, 0] * z1[0]
         ref = SingleAntennaContext.build(gv, h, sc)
         g_s = ref.sigma_s_sq / (sc.signal_var * ref.sigma_w_sq)
         theory = mse_closed_form(g_s, sc.signal_var)
