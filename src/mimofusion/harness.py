@@ -12,13 +12,13 @@ and one written under another sampler version is refused, as its bytes would
 differ.
 
 Trials are sampled in the range of the channel.  Every statistic reads a
-received vector only through z = Q^H y, for a thin QR H = QR factored once per
-channel draw, and through the energy of y outside range(H)
-(:class:`ReducedObservation`); those are drawn directly, so a trial costs
-O(N^2) whatever M is.  Curves with the same gain policy share these reduced
-blocks, built for one gain vector at a time; the detector and estimator
-modules score them, and every detector consumes raw statistic arrays so a
-threshold sweep never resamples.
+received vector only through z = Q^H y, for a thin QR H = QR, and through the
+energy of y outside range(H) (:class:`ReducedObservation`); those are drawn
+directly, and a channel draw is its factor R itself (:func:`sample_channel`),
+so neither a trial nor a channel draw grows with M.  Curves with the same
+gain policy share these reduced blocks, built for one gain vector at a time;
+the detector and estimator modules score them, and every detector consumes
+raw statistic arrays so a threshold sweep never resamples.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ CSV_COLUMNS = (
 _TAG_CHANNEL = 0
 _TAG_TRIALS = 1
 _CHUNK = 2048
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 
 def compatible(detector: str, policy: str) -> bool:
@@ -259,11 +259,10 @@ def simulate_statistics(
     t0 = np.empty(trials)
     t1 = np.empty(trials)
     m = channel.m_antennas
-    r = np.linalg.qr(channel.h_matrix, mode="r")
     stream = TrialStream(scenario, m, master_seed, path)
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        y0, y1 = _received(r, m, gains, *stream.draw(stop - start))
+        y0, y1 = _received(channel.r, m, gains, *stream.draw(stop - start))
         t0[start:stop] = statistic(y0)
         t1[start:stop] = statistic(y1)
     return t0, t1
@@ -353,6 +352,9 @@ def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
     """One antenna group's channel draw and trials; ``policies`` maps each gain
     policy to the indices of the curves that use it.
 
+    The one-antenna gains read R's one row, e^{-i phi} h for h = H's row: a
+    common phase that moves no statistic's distribution.
+
     Every curve but ``ed``'s makes the likelihood-ratio decision, ``ed_single``
     included: at M = 1 that decision is |y|^2 > sigma_w^2 ln(1/target_pfa),
     the one-antenna receiver's test.
@@ -363,12 +365,12 @@ def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
     channel = sample_channel(
         scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
     )
-    r = np.linalg.qr(channel.h_matrix, mode="r")
+    r = channel.r
     prepared = []
     for curves in policies.values():
         gains = specs[curves[0]].gains
         if gains is None:
-            gains = np_gains.single_antenna_optimal_gains(scenario, channel.h_matrix[0], p)
+            gains = np_gains.single_antenna_optimal_gains(scenario, r[0], p)
         ctx = None
         if any(specs[i].detector != "ed" for i in curves):
             ctx = np_detector.NpTestContext.build(gains, channel, scenario, target_pfa=pfa)

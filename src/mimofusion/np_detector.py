@@ -3,12 +3,13 @@
 The optimal test statistic is sigma_theta^2 |a^H H^H C_w^{-1} y|^2, where
 C_w = H D V D^H H^H + sigma_n^2 I is the noise covariance at the receiver.
 C_w^{-1} is always applied through the matrix inversion lemma with an N x N
-solve (O(M N^2 + N^3)); the M x M covariance is never formed.  The steering
-vector w = C_w^{-1} H a lies in range(H), so the statistic reads a received
-vector only through its coordinates in range(H) (:class:`ReducedObservation`),
-which is what the Monte Carlo harness samples.  Closed-form detection and
-false-alarm probabilities follow from the statistic being a scaled chi-square
-variable with two degrees of freedom under both hypotheses.
+solve on the Gram matrix (O(N^3)); the M x M covariance is never formed.  The
+steering vector w = C_w^{-1} H a lies in range(H), so the statistic reads a
+received vector only through its coordinates in range(H)
+(:class:`ReducedObservation`), which is what the Monte Carlo harness samples.
+Closed-form detection and false-alarm probabilities follow from the statistic
+being a scaled chi-square variable with two degrees of freedom under both
+hypotheses.
 """
 
 from __future__ import annotations
@@ -58,24 +59,18 @@ def _steering_coefficients(
     return c / s
 
 
+def _snr(a: np.ndarray, gram: np.ndarray, c: np.ndarray) -> float:
+    # g = a^H H^H C_w^{-1} H a = a^H H^H H c = a^H G c
+    return max(float(np.real(np.vdot(a, gram @ c))), 0.0)
+
+
 def snr_exact(gains: GainVector, channel: ChannelRealization, scenario: Scenario) -> float:
     """Exact detection SNR g(a) = a^H H^H C_w^{-1} H a for one channel draw.
 
-    Evaluated entirely from the cached N x N Gram matrix.
+    Evaluated entirely from the cached N x N Gram matrix, as a^H G c with the
+    steering coefficients c of :func:`_steering_coefficients`.
     """
-    s = scenario.fc_noise_var
-    sup, e = _support(gains, scenario)
-    a = gains.gains
-    quad = float(np.real(np.vdot(a, channel.gram @ a)))
-    if not sup.any():
-        return max(quad / s, 0.0)
-    u = (channel.gram @ a)[sup]
-    k = channel.gram[np.ix_(sup, sup)] + np.diag(s / e[sup])
-    try:
-        corr = float(np.real(np.vdot(u, np.linalg.solve(k, u))))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("reduced noise-covariance system is singular") from exc
-    return max((quad - corr) / s, 0.0)
+    return _snr(gains.gains, channel.gram, _steering_coefficients(gains, channel, scenario))
 
 
 def snr_asymptotic(gains: GainVector, scenario: Scenario, m: int) -> float:
@@ -138,7 +133,9 @@ class NpTestContext:
 
     @property
     def whitened_steering(self) -> np.ndarray:
-        """The M-vector w = C_w^{-1} H a."""
+        """The M-vector w = C_w^{-1} H a; needs a channel with an explicit H."""
+        if self.channel.h_matrix is None:
+            raise ValueError("the M-vector w needs an explicit H (ChannelRealization.from_matrix)")
         return self.channel.h_matrix @ self.steering_coeffs
 
     @classmethod
@@ -150,7 +147,7 @@ class NpTestContext:
         target_pfa: float | None = None,
     ) -> "NpTestContext":
         c = _steering_coefficients(gains, channel, scenario)
-        g = snr_exact(gains, channel, scenario)
+        g = _snr(gains.gains, channel.gram, c)
         thr = None
         if target_pfa is not None:
             thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)

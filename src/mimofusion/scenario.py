@@ -1,10 +1,14 @@
 """Static network description, fading channel draws, and observation sampling.
 
 The sensor network is described by a :class:`Scenario` (geometry and noise
-levels), from which random channel matrices and received-signal samples are
-drawn.  All sampling takes an explicit :class:`numpy.random.Generator`, and
-:func:`derive_rng` maps a master seed plus an index path to an independent
-stream, so results are reproducible regardless of execution order.
+levels), from which random channels and received-signal samples are drawn.
+A channel draw is held as the triangular factor R of H = QR and its Gram
+matrix (:class:`ChannelRealization`), drawn directly by the Bartlett
+decomposition, so it costs the same at M = 16 and at M = 1e6; an explicit H
+is kept only when a caller supplies one.  All sampling takes an explicit
+:class:`numpy.random.Generator`, and :func:`derive_rng` maps a master seed
+plus an index path to an independent stream, so results are reproducible
+regardless of execution order.
 """
 
 from __future__ import annotations
@@ -124,45 +128,66 @@ def sample_scenario(
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One draw of the M x N complex channel matrix, with its cached Gram matrix.
+    """One draw of the M x N complex channel H, held as its triangular factor.
 
-    Column i is a standard complex Gaussian vector scaled by 1/sqrt(d_i**alpha).
-    The N x N Gram matrix H^H H is precomputed: every statistic in the package
-    is evaluated from it and from matrix-vector products, never from dense
-    M x M intermediates.
+    r is the k x N factor of a thin QR H = QR (k = min(M, N)), gram the N x N
+    Gram matrix H^H H = R^H R.  Every statistic in the package is evaluated
+    from these two and the antenna count, never from M x M or M x N
+    intermediates.  h_matrix is the explicit H, present only on a channel
+    built by :meth:`from_matrix`; a sampled channel has none.
     """
 
-    h_matrix: np.ndarray
+    r: np.ndarray
     gram: np.ndarray
+    m_antennas: int
+    h_matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        h = np.asarray(self.h_matrix, dtype=complex)
-        if h.ndim != 2 or h.shape[0] < 1:
-            raise ValueError("h_matrix must be an M x N matrix with M >= 1")
-        object.__setattr__(self, "h_matrix", _readonly(h))
+        r = np.asarray(self.r, dtype=complex)
+        m = int(self.m_antennas)
+        if m < 1 or r.ndim != 2 or r.shape[0] != min(m, r.shape[1]):
+            raise ValueError("r must be a min(M, N) x N factor with M >= 1")
+        object.__setattr__(self, "r", _readonly(r))
         object.__setattr__(self, "gram", _readonly(np.asarray(self.gram, dtype=complex)))
+        object.__setattr__(self, "m_antennas", m)
+        if self.h_matrix is not None:
+            h = np.asarray(self.h_matrix, dtype=complex)
+            if h.shape != (m, r.shape[1]):
+                raise ValueError("h_matrix must be M x N")
+            object.__setattr__(self, "h_matrix", _readonly(h))
 
     @classmethod
     def from_matrix(cls, h: np.ndarray) -> "ChannelRealization":
+        """Wrap an explicit M x N channel: one QR gives R, and G = R^H R."""
         h = np.asarray(h, dtype=complex)
-        return cls(h, h.conj().T @ h)
-
-    @property
-    def m_antennas(self) -> int:
-        return self.h_matrix.shape[0]
+        if h.ndim != 2 or h.shape[0] < 1:
+            raise ValueError("h_matrix must be an M x N matrix with M >= 1")
+        r = np.linalg.qr(h, mode="r")
+        return cls(r, r.conj().T @ r, h.shape[0], h)
 
     @property
     def n_sensors(self) -> int:
-        return self.h_matrix.shape[1]
+        return self.r.shape[1]
 
 
 def sample_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw an M x N Rayleigh-fading channel with distance-based path loss."""
+    """Draw an M x N Rayleigh-fading channel with distance-based path loss.
+
+    H has independent columns CN(0, I_M / d_i**alpha).  Only its triangular
+    factor R is drawn, by the complex Bartlett decomposition: for H = H0 B
+    with H0 iid CN(0, 1) and B = diag(d_i**(-alpha/2)), R = R0 B where R0 has
+    |R0_ii|^2 ~ Gamma(M - i, 1) for i = 0, ..., k - 1 on a real positive
+    diagonal, iid CN(0, 1) entries above it and zeros below, all independent.
+    The draw costs O(N^2) whatever M is.
+    """
     if m < 1:
         raise ValueError("antenna count must be >= 1")
-    h = complex_normal(rng, 1.0, (m, scenario.n_sensors))
-    h *= np.sqrt(scenario.path_gains)
-    return ChannelRealization.from_matrix(h)
+    n = scenario.n_sensors
+    k = min(m, n)
+    r = np.triu(complex_normal(rng, 1.0, out=np.empty((k, n), complex)), 1)
+    np.fill_diagonal(r, np.sqrt(rng.standard_gamma(np.arange(m, m - k, -1.0))))
+    r *= np.sqrt(scenario.path_gains)
+    return ChannelRealization(r, r.conj().T @ r, m)
 
 
 def asymptotic_gram(scenario: Scenario) -> np.ndarray:
@@ -260,6 +285,8 @@ def sample_observation(
     """
     if gains.n_sensors != channel.n_sensors or channel.n_sensors != scenario.n_sensors:
         raise ValueError("channel, gains, and scenario dimensions are inconsistent")
+    if channel.h_matrix is None:
+        raise ValueError("sampling a received vector needs an explicit H (from_matrix)")
     a = gains.gains
     y = np.zeros(channel.m_antennas, dtype=complex)
     if hypothesis == "H1":

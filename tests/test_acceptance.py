@@ -14,6 +14,7 @@ import pytest
 from mimofusion.ed_gains import EdAllocationProblem, closed_form_high_snr, closed_form_low_snr, solve_qclp
 from mimofusion.energy_detector import (
     deflection_asymptotic,
+    deflection_exact,
     ed_threshold_for_pfa,
     eta_weights,
     quadratic_form_variance,
@@ -24,6 +25,8 @@ from mimofusion.lmmse import lmmse_mse_bound, mse_closed_form
 from mimofusion.np_detector import NpTestContext, pd_closed_form
 from mimofusion.np_gains import np_pd_bound, snr_floor_power, waterfill, waterfill_kkt_residual
 from mimofusion.scenario import complex_normal, derive_rng, sample_channel, sample_scenario
+
+from channels import explicit_channel
 
 PFA_TARGET = 0.05
 SCENARIO_SEED = 73
@@ -139,7 +142,7 @@ def test_criterion_5_lmmse_identity_and_floor(scenario):
         theory_total = 0.0
         n_channels, trials_per = 10, 10_000
         for c in range(n_channels):
-            channel = sample_channel(scenario, m, derive_rng(SCENARIO_SEED, 5, c))
+            channel = explicit_channel(scenario, m, derive_rng(SCENARIO_SEED, 5, c))
             ctx = NpTestContext.build(gains, channel, scenario)
             theory_total += mse_closed_form(ctx.snr, scenario.signal_var)
             # reduced draws: z1 = Q^H y1 for a thin QR H = QR, w^H y1 = (Q^H w)^H z1
@@ -301,3 +304,55 @@ def test_criterion_10_thread_count_determinism(scenario):
         f"CSV bytes identical across thread counts 1/2/4 "
         f"({len(csv_serial)} bytes, {csv_serial.count(chr(10)) - 1} rows)",
     )
+
+
+# Laws at massive M: closed forms averaged over channel draws, M = 64 ... 2^20.
+MASSIVE_M = tuple(4**j for j in range(3, 11))
+LAW_CHANNELS = 300
+
+
+def test_criterion_11_np_pd_flat_to_massive_m(scenario):
+    pds = []
+    for m in MASSIVE_M:
+        gains = waterfill(scenario, m, snr_floor_power(scenario, m)).gains
+        channels = (
+            sample_channel(scenario, m, derive_rng(1111, m, c)) for c in range(LAW_CHANNELS)
+        )
+        snrs = [NpTestContext.build(gains, ch, scenario).snr for ch in channels]
+        pds.append(np.mean([pd_closed_form(g, scenario.signal_var, PFA_TARGET) for g in snrs]))
+    spread = max(pds) - min(pds)
+    lower = np_pd_bound(scenario, "low_power", PFA_TARGET)
+    ok = spread <= 0.01 and min(pds) > lower
+    report(
+        "criterion 11",
+        ok,
+        f"waterfill pd_theory on the 1/M schedule, M=64..2^20: {np.round(pds, 4)}, "
+        f"spread={spread:.4f} (<=0.01), low-power bound {lower:.4f} exceeded at every point",
+    )
+
+
+def test_criterion_12_ed_deflection_laws_to_massive_m(scenario):
+    """qclp deflection: converges on P = 15/sqrt(M), falls as 1/M on P = 120/M."""
+    details = []
+    ok = True
+    for label, power, slope_limit in (("15/sqrt(M)", lambda m: 15.0 / np.sqrt(m), 0.0),
+                                      ("120/M", lambda m: 120.0 / m, -1.0)):
+        deflections = []
+        for m in MASSIVE_M:
+            sol = solve_qclp(EdAllocationProblem.from_scenario(scenario, m, power(m)))
+            channels = (
+                sample_channel(scenario, m, derive_rng(1212, m, c)) for c in range(LAW_CHANNELS)
+            )
+            deflections.append(
+                np.mean([deflection_exact(sol.gains, ch, scenario) for ch in channels])
+            )
+        limit = deflection_asymptotic(sol.x, scenario, MASSIVE_M[-1])
+        # log-log slope in M over the last factor of four
+        slope = np.log(deflections[-1] / deflections[-2]) / np.log(4.0)
+        rel = abs(deflections[-1] / limit - 1.0)
+        ok = ok and abs(slope - slope_limit) <= 0.01 and rel <= 0.01
+        details.append(
+            f"P={label}: deflection {deflections[0]:.4g} -> {deflections[-1]:.4g}, slope "
+            f"{slope:+.4f} (want {slope_limit:+.0f}±0.01), vs large-M form rel {rel:.4f} (<=0.01)"
+        )
+    report("criterion 12", ok, "; ".join(details))

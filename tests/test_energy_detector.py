@@ -30,6 +30,8 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
+from channels import explicit_channel
+
 
 def oracle_tail(weights, excess) -> float:
     """P(sum_i w_i E_i > excess) for distinct weights, from the partial-fraction
@@ -71,7 +73,7 @@ class TestStatistic:
 
     def test_block_matches_per_column_calls(self):
         sc = sample_scenario(3, derive_rng(407))
-        ch = sample_channel(sc, 16, derive_rng(408))
+        ch = explicit_channel(sc, 16, derive_rng(408))
         gv = GainVector.equal_power(2.0, 3)
         block = np.stack(
             [sample_observation(ch, gv, sc, "H1", derive_rng(409, k)).y for k in range(5)], axis=1
@@ -83,7 +85,7 @@ class TestStatistic:
 
     def test_pure_noise_mean(self):
         sc = sample_scenario(3, derive_rng(401))
-        ch = sample_channel(sc, 16, derive_rng(402))
+        ch = explicit_channel(sc, 16, derive_rng(402))
         gv = GainVector.from_gains(np.zeros(3, complex))
         rng = derive_rng(403)
         stats = [ed_statistic(sample_observation(ch, gv, sc, "H0", rng)) for _ in range(4000)]
@@ -111,7 +113,7 @@ class TestDeflectionExact:
 
     def test_matches_dense_traces(self):
         sc = Scenario(np.array([2.0, 3.5]), np.array([0.3, 0.45]), 1.2, 0.3, 2.0)
-        ch = sample_channel(sc, 8, derive_rng(412))
+        ch = explicit_channel(sc, 8, derive_rng(412))
         gv = GainVector.from_gains(np.array([0.7 - 0.3j, 0.4 + 0.9j]))
         h, a = ch.h_matrix, gv.gains
         cw = h @ np.diag(np.abs(a) ** 2 * sc.meas_noise_vars) @ h.conj().T
@@ -209,12 +211,12 @@ class TestDeflectionAsymptotic:
 class TestSingleAntennaDeflection:
     def test_zero_gains(self):
         sc = sample_scenario(3, derive_rng(430))
-        h = sample_channel(sc, 1, derive_rng(431)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(431)).h_matrix[0]
         assert single_antenna_deflection(GainVector.from_gains(np.zeros(3, complex)), h, sc) == 0.0
 
     def test_equals_squared_snr_ratio(self):
         sc = sample_scenario(4, derive_rng(432))
-        h = sample_channel(sc, 1, derive_rng(433)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(433)).h_matrix[0]
         gv = GainVector.equal_power(3.0, 4)
         ctx = SingleAntennaContext.build(gv, h, sc)
         assert single_antenna_deflection(gv, h, sc) == pytest.approx(
@@ -223,7 +225,7 @@ class TestSingleAntennaDeflection:
 
     def test_strictly_decreases_when_shrunk(self):
         sc = sample_scenario(4, derive_rng(434))
-        h = sample_channel(sc, 1, derive_rng(435)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(435)).h_matrix[0]
         gv = GainVector.equal_power(3.0, 4)
         base = single_antenna_deflection(gv, h, sc)
         for c in (0.9, 0.5, 0.1):

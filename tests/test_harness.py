@@ -29,6 +29,8 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
+from channels import explicit_channel
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -130,7 +132,7 @@ class TestReducedSampler:
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_statistics_match_full_synthesis(self, network, m):
         sc, trials = network, self.TRIALS
-        ch = sample_channel(sc, m, derive_rng(621, m))
+        ch = explicit_channel(sc, m, derive_rng(621, m))
         gv = GainVector.equal_power(5.0, sc.n_sensors)
         ctx = NpTestContext.build(gv, ch, sc)
         theta, y0, y1 = full_synthesis(ch, gv, sc, trials, derive_rng(622, m))
@@ -141,9 +143,8 @@ class TestReducedSampler:
             pvalues[f"{det} H1"] = ks_2samp(t1, statistic(y1)).pvalue
         # LMMSE errors on the reduced draws of a trial stream
         theta_r, v, noise, outside = TrialStream(sc, m, 624, (m,)).draw(trials)
-        r = np.linalg.qr(ch.h_matrix, mode="r")
-        z1 = (r * gv.gains) @ v + noise + np.outer(r @ gv.gains, theta_r)
-        est_r = lmmse_estimate(ctx, ReducedObservation(z1, outside, r, m)).estimate
+        z1 = (ch.r * gv.gains) @ v + noise + np.outer(ch.r @ gv.gains, theta_r)
+        est_r = lmmse_estimate(ctx, ReducedObservation(z1, outside, ch.r, m)).estimate
         est = lmmse_estimate(ctx, y1).estimate
         pvalues["lmmse"] = ks_2samp(np.abs(theta_r - est_r) ** 2, np.abs(theta - est) ** 2).pvalue
         assert min(pvalues.values()) >= 1e-3, pvalues
@@ -152,7 +153,7 @@ class TestReducedSampler:
     def test_projected_block_gives_the_same_values(self, network, m):
         """Projecting one synthesized block onto range(H) changes no statistic."""
         sc = network
-        ch = sample_channel(sc, m, derive_rng(625, m))
+        ch = explicit_channel(sc, m, derive_rng(625, m))
         gv = GainVector.equal_power(5.0, sc.n_sensors)
         ctx = NpTestContext.build(gv, ch, sc)
         _, y0, y1 = full_synthesis(ch, gv, sc, 16, derive_rng(626, m))
@@ -282,7 +283,7 @@ class TestManifest:
         replayed = config_from_manifest(manifest_dict(cfg))
         assert run_experiment(replayed).to_csv() == run_experiment(cfg).to_csv()
 
-    @pytest.mark.parametrize("version", [None, 1, STREAM_VERSION - 1, STREAM_VERSION + 1])
+    @pytest.mark.parametrize("version", [None, 1, 2, STREAM_VERSION - 1, STREAM_VERSION + 1])
     def test_rejects_other_stream_versions(self, scenario, version):
         data = manifest_dict(small_config(scenario))
         if version is None:

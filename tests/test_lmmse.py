@@ -14,6 +14,8 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
+from channels import explicit_channel
+
 
 def estimation_errors(sc, ch, gv, trials, seed):
     """Empirical squared errors and estimates of the signal over fresh trials.
@@ -57,7 +59,7 @@ class TestClosedForm:
 class TestEstimator:
     def test_zero_gains_give_prior(self):
         sc = sample_scenario(4, derive_rng(301))
-        ch = sample_channel(sc, 8, derive_rng(302))
+        ch = explicit_channel(sc, 8, derive_rng(302))
         gv = GainVector.from_gains(np.zeros(4, complex))
         ctx = NpTestContext.build(gv, ch, sc)
         y = sample_observation(ch, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
@@ -67,7 +69,7 @@ class TestEstimator:
 
     def test_empirical_mse_matches_theory(self):
         sc = sample_scenario(6, derive_rng(304))
-        ch = sample_channel(sc, 32, derive_rng(305))
+        ch = explicit_channel(sc, 32, derive_rng(305))
         gv = GainVector.equal_power(5.0, 6)
         ctx, err_sq, _ = estimation_errors(sc, ch, gv, 100_000, 306)
         theory = mse_closed_form(ctx.snr, sc.signal_var)
@@ -75,7 +77,7 @@ class TestEstimator:
 
     def test_estimator_unbiased(self):
         sc = sample_scenario(5, derive_rng(307))
-        ch = sample_channel(sc, 16, derive_rng(308))
+        ch = explicit_channel(sc, 16, derive_rng(308))
         gv = GainVector.equal_power(3.0, 5)
         ctx, err_sq, diff = estimation_errors(sc, ch, gv, 50_000, 309)
         stderr = np.std(diff.real) / np.sqrt(diff.size)
@@ -92,7 +94,7 @@ class TestEstimator:
 
     def test_matches_per_observation_call(self):
         sc = sample_scenario(4, derive_rng(312))
-        ch = sample_channel(sc, 8, derive_rng(313))
+        ch = explicit_channel(sc, 8, derive_rng(313))
         gv = GainVector.equal_power(2.0, 4)
         ctx = NpTestContext.build(gv, ch, sc)
         y = sample_observation(ch, gv, sc, "H1", derive_rng(314))
@@ -115,7 +117,7 @@ class TestSingleAntennaEstimator:
     def test_empirical_mse_matches_theory(self):
         """The estimator on a one-antenna channel is the scalar receiver's."""
         sc = sample_scenario(5, derive_rng(320))
-        ch = sample_channel(sc, 1, derive_rng(321))
+        ch = explicit_channel(sc, 1, derive_rng(321))
         h = ch.h_matrix[0]
         gv = GainVector.equal_power(4.0, 5)
         ctx = NpTestContext.build(gv, ch, sc)

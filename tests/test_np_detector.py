@@ -18,12 +18,15 @@ from mimofusion.np_detector import (
 from mimofusion.np_gains import snr_floor_gains
 from mimofusion.scenario import (
     GainVector,
+    ReducedObservation,
     Scenario,
     derive_rng,
     sample_channel,
     sample_observation,
     sample_scenario,
 )
+
+from channels import explicit_channel
 
 
 def small_scenario():
@@ -50,7 +53,7 @@ def dense_snr(sc, ch, gv):
 class TestStatistic:
     def test_matches_dense_inverse_small_instance(self):
         sc = small_scenario()
-        ch = sample_channel(sc, 6, derive_rng(101))
+        ch = explicit_channel(sc, 6, derive_rng(101))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ch, sc)
         for k in range(5):
@@ -63,7 +66,7 @@ class TestStatistic:
         for m in (2, 4, 8, 12, 16):
             n = int(rng.integers(1, 5))
             sc = sample_scenario(n, derive_rng(104, m))
-            ch = sample_channel(sc, m, derive_rng(105, m))
+            ch = explicit_channel(sc, m, derive_rng(105, m))
             gv = GainVector.from_gains(
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
@@ -74,7 +77,7 @@ class TestStatistic:
 
     def test_block_matches_per_column_calls(self):
         sc = small_scenario()
-        ch = sample_channel(sc, 6, derive_rng(114))
+        ch = explicit_channel(sc, 6, derive_rng(114))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ch, sc)
         block = np.stack(
@@ -87,7 +90,7 @@ class TestStatistic:
 
     def test_zero_gains_zero_statistic(self):
         sc = small_scenario()
-        ch = sample_channel(sc, 6, derive_rng(107))
+        ch = explicit_channel(sc, 6, derive_rng(107))
         gv = GainVector.from_gains(np.zeros(2, complex))
         ctx = NpTestContext.build(gv, ch, sc)
         y = sample_observation(ch, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
@@ -96,7 +99,7 @@ class TestStatistic:
 
     def test_orthogonal_observation_zero_statistic(self):
         sc = small_scenario()
-        ch = sample_channel(sc, 6, derive_rng(109))
+        ch = explicit_channel(sc, 6, derive_rng(109))
         gv = GainVector.from_gains(np.array([0.5, 0.3 + 0.2j]))
         ctx = NpTestContext.build(gv, ch, sc)
         w = ctx.whitened_steering
@@ -107,17 +110,56 @@ class TestStatistic:
     def test_partial_support_matches_dense(self):
         # one sensor silent: the reduced solve must drop it, not fail
         sc = small_scenario()
-        ch = sample_channel(sc, 8, derive_rng(112))
+        ch = explicit_channel(sc, 8, derive_rng(112))
         gv = GainVector.from_gains(np.array([0.0, 0.9 - 0.4j]))
         ctx = NpTestContext.build(gv, ch, sc)
         y = sample_observation(ch, gv, sc, "H1", derive_rng(113)).y
         assert np_statistic(ctx, y) == pytest.approx(dense_statistic(sc, ch, gv, y), rel=1e-10)
 
+    def test_channel_without_h_has_no_m_vector(self):
+        sc = small_scenario()
+        ch = sample_channel(sc, 6, derive_rng(116))
+        gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
+        ctx = NpTestContext.build(gv, ch, sc)
+        with pytest.raises(ValueError, match="explicit H"):
+            ctx.whitened_steering
+        with pytest.raises(ValueError, match="explicit H"):
+            np_statistic(ctx, np.ones(6, complex))
+        z = np.ones((2, 3), complex)
+        expected = sc.signal_var * np.abs((ch.r @ ctx.steering_coeffs).conj() @ z) ** 2
+        reduced = ReducedObservation(z, np.zeros(3), ch.r, 6)
+        np.testing.assert_allclose(np_statistic(ctx, reduced), expected, rtol=1e-12)
+
+
+def two_solve_snr(sc, ch, gv):
+    """g = (a^H G a - u^H K^{-1} u) / s with u = (G a)_s: the SNR by its own solve."""
+    s = sc.fc_noise_var
+    a, g = gv.gains, ch.gram
+    e = gv.magnitudes_sq * sc.meas_noise_vars
+    sup = e > 0
+    quad = float(np.real(np.vdot(a, g @ a)))
+    u = (g @ a)[sup]
+    k = g[np.ix_(sup, sup)] + np.diag(s / e[sup])
+    return max((quad - float(np.real(np.vdot(u, np.linalg.solve(k, u))))) / s, 0.0)
+
 
 class TestSnr:
+    def test_matches_separate_solve(self):
+        """snr_exact reads the steering coefficients; the value is the one a
+        second solve gives, to rounding, on full, partial and empty support."""
+        for i, (n, m) in enumerate(((1, 1), (3, 2), (6, 24), (10, 500))):
+            sc = sample_scenario(n, derive_rng(125, i))
+            ch = sample_channel(sc, m, derive_rng(126, i))
+            mags = derive_rng(127, i).uniform(0.0, 3.0, n)
+            for keep in (np.ones(n, bool), np.arange(n) % 2 == 1, np.zeros(n, bool)):
+                gv = GainVector.from_gains(np.where(keep, mags, 0.0) * np.exp(0.3j * np.arange(n)))
+                g = snr_exact(gv, ch, sc)
+                assert g == pytest.approx(two_solve_snr(sc, ch, gv), rel=1e-12, abs=1e-300)
+                assert NpTestContext.build(gv, ch, sc).snr == g
+
     def test_single_sensor_matches_dense(self):
         sc = Scenario(np.array([2.5]), np.array([0.4]), 1.0, 0.3, 2.0)
-        ch = sample_channel(sc, 8, derive_rng(120))
+        ch = explicit_channel(sc, 8, derive_rng(120))
         gv = GainVector.from_gains(np.array([1.3 + 0.1j]))
         assert snr_exact(gv, ch, sc) == pytest.approx(dense_snr(sc, ch, gv), rel=1e-10)
 
@@ -216,7 +258,7 @@ class TestSingleAntenna:
 
     def test_empirical_calibration(self):
         sc = sample_scenario(5, derive_rng(140))
-        ch = sample_channel(sc, 1, derive_rng(141))
+        ch = explicit_channel(sc, 1, derive_rng(141))
         gv = GainVector.equal_power(6.0, 5)
         ctx = SingleAntennaContext.build(gv, ch.h_matrix[0], sc, target_pfa=0.05)
         t0, t1 = simulate_statistics("np_single", gv, ch, sc, 100_000, 142)

@@ -22,9 +22,10 @@ from mimofusion.scenario import (
     GainVector,
     Scenario,
     derive_rng,
-    sample_channel,
     sample_scenario,
 )
+
+from channels import explicit_channel
 
 
 def grid_search_best(scenario, m, p, resolution=1e-3):
@@ -146,13 +147,13 @@ class TestSingleAntennaOptimalGains:
 
     def test_power_constraint_exact(self):
         sc = sample_scenario(7, derive_rng(230))
-        h = sample_channel(sc, 1, derive_rng(231)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(231)).h_matrix[0]
         gv = single_antenna_optimal_gains(sc, h, 5.0)
         assert gv.sum_power == pytest.approx(5.0, rel=1e-9)
 
     def test_achieves_closed_form_ratio(self):
         sc = sample_scenario(6, derive_rng(232))
-        h = sample_channel(sc, 1, derive_rng(233)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(233)).h_matrix[0]
         gv = single_antenna_optimal_gains(sc, h, 4.0)
         ctx = SingleAntennaContext.build(gv, h, sc)
         assert ctx.sigma_s_sq / ctx.sigma_w_sq == pytest.approx(
@@ -161,7 +162,7 @@ class TestSingleAntennaOptimalGains:
 
     def test_beats_random_feasible_gains(self):
         sc = sample_scenario(8, derive_rng(234))
-        h = sample_channel(sc, 1, derive_rng(235)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(235)).h_matrix[0]
         p = 6.0
         best = single_antenna_best_ratio(sc, h, p)
         rng = derive_rng(236)
@@ -200,7 +201,7 @@ def test_single_antenna_zeta_shrinks_with_antenna_budget():
     medians = []
     for m in (10, 100, 1000):
         vals = [
-            single_antenna_zeta(sc, sample_channel(sc, 1, derive_rng(251, m, k)).h_matrix[0], m)
+            single_antenna_zeta(sc, explicit_channel(sc, 1, derive_rng(251, m, k)).h_matrix[0], m)
             for k in range(30)
         ]
         medians.append(np.median(vals))

@@ -20,7 +20,9 @@ from mimofusion.np_detector import (
     single_antenna_pd,
 )
 from mimofusion.np_gains import single_antenna_optimal_gains
-from mimofusion.scenario import GainVector, derive_rng, sample_channel, sample_scenario
+from mimofusion.scenario import GainVector, derive_rng, sample_scenario
+
+from channels import explicit_channel
 
 REL = 1e-10
 PFA = 0.05
@@ -36,7 +38,7 @@ PFA = 0.05
 def test_general_path_matches_scalar_forms(n, log_p, seed, policy):
     p = 10.0**log_p
     sc = sample_scenario(n, derive_rng(seed, 0))
-    ch = sample_channel(sc, 1, derive_rng(seed, 1))
+    ch = explicit_channel(sc, 1, derive_rng(seed, 1))
     h = ch.h_matrix[0]
     if policy == "equal":
         gv = GainVector.equal_power(p, n)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import ks_2samp
 
 from mimofusion.scenario import (
+    ChannelRealization,
     GainVector,
     Scenario,
     asymptotic_gram,
@@ -12,6 +14,8 @@ from mimofusion.scenario import (
     sample_observation,
     sample_scenario,
 )
+
+from channels import explicit_channel
 
 
 def make_scenario(d, v, signal_var=1.0, fc_noise_var=0.3, alpha=2.0):
@@ -56,35 +60,104 @@ class TestDeriveRng:
 
 
 class TestSampleChannel:
+    # G_ii = |column i of H|^2 ~ (1/d_i**alpha) Gamma(M, 1): G_ii / M is the
+    # mean entry power of column i, with standard deviation (1/d_i**alpha)/sqrt(M)
+
     def test_unit_distance_unit_variance(self):
         sc = make_scenario([1.0, 1.0], [0.3, 0.3], alpha=7.0)
-        h = sample_channel(sc, 40000, derive_rng(3)).h_matrix
-        assert_allclose(np.mean(np.abs(h) ** 2, axis=0), [1.0, 1.0], atol=0.02)
+        g = sample_channel(sc, 40000, derive_rng(3)).gram
+        assert_allclose(np.diag(g).real / 40000, [1.0, 1.0], atol=0.02)
 
     def test_zero_exponent_ignores_distance(self):
         sc = make_scenario([2.0, 10.0], [0.3, 0.3], alpha=0.0)
-        h = sample_channel(sc, 40000, derive_rng(4)).h_matrix
-        assert_allclose(np.mean(np.abs(h) ** 2, axis=0), [1.0, 1.0], atol=0.02)
+        g = sample_channel(sc, 40000, derive_rng(4)).gram
+        assert_allclose(np.diag(g).real / 40000, [1.0, 1.0], atol=0.02)
 
     def test_column_power_follows_path_loss(self):
-        # d=2, alpha=2: per-entry power 1/4, real/imag each variance 1/8
+        # d=2, alpha=2: per-entry power 1/4
         sc = make_scenario([2.0], [0.3])
-        h = sample_channel(sc, 100_000, derive_rng(5)).h_matrix[:, 0]
-        # |h|^2 is exponential with mean/std 0.25: 3 sigma-of-the-mean tolerance
-        tol = 3 * 0.25 / np.sqrt(100_000)
-        assert abs(np.mean(np.abs(h) ** 2) - 0.25) < tol
-        assert abs(np.var(h.real) - 0.125) < 3 * tol
-        assert abs(np.var(h.imag) - 0.125) < 3 * tol
+        m = 100_000
+        power = sample_channel(sc, m, derive_rng(5)).gram[0, 0].real / m
+        # 3 sigma of the mean: sd of G_00 / M is 0.25 / sqrt(M)
+        tol = 3 * 0.25 / np.sqrt(m)
+        assert abs(power - 0.25) < tol
+        # over draws, G_00 / M has the Gamma(M) variance 0.25^2 / M: 400 draws
+        # give the sample variance a relative sd of sqrt(2/399), so allow 4 of it
+        draws = np.array([
+            sample_channel(sc, m, derive_rng(5, k)).gram[0, 0].real / m for k in range(400)
+        ])
+        assert abs(np.mean(draws) - 0.25) < 3 * 0.25 / np.sqrt(m * 400)
+        assert abs(np.var(draws, ddof=1) / (0.25**2 / m) - 1.0) < 4 * np.sqrt(2 / 399)
+
+    def test_factor_shape_and_gram(self):
+        sc = make_scenario([2.0, 3.0, 4.0], [0.3, 0.4, 0.5])
+        for m, k in ((1, 1), (2, 2), (3, 3), (16, 3)):
+            ch = sample_channel(sc, m, derive_rng(6, m))
+            assert ch.r.shape == (k, 3) and ch.m_antennas == m and ch.h_matrix is None
+            assert np.array_equal(ch.r, np.triu(ch.r))
+            assert np.all(np.diag(ch.r).real > 0) and np.all(np.diag(ch.r).imag == 0)
+            assert_allclose(ch.gram, ch.r.conj().T @ ch.r, rtol=1e-12)
 
     def test_gram_cached(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.4])
-        ch = sample_channel(sc, 16, derive_rng(6))
+        ch = explicit_channel(sc, 16, derive_rng(6))
         assert_allclose(ch.gram, ch.h_matrix.conj().T @ ch.h_matrix, rtol=1e-12)
+        assert ch.r.shape == (2, 2) and ch.m_antennas == 16
+
+    def test_from_matrix_keeps_its_factor(self):
+        h = complex_normal(derive_rng(8), 1.0, (3, 5))
+        ch = ChannelRealization.from_matrix(h)
+        assert ch.r.shape == (3, 5) and ch.n_sensors == 5
+        q = np.linalg.qr(h)[0]
+        assert_allclose(q @ ch.r, h, atol=1e-12)
+        with pytest.raises(ValueError):
+            ChannelRealization.from_matrix(np.zeros(4, complex))
+
+    def test_rejects_inconsistent_factor(self):
+        with pytest.raises(ValueError):
+            ChannelRealization(np.eye(2), np.eye(2), 1)  # k must be min(M, N) = 1
+        with pytest.raises(ValueError):
+            ChannelRealization(np.eye(2), np.eye(2), 4, np.zeros((3, 2)))
 
     def test_rejects_zero_antennas(self):
         sc = make_scenario([2.0], [0.3])
         with pytest.raises(ValueError):
             sample_channel(sc, 0, derive_rng(7))
+
+
+class TestBartlettSampler:
+    """The drawn factor against the QR of an explicit H: the same law.
+
+    Two-sample KS tests at a fixed seed on entries of G, on |R| entries (both
+    invariant to the phases a QR leaves free) and on the top eigenvalue of G.
+    """
+
+    DRAWS = 3000
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 16, 64])
+    def test_matches_qr_of_explicit_channel(self, m):
+        sc = make_scenario([2.0, 3.0, 4.0, 5.0], [0.3, 0.4, 0.3, 0.4], alpha=1.0)
+        n, k = sc.n_sensors, min(m, sc.n_sensors)
+        bartlett = [sample_channel(sc, m, derive_rng(50, m, i)) for i in range(self.DRAWS)]
+        explicit = [explicit_channel(sc, m, derive_rng(51, m, i)) for i in range(self.DRAWS)]
+
+        def features(channels):
+            g = np.array([ch.gram for ch in channels])
+            r = np.abs(np.array([ch.r for ch in channels]))
+            out = {"top eig": np.linalg.eigvalsh(g)[:, -1]}
+            for i in range(n):
+                out[f"G{i}{i}"] = g[:, i, i].real
+                for j in range(i + 1, n):
+                    out[f"re G{i}{j}"] = g[:, i, j].real
+                    out[f"im G{i}{j}"] = g[:, i, j].imag
+            for i in range(k):
+                for j in range(i, n):
+                    out[f"|R{i}{j}|"] = r[:, i, j]
+            return out
+
+        ours, theirs = features(bartlett), features(explicit)
+        pvalues = {name: ks_2samp(ours[name], theirs[name]).pvalue for name in ours}
+        assert min(pvalues.values()) >= 1e-3, pvalues
 
 
 class TestAsymptoticGram:
@@ -141,11 +214,17 @@ class TestGainVector:
 class TestSampleObservation:
     def test_zero_gains_tiny_noise_gives_zero(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.4], fc_noise_var=1e-30)
-        ch = sample_channel(sc, 8, derive_rng(21))
+        ch = explicit_channel(sc, 8, derive_rng(21))
         gv = GainVector.from_gains(np.zeros(2, complex))
         for hyp in ("H0", "H1"):
             y = sample_observation(ch, gv, sc, hyp, derive_rng(22))
             assert np.max(np.abs(y.y)) < 1e-12
+
+    def test_channel_without_h_rejected(self):
+        sc = make_scenario([2.0, 3.0], [0.3, 0.4])
+        ch = sample_channel(sc, 8, derive_rng(29))
+        with pytest.raises(ValueError, match="explicit H"):
+            sample_observation(ch, GainVector.equal_power(1.0, 2), sc, "H0", derive_rng(30))
 
     def test_dimension_mismatch_rejected(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.4])
@@ -165,7 +244,7 @@ class TestSampleObservation:
 
     def test_h0_covariance_matches_closed_form(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.45], fc_noise_var=0.2)
-        ch = sample_channel(sc, 4, derive_rng(25))
+        ch = explicit_channel(sc, 4, derive_rng(25))
         gv = GainVector.from_gains(np.array([0.8 + 0.2j, -0.5 + 0.9j]))
         h, a = ch.h_matrix, gv.gains
         cw = h @ np.diag(np.abs(a) ** 2 * sc.meas_noise_vars) @ h.conj().T
@@ -175,7 +254,7 @@ class TestSampleObservation:
 
     def test_h1_covariance_matches_closed_form(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.45], fc_noise_var=0.2)
-        ch = sample_channel(sc, 4, derive_rng(27))
+        ch = explicit_channel(sc, 4, derive_rng(27))
         gv = GainVector.from_gains(np.array([0.8 + 0.2j, -0.5 + 0.9j]))
         h, a = ch.h_matrix, gv.gains
         cw = h @ np.diag(np.abs(a) ** 2 * sc.meas_noise_vars) @ h.conj().T
