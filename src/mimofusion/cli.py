@@ -22,7 +22,7 @@ from .config import (
     load_scenario,
     PACKAGED_EXPERIMENTS,
 )
-from .harness import load_manifest, run_experiment, write_manifest
+from .harness import MULTI_POLICIES, load_manifest, run_experiment, write_manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--config", required=True, help="scenario config file")
     wf.add_argument("--power", type=float, required=True)
     wf.add_argument("--antennas", type=int, required=True)
-    wf.add_argument("--tol", type=float, default=1e-9)
     wf.set_defaults(func=_cmd_waterfill)
 
     ea = sub.add_parser("ed-alloc", help="deflection-maximizing power allocation")
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     th.add_argument("--pfa", type=float, required=True)
     th.add_argument("--power", type=float, required=True)
     th.add_argument("--antennas", type=int, required=True)
-    th.add_argument("--policy", default=None,
+    th.add_argument("--policy", choices=MULTI_POLICIES, default=None,
                     help="gain policy (default: waterfill for np, qclp for ed)")
     th.set_defaults(func=_cmd_threshold)
 
@@ -144,9 +143,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_waterfill(args) -> int:
     scenario = _load_scenario(args.config)
-    if args.power <= 0 or args.antennas < 1 or args.tol <= 0:
-        raise ConfigError("need --power > 0, --antennas >= 1, --tol > 0")
-    sol = np_gains.waterfill(scenario, args.antennas, args.power, args.tol)
+    if args.power <= 0 or args.antennas < 1:
+        raise ConfigError("need --power > 0 and --antennas >= 1")
+    sol = np_gains.waterfill(scenario, args.antennas, args.power)
     for i, x in enumerate(sol.magnitudes_sq):
         print(f"x[{i}] = {float(x)!r}")
     print(f"multiplier = {sol.multiplier!r}")

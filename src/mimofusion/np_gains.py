@@ -2,8 +2,9 @@
 
 The large-M detection SNR is separable and concave in the per-sensor powers
 x_i = |a_i|^2, so the optimal allocation under a sum-power budget is a
-water-filling law in a single multiplier, found by bisection.  Phase never
-enters the large-M objective; optimal gains are returned real and nonnegative.
+water-filling law in a single multiplier, solved in closed form with the
+budget met to rounding.  Phase never enters the large-M objective; optimal
+gains are returned real and nonnegative.
 The scalar-receiver case keeps phase, where it matters.
 """
 
@@ -31,49 +32,37 @@ class WaterfillSolution:
         return GainVector.from_magnitudes_sq(self.magnitudes_sq)
 
 
-def _waterfill_powers(lam: float, noise_dist: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    # noise_dist_i = fc_noise_var * d_i**alpha; clamped square-root law in lam
-    root = np.sqrt(noise_dist * m / lam)
-    return np.maximum(root - noise_dist, 0.0) / (v * m)
+def waterfill(scenario: Scenario, m: int, p: float) -> WaterfillSolution:
+    """Maximize the large-M detection SNR under sum power p, in closed form.
 
-
-def waterfill(scenario: Scenario, m: int, p: float, tol: float = 1e-9) -> WaterfillSolution:
-    """Maximize the large-M detection SNR under sum power p.
-
-    Bisects the multiplier over its closed-form bracket until the allocated
-    power matches p to relative tolerance tol:  the total allocated power is
-    continuous and strictly decreasing in the multiplier, from >= p at the
-    lower bracket to 0 at the upper.
+    With nd_i = s d_i**alpha, stationarity reads M nd_i / (nd_i + v_i M x_i)**2
+    = lam, so with t = lam**-1/2, r_i = sqrt(nd_i / M) and w_i = r_i / v_i the
+    powers are x_i = w_i max(t - r_i, 0).  On the K sensors with the lowest r_i
+    the total power is linear in t, so one sorted prefix test gives K and the
+    level follows exactly.  The prefix powers, the level and x are formed from
+    the nonnegative differences r_K - r_j only, never from sqrt(nd_i M) t - nd_i,
+    which cancels; the budget is met to rounding.
     """
     if p <= 0:
         raise ValueError("sum power must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if m < 1:
         raise ValueError("antenna count must be >= 1")
-    d_alpha = scenario.distances**scenario.path_loss_exp
-    v = scenario.meas_noise_vars
-    noise_dist = scenario.fc_noise_var * d_alpha
-
-    lam_hi = m / noise_dist.min()
-    lam_lo = float(np.min(noise_dist * m / (noise_dist + v * p * m) ** 2))
-
-    x = _waterfill_powers(lam_lo, noise_dist, v, m)
-    lam = lam_lo
-    iters = 0
-    for iters in range(1, 201):
-        lam = 0.5 * (lam_lo + lam_hi)
-        x = _waterfill_powers(lam, noise_dist, v, m)
-        resid = x.sum() - p
-        if abs(resid) <= tol * p:
-            break
-        if resid > 0:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        if lam_hi - lam_lo <= 1e-12 * lam_hi:
-            break
-    return WaterfillSolution(x, float(lam), asymptotic_snr_from_power(x, scenario, m), iters)
+    noise_dist = scenario.fc_noise_var * scenario.distances**scenario.path_loss_exp
+    r = np.sqrt(noise_dist / m)
+    w = r / scenario.meas_noise_vars
+    order = np.argsort(r, kind="stable")
+    r_sorted, w_sorted = r[order], w[order]
+    w_prefix = np.cumsum(w_sorted)
+    # power at t = r_k on the k lowest sensors, accumulated over the gaps of r
+    power_at_r = np.concatenate(([0.0], np.cumsum(w_prefix[:-1] * np.diff(r_sorted))))
+    k = int(np.count_nonzero(power_at_r < p))
+    level = (p - power_at_r[k - 1]) / w_prefix[k - 1]
+    r_top = r_sorted[k - 1]
+    x = np.zeros_like(r)
+    active = order[:k]
+    x[active] = w[active] * (level + (r_top - r[active]))
+    lam = 1.0 / (r_top + level) ** 2
+    return WaterfillSolution(x, float(lam), asymptotic_snr_from_power(x, scenario, m), 1)
 
 
 def waterfill_kkt_residual(sol: WaterfillSolution, scenario: Scenario, m: int) -> float:

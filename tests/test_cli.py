@@ -219,6 +219,15 @@ class TestExitCodes:
         assert "--threads" in capsys.readouterr().err
         assert not (out_dir / "unit_cli.csv").exists()
 
+    @pytest.mark.parametrize("detector", ["np", "ed"])
+    @pytest.mark.parametrize("policy", ["no_such_policy", "single_antenna_optimal"])
+    def test_threshold_policy_outside_multi_policies(self, scenario_cfg, capsys, detector,
+                                                     policy):
+        assert main(["threshold", "--detector", detector, "--config", scenario_cfg,
+                     "--pfa", "0.05", "--power", "1", "--antennas", "8",
+                     "--policy", policy]) == 2
+        capsys.readouterr()
+
     def test_bad_calculator_arguments(self, scenario_cfg):
         assert main(["waterfill", "--config", scenario_cfg, "--power", "-1",
                      "--antennas", "8"]) == 2

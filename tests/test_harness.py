@@ -242,10 +242,10 @@ class TestRunExperiment:
         )
         real_waterfill = np_gains.waterfill
 
-        def exploding(sc, m, p, tol=1e-9):
+        def exploding(sc, m, p):
             if m == 13:
                 raise RuntimeError("forced failure")
-            return real_waterfill(sc, m, p, tol)
+            return real_waterfill(sc, m, p)
 
         monkeypatch.setattr("mimofusion.harness.np_gains.waterfill", exploding)
         result = run_experiment(cfg)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mimofusion.np_detector import (
@@ -106,9 +108,31 @@ class TestWaterfill:
         with pytest.raises(ValueError):
             waterfill(sc, 10, 0.0)
         with pytest.raises(ValueError):
-            waterfill(sc, 10, 1.0, tol=0.0)
-        with pytest.raises(ValueError):
             waterfill(sc, 0, 1.0)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 100),
+    log_m=st.floats(0.0, 5.0),
+    log_p=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**31 - 1),
+    network=st.sampled_from(("sampled", "far", "identical")),
+)
+def test_budget_and_kkt_met_to_rounding(n, log_m, log_p, seed, network):
+    m = round(10.0**log_m)
+    p = 10.0**log_p
+    rng = derive_rng(seed)
+    if network == "identical":
+        d, v = rng.uniform(2.0, 1000.0), rng.uniform(0.25, 0.5)
+        sc = Scenario(np.full(n, d), np.full(n, v), 1.0, 0.3, 2.0)
+    else:
+        distance_range = (2.0, 1000.0) if network == "far" else (2.0, 10.0)
+        sc = sample_scenario(n, rng, distance_range=distance_range)
+    sol = waterfill(sc, m, p)
+    assert np.all(sol.magnitudes_sq >= 0)
+    assert abs(sol.magnitudes_sq.sum() - p) <= 1e-12 * p
+    assert waterfill_kkt_residual(sol, sc, m) <= 1e-12
 
 
 class TestSnrFloorGains:
