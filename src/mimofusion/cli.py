@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override the master seed")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override any config key (repeatable)")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads; never changes the results")
     run.add_argument("--output-dir", default=None,
                      help="output directory (default: $MIMOFUSION_OUTPUT_DIR or .)")
     run.set_defaults(func=_cmd_run)
@@ -104,6 +102,11 @@ def _check_pfa(pfa: float) -> float:
     return pfa
 
 
+def _check_power_antennas(args) -> None:
+    if not (np.isfinite(args.power) and args.power > 0) or args.antennas < 1:
+        raise ConfigError("need a finite --power > 0 and --antennas >= 1")
+
+
 def _load_scenario(path):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -111,8 +114,6 @@ def _load_scenario(path):
 
 
 def _cmd_run(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     if args.replay:
         if not os.path.exists(args.replay):
             raise ConfigError(f"manifest not found: {args.replay}")
@@ -129,7 +130,7 @@ def _cmd_run(args) -> int:
 
     out_dir = args.output_dir or os.environ.get("MIMOFUSION_OUTPUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
-    result = run_experiment(config, threads=args.threads)
+    result = run_experiment(config)
     csv_path = os.path.join(out_dir, f"{config.experiment_id}.csv")
     manifest_path = os.path.join(out_dir, f"{config.experiment_id}.manifest.json")
     result.write_csv(csv_path)
@@ -143,8 +144,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_waterfill(args) -> int:
     scenario = _load_scenario(args.config)
-    if args.power <= 0 or args.antennas < 1:
-        raise ConfigError("need --power > 0 and --antennas >= 1")
+    _check_power_antennas(args)
     sol = np_gains.waterfill(scenario, args.antennas, args.power)
     for i, x in enumerate(sol.magnitudes_sq):
         print(f"x[{i}] = {float(x)!r}")
@@ -155,8 +155,7 @@ def _cmd_waterfill(args) -> int:
 
 def _cmd_ed_alloc(args) -> int:
     scenario = _load_scenario(args.config)
-    if args.power <= 0 or args.antennas < 1:
-        raise ConfigError("need --power > 0 and --antennas >= 1")
+    _check_power_antennas(args)
     if args.form == "qclp":
         problem = ed_gains.EdAllocationProblem.from_scenario(
             scenario, args.antennas, args.power, args.variant
@@ -187,8 +186,7 @@ def _cmd_ed_alloc(args) -> int:
 def _cmd_threshold(args) -> int:
     scenario = _load_scenario(args.config)
     pfa = _check_pfa(args.pfa)
-    if args.power <= 0 or args.antennas < 1:
-        raise ConfigError("need --power > 0 and --antennas >= 1")
+    _check_power_antennas(args)
     if args.detector == "np":
         policy = args.policy or "waterfill"
         from .harness import resolve_gains

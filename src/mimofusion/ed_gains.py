@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy_detector import _deflection_vectors
+from .energy_detector import _deflection_ratio, _deflection_vectors
 from .scenario import GainVector, Scenario
 
 
@@ -68,13 +68,10 @@ class EdAllocationProblem:
 
     def objective(self, x: np.ndarray, include_cross_term: bool = True) -> float:
         """Deflection value of an allocation under this problem's variant."""
-        x = np.asarray(x, dtype=float)
-        s = self.fc_noise_var
-        num = self.signal_var**2 * float(x @ self.d_vec) ** 2
-        den = float(x @ (self.b_diag * x)) + s**2 / self.m_antennas
-        if include_cross_term:
-            den += (2.0 * s / self.m_antennas) * float(self.b_vec @ x)
-        return num / den
+        return _deflection_ratio(
+            np.asarray(x, dtype=float), self.d_vec, self.b_diag, self.b_vec,
+            self.signal_var, self.fc_noise_var, self.m_antennas, include_cross_term,
+        )
 
 
 @dataclass(frozen=True, eq=False)

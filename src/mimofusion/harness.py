@@ -6,8 +6,10 @@ the multi-antenna detectors and M = 1 for the ``*_single`` ones, which are the
 same receiver's one-antenna case (one group when the sweep's M is 1).  Each
 work unit, one (point, scenario, antenna group) of a run, owns one random
 stream derived from that path, read in order in chunks (:class:`TrialStream`).
-Results are therefore bit-identical for any chunk size, any worker-thread
-count and whichever curves share a run.  Manifests record :data:`STREAM_VERSION`,
+The draws, and so every count and closed-form cell, are therefore the same
+for any chunk size and whichever curves share a run; ``mse_emp`` is a float
+sum taken one :data:`_CHUNK`-trial chunk at a time, so only its last digit
+could move with another chunk size.  Manifests record :data:`STREAM_VERSION`,
 and one written under another sampler version is refused, as its bytes would
 differ.
 
@@ -24,7 +26,6 @@ raw statistic arrays so a threshold sweep never resamples.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -90,8 +91,8 @@ class ExperimentConfig:
         # plain Python numbers keep CSV/JSON formatting independent of the caller
         object.__setattr__(self, "sweep", tuple((float(p), int(m)) for p, m in self.sweep))
         for p, m in self.sweep:
-            if p <= 0 or m < 1:
-                raise ValueError("sweep points need positive power and M >= 1")
+            if not (np.isfinite(p) and p > 0) or m < 1:
+                raise ValueError("sweep points need finite positive power and M >= 1")
         for det in self.detectors:
             if det not in DETECTORS:
                 raise ValueError(f"unknown detector {det!r}")
@@ -306,7 +307,6 @@ class _Tally:
     pd_theory: float = 0.0
     mse_theory: float = 0.0
     deflection: float = 0.0
-    theory_count: int = 0
 
     def merge(self, other: "_Tally") -> None:
         self.det += other.det
@@ -316,7 +316,6 @@ class _Tally:
         self.pd_theory += other.pd_theory
         self.mse_theory += other.mse_theory
         self.deflection += other.deflection
-        self.theory_count += other.theory_count
 
 
 def _prepare_point(config: ExperimentConfig, p: float, m: int):
@@ -381,7 +380,6 @@ def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
                 tally.mse_theory += lmmse.mse_closed_form(ctx.snr, sv)
             if specs[i].detector in ("ed", "ed_single"):
                 tally.deflection += energy_detector.deflection_exact(gains, channel, scenario)
-            tally.theory_count += 1
         prepared.append((gains, ctx, curves))
     stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
     trials = config.trials_per_scenario
@@ -404,19 +402,19 @@ def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
                     tally.err_sq += float(np.sum(np.abs(theta - est) ** 2))
 
 
-def _point_rows(config, point_idx, p, m, specs, merged) -> list[ResultRow]:
+def _point_rows(config, p, m, specs, merged) -> list[ResultRow]:
     scenario = config.scenario
     bound_lo = np_gains.np_pd_bound(scenario, "low_power", config.target_pfa)
     bound_hi = np_gains.np_pd_bound(scenario, "high_power", config.target_pfa)
     rows = []
     nan = float("nan")
+    n = config.n_scenarios
     for spec, tally in zip(specs, merged):
         total = tally.trials
         pd_emp = tally.det / total if total else nan
         pfa_emp = tally.fa / total if total else nan
         stderr = float(np.sqrt(pd_emp * (1.0 - pd_emp) / total)) if total else nan
         is_np = spec.detector in ("np", "np_single")
-        count = tally.theory_count or 1
         rows.append(ResultRow(
             experiment=config.experiment_id,
             policy=spec.policy,
@@ -424,11 +422,11 @@ def _point_rows(config, point_idx, p, m, specs, merged) -> list[ResultRow]:
             m=m,
             p=p,
             pd_emp=pd_emp,
-            pd_theory=tally.pd_theory / count if spec.detector != "ed" else nan,
+            pd_theory=tally.pd_theory / n if spec.detector != "ed" else nan,
             pfa_emp=pfa_emp,
             mse_emp=tally.err_sq / total if (is_np and total) else nan,
-            mse_theory=tally.mse_theory / count if is_np else nan,
-            deflection=tally.deflection / count if spec.detector in ("ed", "ed_single") else nan,
+            mse_theory=tally.mse_theory / n if is_np else nan,
+            deflection=tally.deflection / n if spec.detector in ("ed", "ed_single") else nan,
             bound_lo=bound_lo if is_np else nan,
             bound_hi=bound_hi if is_np else nan,
             stderr=stderr,
@@ -437,37 +435,23 @@ def _point_rows(config, point_idx, p, m, specs, merged) -> list[ResultRow]:
     return rows
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured sweep and tabulate one row per curve and point.
 
-    Scenarios run independently (optionally on one thread pool for the whole
-    run) and are merged in index order, so the result is identical for any
-    thread count.  A failing operating point is recorded and its rows emitted
-    as NaN instead of aborting the sweep.
+    Scenarios run one after another and their tallies are merged in index
+    order.  A failing operating point is recorded and its rows emitted as NaN
+    instead of aborting the sweep.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if threads == 1:
-        return _run_sweep(config, map)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _run_sweep(config, pool.map)
-
-
-def _run_sweep(config: ExperimentConfig, map_scenarios) -> ExperimentResult:
     rows: list[ResultRow] = []
     errors: list[tuple[int, str]] = []
     for point_idx, (p, m) in enumerate(config.sweep):
         try:
             specs = _prepare_point(config, p, m)
-            per_scenario = list(map_scenarios(
-                lambda s: _run_scenario(config, point_idx, p, m, s, specs),
-                range(config.n_scenarios),
-            ))
             merged = [_Tally() for _ in specs]
-            for tallies in per_scenario:
-                for agg, one in zip(merged, tallies):
+            for s_idx in range(config.n_scenarios):
+                for agg, one in zip(merged, _run_scenario(config, point_idx, p, m, s_idx, specs)):
                     agg.merge(one)
-            rows.extend(_point_rows(config, point_idx, p, m, specs, merged))
+            rows.extend(_point_rows(config, p, m, specs, merged))
         except Exception as exc:  # record, continue sweep
             errors.append((point_idx, f"{type(exc).__name__}: {exc}"))
             nan = float("nan")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .np_detector import NpTestContext, steering_response
+from .np_detector import NpTestContext, _power_limit_snr, steering_response
 from .scenario import Observation, ReducedObservation, Scenario
 
 
@@ -50,9 +50,4 @@ def lmmse_mse_bound(scenario: Scenario, regime: str) -> float:
     'high_power': the floor both scalar and multi-antenna receivers approach
     from above as the power budget grows.
     """
-    info = float(np.sum(1.0 / scenario.meas_noise_vars))
-    if regime == "low_power":
-        return mse_closed_form(info / 3.0, scenario.signal_var)
-    if regime == "high_power":
-        return mse_closed_form(info, scenario.signal_var)
-    raise ValueError("regime must be 'low_power' or 'high_power'")
+    return mse_closed_form(_power_limit_snr(scenario, regime), scenario.signal_var)

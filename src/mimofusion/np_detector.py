@@ -89,6 +89,17 @@ def asymptotic_snr_from_power(x: np.ndarray, scenario: Scenario, m: int) -> floa
     return float(np.sum(np.divide(num, den, out=np.zeros_like(num), where=den > 0)))
 
 
+def _power_limit_snr(scenario: Scenario, regime: str) -> float:
+    """Large-M SNR at a power limit, from info = sum_i 1/v_i: info / 3 on the
+    1/M power schedule ('low_power'), info as the budget grows ('high_power')."""
+    info = float(np.sum(1.0 / scenario.meas_noise_vars))
+    if regime == "low_power":
+        return info / 3.0
+    if regime == "high_power":
+        return info
+    raise ValueError("regime must be 'low_power' or 'high_power'")
+
+
 def threshold_for_pfa(snr: float, signal_var: float, target_pfa: float) -> float:
     """Threshold achieving the requested false-alarm probability.
 

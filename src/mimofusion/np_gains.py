@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .np_detector import DegenerateDetectorError, asymptotic_snr_from_power
+from .np_detector import (
+    DegenerateDetectorError,
+    _power_limit_snr,
+    asymptotic_snr_from_power,
+    pd_closed_form,
+)
 from .scenario import GainVector, Scenario
 
 
@@ -43,8 +48,8 @@ def waterfill(scenario: Scenario, m: int, p: float) -> WaterfillSolution:
     the nonnegative differences r_K - r_j only, never from sqrt(nd_i M) t - nd_i,
     which cancels; the budget is met to rounding.
     """
-    if p <= 0:
-        raise ValueError("sum power must be positive")
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError("sum power must be finite and positive")
     if m < 1:
         raise ValueError("antenna count must be >= 1")
     noise_dist = scenario.fc_noise_var * scenario.distances**scenario.path_loss_exp
@@ -148,13 +153,4 @@ def np_pd_bound(scenario: Scenario, regime: str, target_pfa: float) -> float:
     one-third SNR floor.  'high_power': upper bound shared by scalar and
     multi-antenna receivers as the power budget grows without limit.
     """
-    if not 0.0 < target_pfa < 1.0:
-        raise ValueError("target_pfa must lie in (0, 1)")
-    info = float(np.sum(1.0 / scenario.meas_noise_vars))
-    if regime == "low_power":
-        g = info / 3.0
-    elif regime == "high_power":
-        g = info
-    else:
-        raise ValueError("regime must be 'low_power' or 'high_power'")
-    return float(np.exp(np.log(target_pfa) / (1.0 + scenario.signal_var * g)))
+    return pd_closed_form(_power_limit_snr(scenario, regime), scenario.signal_var, target_pfa)

@@ -28,7 +28,7 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     paths yield statistically independent streams.  Each unit of work (the
     harness uses one per channel draw and one per point, scenario and antenna
     group for all of its trials) gets its own path, so results do not depend
-    on the order or the thread the units run in.
+    on the order the units run in.
     """
     if master_seed < 0:
         raise ValueError("master_seed must be nonnegative")

@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+from mimofusion import harness
+from mimofusion.cli import main
 from mimofusion.ed_gains import EdAllocationProblem, closed_form_high_snr, closed_form_low_snr, solve_qclp
 from mimofusion.energy_detector import (
     deflection_asymptotic,
@@ -20,7 +22,14 @@ from mimofusion.energy_detector import (
     quadratic_form_variance,
     weighted_chi2_tail,
 )
-from mimofusion.harness import ExperimentConfig, TrialStream, run_experiment, simulate_statistics
+from mimofusion.harness import (
+    CSV_COLUMNS,
+    DETECTORS,
+    ExperimentConfig,
+    TrialStream,
+    run_experiment,
+    simulate_statistics,
+)
 from mimofusion.lmmse import lmmse_mse_bound, mse_closed_form
 from mimofusion.np_detector import NpTestContext, pd_closed_form
 from mimofusion.np_gains import np_pd_bound, snr_floor_power, waterfill, waterfill_kkt_residual
@@ -289,20 +298,49 @@ def test_criterion_9_quadratic_form_variance_oracle():
     )
 
 
-def test_criterion_10_thread_count_determinism(scenario):
+def test_criterion_10_chunk_size_and_replay_determinism(scenario, monkeypatch, tmp_path):
     config = ExperimentConfig(
-        "accept10", scenario, ((4.0, 16), (8.0, 16)), 200, 3, PFA_TARGET, 101010,
-        ("np", "ed"), ("waterfill", "equal"),
+        "accept10", scenario, ((4.0, 16), (8.0, 16), (4.0, 1)), 200, 3, PFA_TARGET, 101010,
+        DETECTORS, ("waterfill", "equal", "single_antenna_optimal"),
     )
-    csv_serial = run_experiment(config, threads=1).to_csv()
-    csv_pool = run_experiment(config, threads=4).to_csv()
-    csv_again = run_experiment(config, threads=2).to_csv()
-    ok = csv_serial == csv_pool == csv_again
+    mse_col = CSV_COLUMNS.index("mse_emp")
+    tables = {}
+    for chunk in (2048, 64, 7):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        tables[chunk] = [line.split(",") for line in run_experiment(config).to_csv().splitlines()]
+    base = tables[2048]
+
+    def others(row):  # every cell, with mse_emp reduced to whether it is blank
+        return row[:mse_col] + [not row[mse_col]] + row[mse_col + 1:]
+
+    cells_ok = all(
+        len(table) == len(base) and all(others(row) == others(ref) for row, ref in zip(table, base))
+        for table in tables.values()
+    )
+    mse_gap = max(
+        abs(float(row[mse_col]) / float(ref[mse_col]) - 1.0)
+        for table in tables.values()
+        for row, ref in zip(table[1:], base[1:])
+        if ref[mse_col]
+    )
+    monkeypatch.undo()
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    args = ["--trials", "200", "--scenarios", "3"]
+    ran = main(["run", "--experiment", "fig3", *args, "--output-dir", str(first)]) == 0
+    replayed = main([
+        "run", "--replay", str(first / "fig3.manifest.json"), "--output-dir", str(second),
+    ]) == 0
+    replay_ok = ran and replayed and (
+        (first / "fig3.csv").read_bytes() == (second / "fig3.csv").read_bytes()
+    )
+    ok = cells_ok and mse_gap <= 1e-12 and replay_ok
     report(
         "criterion 10",
         ok,
-        f"CSV bytes identical across thread counts 1/2/4 "
-        f"({len(csv_serial)} bytes, {csv_serial.count(chr(10)) - 1} rows)",
+        f"chunk sizes 2048/64/7 on {len(base) - 1} rows: every cell but mse_emp "
+        f"byte-identical: {cells_ok}, mse_emp within {mse_gap:.1e} relative (<=1e-12); "
+        f"run then --replay gives byte-identical CSVs: {replay_ok}",
     )
 
 

@@ -121,7 +121,7 @@ class TestRun:
     def test_rerun_is_byte_identical(self, experiment_cfg, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["run", "--config", experiment_cfg, "--output-dir", a]) == 0
-        assert main(["run", "--config", experiment_cfg, "--output-dir", b, "--threads", "4"]) == 0
+        assert main(["run", "--config", experiment_cfg, "--output-dir", b]) == 0
         with open(os.path.join(a, "unit_cli.csv"), "rb") as fh:
             bytes_a = fh.read()
         with open(os.path.join(b, "unit_cli.csv"), "rb") as fh:
@@ -205,19 +205,40 @@ class TestExitCodes:
         path.write_text(EXPERIMENT_CFG.replace("trials = 100", "trials = lots"))
         assert main(["run", "--config", str(path)]) == 2
 
-    def test_usage_error(self, capsys):
+    def test_usage_error(self, experiment_cfg, tmp_path, capsys):
         assert main([]) == 2
         assert main(["run"]) == 2
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", experiment_cfg, "--output-dir", str(out_dir),
+                     "--threads", "2"]) == 2
+        assert not (out_dir / "unit_cli.csv").exists()
         capsys.readouterr()
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_nonpositive_threads_is_config_error(self, experiment_cfg, tmp_path, capsys, threads):
+    @pytest.mark.parametrize("sweep_p", ["nan, 1.0", "1.0, inf", "nan, inf, 1.0"])
+    def test_nonfinite_sweep_power_is_config_error(self, tmp_path, capsys, sweep_p):
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(EXPERIMENT_CFG.replace("fixed_p = 4.0", f"sweep_p = {sweep_p}"))
         out_dir = tmp_path / "out"
-        rc = main(["run", "--config", experiment_cfg, "--output-dir", str(out_dir),
-                   "--threads", threads])
-        assert rc == 2
-        assert "--threads" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--output-dir", str(out_dir)]) == 2
+        assert "finite" in capsys.readouterr().err
         assert not (out_dir / "unit_cli.csv").exists()
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf")])
+    def test_replay_with_nonfinite_power_is_config_error(self, experiment_cfg, tmp_path,
+                                                         capsys, power):
+        first = str(tmp_path / "first")
+        assert main(["run", "--config", experiment_cfg, "--output-dir", first]) == 0
+        manifest = os.path.join(first, "unit_cli.manifest.json")
+        with open(manifest) as fh:
+            data = json.load(fh)
+        data["sweep"][0][0] = power
+        with open(manifest, "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        rc = main(["run", "--replay", manifest, "--output-dir", str(tmp_path / "second")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "second" / "unit_cli.csv").exists()
 
     @pytest.mark.parametrize("detector", ["np", "ed"])
     @pytest.mark.parametrize("policy", ["no_such_policy", "single_antenna_optimal"])
@@ -231,3 +252,9 @@ class TestExitCodes:
     def test_bad_calculator_arguments(self, scenario_cfg):
         assert main(["waterfill", "--config", scenario_cfg, "--power", "-1",
                      "--antennas", "8"]) == 2
+        for command in (["waterfill"], ["ed-alloc"], ["ed-alloc", "--form", "high_snr"],
+                        ["threshold", "--detector", "np", "--pfa", "0.05"],
+                        ["threshold", "--detector", "ed", "--pfa", "0.05"]):
+            for power in ("nan", "inf"):
+                assert main([*command, "--config", scenario_cfg, "--power", power,
+                             "--antennas", "8"]) == 2, (command, power)

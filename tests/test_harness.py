@@ -227,12 +227,6 @@ class TestRunExperiment:
         assert pds[1] >= pds[0] - slack
         assert pds[2] >= pds[1] - slack
 
-    def test_deterministic_across_runs_and_threads(self, scenario):
-        cfg = small_config(scenario)
-        base = run_experiment(cfg).to_csv()
-        assert run_experiment(cfg).to_csv() == base
-        assert run_experiment(cfg, threads=3).to_csv() == base
-
     def test_failed_point_recorded_not_fatal(self, scenario, monkeypatch):
         cfg = small_config(
             scenario,

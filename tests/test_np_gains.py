@@ -109,6 +109,9 @@ class TestWaterfill:
             waterfill(sc, 10, 0.0)
         with pytest.raises(ValueError):
             waterfill(sc, 0, 1.0)
+        for p in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                waterfill(sc, 10, p)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
