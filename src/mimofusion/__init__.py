@@ -6,7 +6,6 @@ Monte Carlo harness for the power-scaling experiments."""
 from .scenario import (
     ChannelRealization,
     GainVector,
-    Observation,
     ReducedObservation,
     Scenario,
     asymptotic_gram,
@@ -40,13 +39,11 @@ from .np_gains import (
     waterfill,
     waterfill_kkt_residual,
 )
-from .lmmse import LmmseResult, lmmse_estimate, lmmse_mse_bound, mse_closed_form
+from .lmmse import lmmse_estimate, lmmse_mse_bound, mse_closed_form
 from .energy_detector import (
-    DeflectionReport,
     EdThreshold,
     deflection_asymptotic,
     deflection_exact,
-    deflection_report,
     ed_statistic,
     ed_threshold_for_pfa,
     eta_weights,
@@ -66,7 +63,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
-    estimate_pd_pfa,
     resolve_gains,
     run_experiment,
     simulate_statistics,

@@ -19,14 +19,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .scenario import ChannelRealization, GainVector, Observation, ReducedObservation, Scenario
+from .scenario import ChannelRealization, GainVector, ReducedObservation, Scenario
 
 # survival table cap, 32 MiB: at N = 100 it serves a weight spread max w / min w
 # up to about 700, at N = 20 up to 1e4 (the gain policies give at most ~150)
 _MAX_TABLE_ENTRIES = 1 << 22
 
 
-def ed_statistic(y: Observation | ReducedObservation | np.ndarray) -> float | np.ndarray:
+def ed_statistic(y: ReducedObservation | np.ndarray) -> float | np.ndarray:
     """Average received energy per antenna, y^H y / M.
 
     A received vector (M,) gives a float; an (M, T) block gives one value per
@@ -37,7 +37,7 @@ def ed_statistic(y: Observation | ReducedObservation | np.ndarray) -> float | np
     if isinstance(y, ReducedObservation):
         vec, m, outside = y.z, y.m_antennas, y.outside_energy
     else:
-        vec = y.y if isinstance(y, Observation) else np.asarray(y)
+        vec = np.asarray(y)
         m = vec.shape[0]
     block = vec.reshape(vec.shape[0], -1)
     energy = (
@@ -134,23 +134,6 @@ def single_antenna_deflection(gains: GainVector, h: np.ndarray, scenario: Scenar
         + scenario.fc_noise_var
     )
     return (sig / noise) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class DeflectionReport:
-    """Finite-M deflection of one channel draw next to its large-M limit."""
-
-    exact_deflection: float
-    asymptotic_deflection: float
-
-
-def deflection_report(
-    gains: GainVector, channel: ChannelRealization, scenario: Scenario
-) -> DeflectionReport:
-    return DeflectionReport(
-        deflection_exact(gains, channel, scenario),
-        deflection_asymptotic(gains.magnitudes_sq, scenario, channel.m_antennas),
-    )
 
 
 def eta_weights(gains: GainVector, scenario: Scenario) -> np.ndarray:

@@ -17,16 +17,20 @@ Trials are sampled in the range of the channel.  Every statistic reads a
 received vector only through z = Q^H y, for a thin QR H = QR, and through the
 energy of y outside range(H) (:class:`ReducedObservation`); those are drawn
 directly, and a channel draw is its factor R itself (:func:`sample_channel`),
-so neither a trial nor a channel draw grows with M.  Curves with the same
-gain policy share these reduced blocks, built for one gain vector at a time;
-the detector and estimator modules score them, and every detector consumes
-raw statistic arrays so a threshold sweep never resamples.
+so neither a trial nor a channel draw grows with M.
+
+What the harness tallies is a unit: one antenna group with one gain policy.
+Each unit's reduced blocks are built once per chunk and scored once per
+decision rule (likelihood ratio, energy, LMMSE estimate) by the detector and
+estimator modules; every curve's row is read from its unit's tally, so
+curves on one unit, such as ``np_single`` and ``ed_single``, share their
+decisions rather than repeat them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -219,6 +223,11 @@ class TrialStream:
             outside = s * self._outside.standard_gamma(self._m - self._k, count)
         return theta, v.T, noise.T, outside
 
+    def chunks(self, trials: int):
+        """The draws of the next ``trials`` trials, :data:`_CHUNK` at a time."""
+        for start in range(0, trials, _CHUNK):
+            yield self.draw(min(_CHUNK, trials - start))
+
 
 def _received(r: np.ndarray, m: int, gains: GainVector, theta, v, noise, outside):
     """Reduced received blocks without and with the signal, z = R D v + Q^H n
@@ -242,10 +251,11 @@ def simulate_statistics(
     """Sample the detector statistic under both hypotheses from one trial stream.
 
     Returns (noise-only statistics, signal-present statistics); thresholding is
-    left to the caller so one sampled set serves a whole ROC sweep.  The two
-    hypotheses share each trial's signal and noise draws, sampled in the
-    range of the channel (:class:`TrialStream`).  The ``*_single`` detectors
-    need a one-antenna channel and return |y|^2, the energy there.
+    left to the caller, so one sampled set serves a whole ROC sweep or any
+    number of empirical rates.  The two hypotheses share each trial's signal
+    and noise draws, sampled in the range of the channel and read through
+    :meth:`TrialStream.chunks`, as the harness reads them.  The ``*_single``
+    detectors need a one-antenna channel and return |y|^2, the energy there.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -257,51 +267,25 @@ def simulate_statistics(
     if detector == "np":
         ctx = np_detector.NpTestContext.build(gains, channel, scenario)
         statistic = partial(np_detector.np_statistic, ctx)
-    t0 = np.empty(trials)
-    t1 = np.empty(trials)
     m = channel.m_antennas
-    stream = TrialStream(scenario, m, master_seed, path)
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        y0, y1 = _received(channel.r, m, gains, *stream.draw(stop - start))
-        t0[start:stop] = statistic(y0)
-        t1[start:stop] = statistic(y1)
-    return t0, t1
-
-
-def estimate_pd_pfa(
-    detector: str,
-    threshold: float,
-    gains: GainVector,
-    channel: ChannelRealization,
-    scenario: Scenario,
-    trials: int,
-    master_seed: int,
-    path: tuple[int, ...] = (0,),
-) -> tuple[float, float, float]:
-    """Empirical detection and false-alarm rates at a threshold, with the
-    binomial standard error of the detection estimate."""
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a rate estimate")
-    t0, t1 = simulate_statistics(detector, gains, channel, scenario, trials, master_seed, path)
-    pd_emp = float(np.mean(t1 > threshold))
-    pfa_emp = float(np.mean(t0 > threshold))
-    stderr = float(np.sqrt(pd_emp * (1.0 - pd_emp) / trials))
-    return pd_emp, pfa_emp, stderr
-
-
-@dataclass(frozen=True, eq=False)
-class _CurveSpec:
-    detector: str
-    policy: str
-    gains: GainVector | None  # None: resolved per channel draw (needs CSI)
-    ed_threshold: float | None
+    t0, t1 = [], []
+    for draws in TrialStream(scenario, m, master_seed, path).chunks(trials):
+        y0, y1 = _received(channel.r, m, gains, *draws)
+        t0.append(statistic(y0))
+        t1.append(statistic(y1))
+    return np.concatenate(t0), np.concatenate(t1)
 
 
 @dataclass
 class _Tally:
-    det: int = 0
-    fa: int = 0
+    """One unit's counts and closed-form sums: likelihood-ratio (lr) and
+    energy (ed) decisions, squared LMMSE errors, and per-scenario closed
+    forms summed over scenarios."""
+
+    lr_fa: int = 0
+    lr_det: int = 0
+    ed_fa: int = 0
+    ed_det: int = 0
     err_sq: float = 0.0
     trials: int = 0
     pd_theory: float = 0.0
@@ -309,127 +293,130 @@ class _Tally:
     deflection: float = 0.0
 
     def merge(self, other: "_Tally") -> None:
-        self.det += other.det
-        self.fa += other.fa
-        self.err_sq += other.err_sq
-        self.trials += other.trials
-        self.pd_theory += other.pd_theory
-        self.mse_theory += other.mse_theory
-        self.deflection += other.deflection
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+def _count_above(statistics: np.ndarray, threshold: float) -> int:
+    return int(np.count_nonzero(statistics > threshold))
+
+
+def _unit(detector: str, policy: str, m: int) -> tuple[int, str]:
+    """The (antenna group, gain policy) unit whose tally a curve reads."""
+    return (1 if detector in SINGLE_DETECTORS else m, policy)
 
 
 def _prepare_point(config: ExperimentConfig, p: float, m: int):
-    specs = []
+    """Units, gains per policy and ED thresholds per policy at one point.
+
+    Units map (antenna group, policy) to the detectors scored on it.  Gains
+    are None for ``single_antenna_optimal``, which is resolved per channel
+    draw; an ED threshold exists for each policy with an ``ed`` curve.
+    """
+    units: dict[tuple[int, str], list[str]] = {}
     gains: dict[str, GainVector | None] = {}
+    ed_thresholds: dict[str, float] = {}
     for det, pol in config.curves():
+        units.setdefault(_unit(det, pol, m), []).append(det)
         if pol not in gains:
             needs_csi = pol == "single_antenna_optimal"
             gains[pol] = None if needs_csi else resolve_gains(pol, config.scenario, m, p)
-        ed_thr = None
         if det == "ed":
             eta = energy_detector.eta_weights(gains[pol], config.scenario)
-            ed_thr = energy_detector.ed_threshold_for_pfa(
+            ed_thresholds[pol] = energy_detector.ed_threshold_for_pfa(
                 eta, config.scenario, m, config.target_pfa
             ).gamma_hat
-        specs.append(_CurveSpec(det, pol, gains[pol], ed_thr))
-    return specs
+    return units, gains, ed_thresholds
 
 
-def _run_scenario(config, point_idx, p, m, s_idx, specs):
-    """Tally every curve on one scenario, one antenna group at a time."""
-    tallies = [_Tally() for _ in specs]
-    groups: dict[int, dict[str, list[int]]] = {}
-    for i, spec in enumerate(specs):
-        m_group = 1 if spec.detector in SINGLE_DETECTORS else m
-        groups.setdefault(m_group, {}).setdefault(spec.policy, []).append(i)
-    for m_group, policies in groups.items():
-        _run_group(config, point_idx, p, m_group, s_idx, specs, policies, tallies)
-    return tallies
+def _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds):
+    """Tally every unit on one scenario, one antenna group at a time.
 
-
-def _run_group(config, point_idx, p, m, s_idx, specs, policies, tallies):
-    """One antenna group's channel draw and trials; ``policies`` maps each gain
-    policy to the indices of the curves that use it.
+    Each group draws one channel and one trial stream, and each unit scores
+    its reduced blocks once per decision rule: the likelihood-ratio (LR)
+    decision if any of its detectors is not ``ed``, the energy decision if
+    ``ed`` is among them, and the LMMSE estimate for ``np``/``np_single``.
+    ``ed_single`` reads the LR decision: at M = 1 that decision is
+    |y|^2 > sigma_w^2 ln(1/target_pfa), the one-antenna receiver's test.
 
     The one-antenna gains read R's one row, e^{-i phi} h for h = H's row: a
     common phase that moves no statistic's distribution.
-
-    Every curve but ``ed``'s makes the likelihood-ratio decision, ``ed_single``
-    included: at M = 1 that decision is |y|^2 > sigma_w^2 ln(1/target_pfa),
-    the one-antenna receiver's test.
     """
     scenario = config.scenario
     sv = scenario.signal_var
     pfa = config.target_pfa
-    channel = sample_channel(
-        scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
-    )
-    r = channel.r
-    prepared = []
-    for curves in policies.values():
-        gains = specs[curves[0]].gains
-        if gains is None:
-            gains = np_gains.single_antenna_optimal_gains(scenario, r[0], p)
-        ctx = None
-        if any(specs[i].detector != "ed" for i in curves):
-            ctx = np_detector.NpTestContext.build(gains, channel, scenario, target_pfa=pfa)
-        for i in curves:
-            tally = tallies[i]
-            if specs[i].detector != "ed":
-                tally.pd_theory += np_detector.pd_closed_form(ctx.snr, sv, pfa)
-                tally.mse_theory += lmmse.mse_closed_form(ctx.snr, sv)
-            if specs[i].detector in ("ed", "ed_single"):
-                tally.deflection += energy_detector.deflection_exact(gains, channel, scenario)
-        prepared.append((gains, ctx, curves))
-    stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
-    trials = config.trials_per_scenario
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        theta, v, noise, outside = stream.draw(stop - start)
-        for gains, ctx, curves in prepared:
-            y0, y1 = _received(r, m, gains, theta, v, noise, outside)
-            for i in curves:
-                spec, tally = specs[i], tallies[i]
-                if spec.detector == "ed":
-                    thr, statistic = spec.ed_threshold, energy_detector.ed_statistic
-                else:
-                    thr, statistic = ctx.threshold, partial(np_detector.np_statistic, ctx)
-                tally.fa += int(np.count_nonzero(statistic(y0) > thr))
-                tally.det += int(np.count_nonzero(statistic(y1) > thr))
-                tally.trials += stop - start
-                if spec.detector in ("np", "np_single"):
-                    est = lmmse.lmmse_estimate(ctx, y1).estimate
+    tallies = {key: _Tally() for key in units}
+    for m in dict.fromkeys(group for group, _ in units):
+        channel = sample_channel(
+            scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
+        )
+        r = channel.r
+        scored = []
+        for (group, pol), dets in units.items():
+            if group != m:
+                continue
+            tally = tallies[group, pol]
+            a = gains[pol]
+            if a is None:
+                a = np_gains.single_antenna_optimal_gains(scenario, r[0], p)
+            ctx = None
+            if any(det != "ed" for det in dets):
+                ctx = np_detector.NpTestContext.build(a, channel, scenario, target_pfa=pfa)
+                tally.pd_theory = np_detector.pd_closed_form(ctx.snr, sv, pfa)
+                tally.mse_theory = lmmse.mse_closed_form(ctx.snr, sv)
+            if "ed" in dets or "ed_single" in dets:
+                tally.deflection = energy_detector.deflection_exact(a, channel, scenario)
+            ed_thr = ed_thresholds[pol] if "ed" in dets else None
+            estimates = "np" in dets or "np_single" in dets
+            scored.append((tally, a, ctx, ed_thr, estimates))
+        stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
+        for theta, v, noise, outside in stream.chunks(config.trials_per_scenario):
+            for tally, a, ctx, ed_thr, estimates in scored:
+                y0, y1 = _received(r, m, a, theta, v, noise, outside)
+                tally.trials += theta.size
+                if ctx is not None:
+                    tally.lr_fa += _count_above(np_detector.np_statistic(ctx, y0), ctx.threshold)
+                    tally.lr_det += _count_above(np_detector.np_statistic(ctx, y1), ctx.threshold)
+                if ed_thr is not None:
+                    tally.ed_fa += _count_above(energy_detector.ed_statistic(y0), ed_thr)
+                    tally.ed_det += _count_above(energy_detector.ed_statistic(y1), ed_thr)
+                if estimates:
+                    est = lmmse.lmmse_estimate(ctx, y1)
                     tally.err_sq += float(np.sum(np.abs(theta - est) ** 2))
+    return tallies
 
 
-def _point_rows(config, p, m, specs, merged) -> list[ResultRow]:
+def _point_rows(config, p, m, merged) -> list[ResultRow]:
+    """One row per curve, read from its unit's tally: ``ed`` reads the energy
+    decisions, every other detector the likelihood-ratio ones."""
     scenario = config.scenario
     bound_lo = np_gains.np_pd_bound(scenario, "low_power", config.target_pfa)
     bound_hi = np_gains.np_pd_bound(scenario, "high_power", config.target_pfa)
     rows = []
     nan = float("nan")
     n = config.n_scenarios
-    for spec, tally in zip(specs, merged):
+    for det, pol in config.curves():
+        tally = merged[_unit(det, pol, m)]
         total = tally.trials
-        pd_emp = tally.det / total if total else nan
-        pfa_emp = tally.fa / total if total else nan
-        stderr = float(np.sqrt(pd_emp * (1.0 - pd_emp) / total)) if total else nan
-        is_np = spec.detector in ("np", "np_single")
+        is_ed = det == "ed"
+        pd_emp = (tally.ed_det if is_ed else tally.lr_det) / total
+        pfa_emp = (tally.ed_fa if is_ed else tally.lr_fa) / total
+        is_np = det in ("np", "np_single")
         rows.append(ResultRow(
             experiment=config.experiment_id,
-            policy=spec.policy,
-            detector=spec.detector,
+            policy=pol,
+            detector=det,
             m=m,
             p=p,
             pd_emp=pd_emp,
-            pd_theory=tally.pd_theory / n if spec.detector != "ed" else nan,
+            pd_theory=nan if is_ed else tally.pd_theory / n,
             pfa_emp=pfa_emp,
-            mse_emp=tally.err_sq / total if (is_np and total) else nan,
+            mse_emp=tally.err_sq / total if is_np else nan,
             mse_theory=tally.mse_theory / n if is_np else nan,
-            deflection=tally.deflection / n if spec.detector in ("ed", "ed_single") else nan,
+            deflection=tally.deflection / n if det in ("ed", "ed_single") else nan,
             bound_lo=bound_lo if is_np else nan,
             bound_hi=bound_hi if is_np else nan,
-            stderr=stderr,
+            stderr=float(np.sqrt(pd_emp * (1.0 - pd_emp) / total)),
             trials=total,
         ))
     return rows
@@ -446,12 +433,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     errors: list[tuple[int, str]] = []
     for point_idx, (p, m) in enumerate(config.sweep):
         try:
-            specs = _prepare_point(config, p, m)
-            merged = [_Tally() for _ in specs]
+            units, gains, ed_thresholds = _prepare_point(config, p, m)
+            merged = {key: _Tally() for key in units}
             for s_idx in range(config.n_scenarios):
-                for agg, one in zip(merged, _run_scenario(config, point_idx, p, m, s_idx, specs)):
-                    agg.merge(one)
-            rows.extend(_point_rows(config, p, m, specs, merged))
+                tallies = _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds)
+                for key, tally in tallies.items():
+                    merged[key].merge(tally)
+            rows.extend(_point_rows(config, p, m, merged))
         except Exception as exc:  # record, continue sweep
             errors.append((point_idx, f"{type(exc).__name__}: {exc}"))
             nan = float("nan")
@@ -486,11 +474,20 @@ def manifest_dict(config: ExperimentConfig) -> dict:
     }
 
 
+def _manifest_int(value, name: str) -> int:
+    """An integral manifest number as an int; 2.5, Infinity and NaN raise
+    ValueError rather than be truncated or overflow."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_manifest(data: dict) -> ExperimentConfig:
     """Rebuild a config from :func:`manifest_dict` output.
 
     Raises ValueError for a manifest written under another random-stream
-    version: replaying it would not reproduce its CSV bytes.
+    version, as replaying it would not reproduce its CSV bytes, and for a
+    non-integral M, trial or scenario count or seed.
     """
     version = data.get("stream_version")
     if version != STREAM_VERSION:
@@ -510,11 +507,11 @@ def config_from_manifest(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         experiment_id=str(data["experiment"]),
         scenario=scenario,
-        sweep=tuple((float(p), int(m)) for p, m in data["sweep"]),
-        trials_per_scenario=int(data["trials"]),
-        n_scenarios=int(data["scenarios"]),
+        sweep=tuple((float(p), _manifest_int(m, "sweep M")) for p, m in data["sweep"]),
+        trials_per_scenario=_manifest_int(data["trials"], "trials"),
+        n_scenarios=_manifest_int(data["scenarios"], "scenarios"),
         target_pfa=float(data["target_pfa"]),
-        master_seed=int(data["master_seed"]),
+        master_seed=_manifest_int(data["master_seed"], "master_seed"),
         detectors=tuple(data["detectors"]),
         gain_policies=tuple(data["policies"]),
     )

@@ -8,18 +8,10 @@ the detector maximizes: the two optimization problems coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .np_detector import NpTestContext, _power_limit_snr, steering_response
-from .scenario import Observation, ReducedObservation, Scenario
-
-
-@dataclass(frozen=True)
-class LmmseResult:
-    estimate: complex | np.ndarray
-    theoretical_mse: float
+from .scenario import ReducedObservation, Scenario
 
 
 def mse_closed_form(snr: float, signal_var: float) -> float:
@@ -29,18 +21,15 @@ def mse_closed_form(snr: float, signal_var: float) -> float:
     return 1.0 / (1.0 / signal_var + snr)
 
 
-def lmmse_estimate(
-    ctx: NpTestContext, y: Observation | ReducedObservation | np.ndarray
-) -> LmmseResult:
+def lmmse_estimate(ctx: NpTestContext, y: ReducedObservation | np.ndarray) -> complex | np.ndarray:
     """Estimate the signal using the cached context: w^H y / (1/signal_var + g).
 
     A received vector (M,) or its reduced form gives a complex estimate; a
     block gives one estimate per column.  At M = 1 this is the scalar
-    receiver's estimator.
+    receiver's estimator.  Its error variance is
+    ``mse_closed_form(ctx.snr, signal_var)``, the same for every y.
     """
-    sv = ctx.scenario.signal_var
-    est = steering_response(ctx, y) / (1.0 / sv + ctx.snr)
-    return LmmseResult(est, mse_closed_form(ctx.snr, sv))
+    return steering_response(ctx, y) / (1.0 / ctx.scenario.signal_var + ctx.snr)
 
 
 def lmmse_mse_bound(scenario: Scenario, regime: str) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ChannelRealization, GainVector, Observation, ReducedObservation, Scenario
+from .scenario import ChannelRealization, GainVector, ReducedObservation, Scenario
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -166,7 +166,7 @@ class NpTestContext:
 
 
 def steering_response(
-    ctx: NpTestContext, y: Observation | ReducedObservation | np.ndarray
+    ctx: NpTestContext, y: ReducedObservation | np.ndarray
 ) -> complex | np.ndarray:
     """w^H y, the one inner product the statistic and the LMMSE estimate read.
 
@@ -177,13 +177,11 @@ def steering_response(
     if isinstance(y, ReducedObservation):
         out = (y.r @ ctx.steering_coeffs).conj() @ y.z
     else:
-        out = ctx.whitened_steering.conj() @ (y.y if isinstance(y, Observation) else np.asarray(y))
+        out = ctx.whitened_steering.conj() @ np.asarray(y)
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def np_statistic(
-    ctx: NpTestContext, y: Observation | ReducedObservation | np.ndarray
-) -> float | np.ndarray:
+def np_statistic(ctx: NpTestContext, y: ReducedObservation | np.ndarray) -> float | np.ndarray:
     """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2.
 
     A received vector (M,) or its reduced form gives a float; a block gives

@@ -14,11 +14,8 @@ regardless of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
-
-Hypothesis = Literal["H0", "H1"]
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -65,7 +62,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Fixed network description: sensor placement and noise levels.
+    """Fixed network description: sensor placement and noise levels, all finite.
 
     Attributes:
         distances: sensor-to-receiver distances d_i (unitless length), all > 0.
@@ -86,6 +83,9 @@ class Scenario:
         v = np.asarray(self.meas_noise_vars, dtype=float)
         if d.ndim != 1 or v.ndim != 1 or d.size != v.size or d.size == 0:
             raise ValueError("distances and meas_noise_vars must be 1-D vectors of equal length")
+        scalars = [self.signal_var, self.fc_noise_var, self.path_loss_exp]
+        if not np.all(np.isfinite(np.concatenate((d, v, scalars)))):
+            raise ValueError("scenario values must be finite")
         if not (np.all(d > 0) and np.all(v > 0)):
             raise ValueError("distances and meas_noise_vars must be strictly positive")
         if not (self.signal_var > 0 and self.fc_noise_var > 0):
@@ -241,19 +241,6 @@ class GainVector:
 
 
 @dataclass(frozen=True, eq=False)
-class Observation:
-    """A received M-vector plus the ground-truth hypothesis that generated it."""
-
-    y: np.ndarray
-    hypothesis_label: Hypothesis
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _readonly(np.asarray(self.y, dtype=complex)))
-        if self.hypothesis_label not in ("H0", "H1"):
-            raise ValueError("hypothesis_label must be 'H0' or 'H1'")
-
-
-@dataclass(frozen=True, eq=False)
 class ReducedObservation:
     """Received vectors reduced to the part every statistic reads.
 
@@ -274,15 +261,17 @@ def sample_observation(
     channel: ChannelRealization,
     gains: GainVector,
     scenario: Scenario,
-    hypothesis: Hypothesis,
+    hypothesis: str,
     rng: np.random.Generator,
-) -> Observation:
-    """Draw one received vector under the requested hypothesis.
+) -> np.ndarray:
+    """Draw one received M-vector under hypothesis ``"H0"`` or ``"H1"``.
 
     Under H0 the received signal is H D v + n (forwarded measurement noise plus
     receiver noise); under H1 the signal term H a theta is added.  Draw order is
     theta (H1 only), v, n.
     """
+    if hypothesis not in ("H0", "H1"):
+        raise ValueError("hypothesis must be 'H0' or 'H1'")
     if gains.n_sensors != channel.n_sensors or channel.n_sensors != scenario.n_sensors:
         raise ValueError("channel, gains, and scenario dimensions are inconsistent")
     if channel.h_matrix is None:
@@ -295,4 +284,4 @@ def sample_observation(
     v = complex_normal(rng, 1.0, scenario.n_sensors) * np.sqrt(scenario.meas_noise_vars)
     y += channel.h_matrix @ (a * v)
     y += complex_normal(rng, scenario.fc_noise_var, channel.m_antennas)
-    return Observation(y, hypothesis)
+    return y

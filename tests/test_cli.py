@@ -54,6 +54,23 @@ def experiment_cfg(tmp_path):
     return str(path)
 
 
+def replay_edited(experiment_cfg, tmp_path, capsys, edit):
+    """Run the config, edit its manifest in place and replay it; return the
+    replay's exit code and whether it wrote no CSV.  Captured output before
+    the replay is discarded."""
+    first = str(tmp_path / "first")
+    assert main(["run", "--config", experiment_cfg, "--output-dir", first]) == 0
+    manifest = os.path.join(first, "unit_cli.manifest.json")
+    with open(manifest) as fh:
+        data = json.load(fh)
+    edit(data)
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    rc = main(["run", "--replay", manifest, "--output-dir", str(tmp_path / "second")])
+    return rc, not (tmp_path / "second" / "unit_cli.csv").exists()
+
+
 class TestCalculators:
     def test_waterfill_matches_library(self, scenario_cfg, capsys):
         rc = main(["waterfill", "--config", scenario_cfg, "--power", "5", "--antennas", "40"])
@@ -226,19 +243,42 @@ class TestExitCodes:
     @pytest.mark.parametrize("power", [float("nan"), float("inf")])
     def test_replay_with_nonfinite_power_is_config_error(self, experiment_cfg, tmp_path,
                                                          capsys, power):
-        first = str(tmp_path / "first")
-        assert main(["run", "--config", experiment_cfg, "--output-dir", first]) == 0
-        manifest = os.path.join(first, "unit_cli.manifest.json")
-        with open(manifest) as fh:
-            data = json.load(fh)
-        data["sweep"][0][0] = power
-        with open(manifest, "w") as fh:
-            json.dump(data, fh)
-        capsys.readouterr()
-        rc = main(["run", "--replay", manifest, "--output-dir", str(tmp_path / "second")])
-        assert rc == 2
+        def edit(data):
+            data["sweep"][0][0] = power
+
+        assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
         assert "finite" in capsys.readouterr().err
-        assert not (tmp_path / "second" / "unit_cli.csv").exists()
+
+    @pytest.mark.parametrize("line, bad", [
+        ("meas_noise_vars = 0.3, 0.35, 0.45", "meas_noise_vars = 0.3, inf, 0.45"),
+        ("distances = 2.5, 4.0, 7.5", "distances = 2.5, nan, 7.5"),
+    ])
+    def test_nonfinite_scenario_vector_is_config_error(self, tmp_path, capsys, line, bad):
+        path = tmp_path / "net.cfg"
+        path.write_text(SCENARIO_CFG.replace(line, bad))
+        assert main(["ed-alloc", "--config", str(path), "--power", "3", "--antennas", "40"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("signal_var", float("inf")), ("path_loss_exp", float("nan")),
+        ("meas_noise_vars", [0.3, float("inf"), 0.45]),
+    ])
+    def test_replay_with_nonfinite_scenario_is_config_error(self, experiment_cfg, tmp_path,
+                                                            capsys, key, value):
+        def edit(data):
+            data["scenario"][key] = value
+
+        assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [float("inf"), 2.5])
+    def test_replay_with_nonintegral_m_is_config_error(self, experiment_cfg, tmp_path,
+                                                       capsys, m):
+        def edit(data):
+            data["sweep"][0][1] = m
+
+        assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
+        assert "integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("detector", ["np", "ed"])
     @pytest.mark.parametrize("policy", ["no_such_policy", "single_antenna_optimal"])

@@ -10,7 +10,6 @@ from mimofusion.config import load_packaged_experiment
 from mimofusion.energy_detector import (
     deflection_asymptotic,
     deflection_exact,
-    deflection_report,
     ed_statistic,
     ed_threshold_for_pfa,
     eta_weights,
@@ -76,7 +75,7 @@ class TestStatistic:
         ch = explicit_channel(sc, 16, derive_rng(408))
         gv = GainVector.equal_power(2.0, 3)
         block = np.stack(
-            [sample_observation(ch, gv, sc, "H1", derive_rng(409, k)).y for k in range(5)], axis=1
+            [sample_observation(ch, gv, sc, "H1", derive_rng(409, k)) for k in range(5)], axis=1
         )
         stats = ed_statistic(block)
         assert stats.shape == (5,)
@@ -144,16 +143,6 @@ class TestDeflectionExact:
             gaps.append(np.median(draws))
         assert gaps[0] > gaps[-1]
         assert gaps[-1] < 0.05
-
-    def test_report_bundles_both_views(self):
-        sc = sample_scenario(3, derive_rng(415))
-        ch = sample_channel(sc, 64, derive_rng(416))
-        gv = GainVector.equal_power(2.0, 3)
-        report = deflection_report(gv, ch, sc)
-        assert report.exact_deflection == pytest.approx(deflection_exact(gv, ch, sc))
-        assert report.asymptotic_deflection == pytest.approx(
-            deflection_asymptotic(gv.magnitudes_sq, sc, 64)
-        )
 
 
 class TestDeflectionAsymptotic:

@@ -12,7 +12,6 @@ from mimofusion.harness import (
     ExperimentConfig,
     TrialStream,
     config_from_manifest,
-    estimate_pd_pfa,
     manifest_dict,
     resolve_gains,
     run_experiment,
@@ -57,15 +56,14 @@ class TestEstimatePdPfa:
     def test_threshold_extremes(self, scenario):
         ch = sample_channel(scenario, 8, derive_rng(603))
         gv = GainVector.equal_power(2.0, 5)
-        pd, pfa, _ = estimate_pd_pfa("np", 0.0, gv, ch, scenario, 500, 604)
-        assert pd == 1.0 and pfa == 1.0
-        pd, pfa, _ = estimate_pd_pfa("np", np.inf, gv, ch, scenario, 500, 604)
-        assert pd == 0.0 and pfa == 0.0
+        t0, t1 = simulate_statistics("np", gv, ch, scenario, 500, 604)
+        for threshold, rate in ((0.0, 1.0), (np.inf, 0.0)):
+            assert np.mean(t1 > threshold) == rate and np.mean(t0 > threshold) == rate
 
     def test_requires_minimum_trials(self, scenario):
         ch = sample_channel(scenario, 8, derive_rng(605))
         with pytest.raises(ValueError):
-            estimate_pd_pfa("np", 1.0, GainVector.equal_power(1.0, 5), ch, scenario, 50, 606)
+            simulate_statistics("np", GainVector.equal_power(1.0, 5), ch, scenario, 0, 606)
 
     def test_statistics_reusable_across_thresholds(self, scenario):
         ch = sample_channel(scenario, 8, derive_rng(607))
@@ -144,8 +142,8 @@ class TestReducedSampler:
         # LMMSE errors on the reduced draws of a trial stream
         theta_r, v, noise, outside = TrialStream(sc, m, 624, (m,)).draw(trials)
         z1 = (ch.r * gv.gains) @ v + noise + np.outer(ch.r @ gv.gains, theta_r)
-        est_r = lmmse_estimate(ctx, ReducedObservation(z1, outside, ch.r, m)).estimate
-        est = lmmse_estimate(ctx, y1).estimate
+        est_r = lmmse_estimate(ctx, ReducedObservation(z1, outside, ch.r, m))
+        est = lmmse_estimate(ctx, y1)
         pvalues["lmmse"] = ks_2samp(np.abs(theta_r - est_r) ** 2, np.abs(theta - est) ** 2).pvalue
         assert min(pvalues.values()) >= 1e-3, pvalues
 
@@ -164,7 +162,7 @@ class TestReducedSampler:
             reduced = ReducedObservation(z, outside, r, m)
             for name, got, want in (
                 ("np", np_statistic(ctx, reduced), np_statistic(ctx, y)),
-                ("lmmse", lmmse_estimate(ctx, reduced).estimate, lmmse_estimate(ctx, y).estimate),
+                ("lmmse", lmmse_estimate(ctx, reduced), lmmse_estimate(ctx, y)),
                 ("ed", ed_statistic(reduced), ed_statistic(y)),
             ):
                 assert np.shape(got) == np.shape(want), name
@@ -248,6 +246,33 @@ class TestRunExperiment:
         assert np.isnan(result.rows[1].pd_emp)
         assert result.rows[1].trials == 0
 
+    def test_units_share_decisions(self, scenario):
+        """Curves on one (antenna group, policy) unit read one tally.
+
+        ``ed_single`` reads the likelihood-ratio decisions of ``np_single``,
+        and at M = 1 the ``np`` and ``np_single`` curves under ``equal`` are
+        the same unit, so their rows differ only in the detector name.
+        """
+        cfg = small_config(
+            scenario,
+            sweep=((4.0, 12), (4.0, 1)),
+            detectors=("np", "ed", "np_single", "ed_single"),
+            gain_policies=("waterfill", "qclp", "equal", "single_antenna_optimal"),
+        )
+        result = run_experiment(cfg)
+        assert not result.errors
+        lines = result.to_csv().splitlines()[1:]
+        rows = {(r.m, r.policy, r.detector): (r, line) for r, line in zip(result.rows, lines)}
+        for m in (12, 1):
+            for pol in ("equal", "single_antenna_optimal"):
+                ed, np_ = rows[m, pol, "ed_single"][0], rows[m, pol, "np_single"][0]
+                for field in ("pd_emp", "pfa_emp", "trials", "pd_theory"):
+                    assert getattr(ed, field) == getattr(np_, field), (m, pol, field)
+        multi = rows[1, "equal", "np"][1].split(",")
+        single = rows[1, "equal", "np_single"][1].split(",")
+        assert multi[2] == "np" and single[2] == "np_single"
+        assert multi[:2] + multi[3:] == single[:2] + single[3:]
+
     def test_csv_schema(self, scenario):
         result = run_experiment(small_config(scenario))
         lines = result.to_csv().splitlines()
@@ -291,6 +316,20 @@ class TestManifest:
         data = manifest_dict(small_config(scenario))
         assert data["scenario"]["distances"] == list(scenario.distances)
         assert data["scenario"]["meas_noise_vars"] == list(scenario.meas_noise_vars)
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("M", float("inf")), ("M", 2.5), ("trials", 100.5),
+        ("scenarios", float("nan")), ("master_seed", float("inf")),
+    ])
+    def test_rejects_nonintegral_counts(self, scenario, key, value):
+        data = manifest_dict(small_config(scenario))
+        if key == "M":
+            data["sweep"][0][1] = value
+        else:
+            data[key] = value
+        with pytest.raises(ValueError, match="integer"):
+            config_from_manifest(data)
 
 
 class TestResolveGains:

@@ -57,7 +57,7 @@ class TestStatistic:
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ch, sc)
         for k in range(5):
-            y = sample_observation(ch, gv, sc, "H1", derive_rng(102, k)).y
+            y = sample_observation(ch, gv, sc, "H1", derive_rng(102, k))
             ref = dense_statistic(sc, ch, gv, y)
             assert np_statistic(ctx, y) == pytest.approx(ref, rel=1e-10)
 
@@ -71,7 +71,7 @@ class TestStatistic:
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
             ctx = NpTestContext.build(gv, ch, sc)
-            y = sample_observation(ch, gv, sc, "H0", derive_rng(106, m)).y
+            y = sample_observation(ch, gv, sc, "H0", derive_rng(106, m))
             assert np_statistic(ctx, y) == pytest.approx(dense_statistic(sc, ch, gv, y), rel=1e-10)
             assert ctx.snr == pytest.approx(dense_snr(sc, ch, gv), rel=1e-10)
 
@@ -81,7 +81,7 @@ class TestStatistic:
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ch, sc)
         block = np.stack(
-            [sample_observation(ch, gv, sc, "H1", derive_rng(115, k)).y for k in range(5)], axis=1
+            [sample_observation(ch, gv, sc, "H1", derive_rng(115, k)) for k in range(5)], axis=1
         )
         stats = np_statistic(ctx, block)
         assert stats.shape == (5,)
@@ -113,7 +113,7 @@ class TestStatistic:
         ch = explicit_channel(sc, 8, derive_rng(112))
         gv = GainVector.from_gains(np.array([0.0, 0.9 - 0.4j]))
         ctx = NpTestContext.build(gv, ch, sc)
-        y = sample_observation(ch, gv, sc, "H1", derive_rng(113)).y
+        y = sample_observation(ch, gv, sc, "H1", derive_rng(113))
         assert np_statistic(ctx, y) == pytest.approx(dense_statistic(sc, ch, gv, y), rel=1e-10)
 
     def test_channel_without_h_has_no_m_vector(self):

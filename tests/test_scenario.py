@@ -33,6 +33,21 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             make_scenario([1.0], [0.3], alpha=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", [
+        "distances", "meas_noise_vars", "signal_var", "fc_noise_var", "alpha",
+    ])
+    def test_rejects_nonfinite_values(self, field, bad):
+        kwargs = dict(d=[1.0, 2.0], v=[0.3, 0.3])
+        if field == "distances":
+            kwargs["d"] = [1.0, bad]
+        elif field == "meas_noise_vars":
+            kwargs["v"] = [bad, 0.3]
+        else:
+            kwargs[field] = bad
+        with pytest.raises(ValueError):
+            make_scenario(**kwargs)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             make_scenario([1.0, 2.0], [0.3])
@@ -218,7 +233,7 @@ class TestSampleObservation:
         gv = GainVector.from_gains(np.zeros(2, complex))
         for hyp in ("H0", "H1"):
             y = sample_observation(ch, gv, sc, hyp, derive_rng(22))
-            assert np.max(np.abs(y.y)) < 1e-12
+            assert np.max(np.abs(y)) < 1e-12
 
     def test_channel_without_h_rejected(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.4])
@@ -238,7 +253,7 @@ class TestSampleObservation:
         acc = np.zeros((m, m), dtype=complex)
         rng = derive_rng(seed)
         for _ in range(trials):
-            y = sample_observation(ch, gv, sc, hyp, rng).y
+            y = sample_observation(ch, gv, sc, hyp, rng)
             acc += np.outer(y, y.conj())
         return acc / trials
 
