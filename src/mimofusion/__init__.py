@@ -12,7 +12,6 @@ from .scenario import (
     complex_normal,
     derive_rng,
     sample_channel,
-    sample_observation,
     sample_scenario,
 )
 from .np_detector import (

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import ed_gains, energy_detector, lmmse, np_gains
+from . import ed_gains, energy_detector, lmmse, np_detector, np_gains
 from .config import (
     ConfigError,
     load_experiment,
@@ -22,7 +22,13 @@ from .config import (
     load_scenario,
     PACKAGED_EXPERIMENTS,
 )
-from .harness import MULTI_POLICIES, load_manifest, run_experiment, write_manifest
+from .harness import (
+    MULTI_POLICIES,
+    load_manifest,
+    resolve_gains,
+    run_experiment,
+    write_manifest,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,19 +194,12 @@ def _cmd_threshold(args) -> int:
     pfa = _check_pfa(args.pfa)
     _check_power_antennas(args)
     if args.detector == "np":
-        policy = args.policy or "waterfill"
-        from .harness import resolve_gains
-        from .np_detector import snr_asymptotic, threshold_for_pfa
-
-        gains = resolve_gains(policy, scenario, args.antennas, args.power)
-        snr = snr_asymptotic(gains, scenario, args.antennas)
-        print(f"threshold = {threshold_for_pfa(snr, scenario.signal_var, pfa)!r}")
+        gains = resolve_gains(args.policy or "waterfill", scenario, args.antennas, args.power)
+        snr = np_detector.snr_asymptotic(gains, scenario, args.antennas)
+        print(f"threshold = {np_detector.threshold_for_pfa(snr, scenario.signal_var, pfa)!r}")
         print(f"asymptotic_snr = {snr!r}")
     else:
-        policy = args.policy or "qclp"
-        from .harness import resolve_gains
-
-        gains = resolve_gains(policy, scenario, args.antennas, args.power)
+        gains = resolve_gains(args.policy or "qclp", scenario, args.antennas, args.power)
         eta = energy_detector.eta_weights(gains, scenario)
         thr = energy_detector.ed_threshold_for_pfa(eta, scenario, args.antennas, pfa)
         print(f"threshold = {thr.gamma_hat!r}")

@@ -22,30 +22,23 @@ import numpy as np
 from .scenario import ChannelRealization, GainVector, ReducedObservation, Scenario
 
 # survival table cap, 32 MiB: at N = 100 it serves a weight spread max w / min w
-# up to about 700, at N = 20 up to 1e4 (the gain policies give at most ~150)
+# up to about 700, at N = 20 up to 1e4.  The gain policies can exceed it (spreads
+# reach 1e6 when distances span 1 to 1000), and the tail then raises ValueError.
 _MAX_TABLE_ENTRIES = 1 << 22
 
 
-def ed_statistic(y: ReducedObservation | np.ndarray) -> float | np.ndarray:
-    """Average received energy per antenna, y^H y / M.
+def ed_statistic(y: ReducedObservation) -> float | np.ndarray:
+    """Average received energy per antenna, y^H y / M = (|z|^2 + outside_energy) / M.
 
-    A received vector (M,) gives a float; an (M, T) block gives one value per
-    column.  A reduced observation gives (|z|^2 + outside_energy) / M, the
-    same energy split into its parts inside and outside range(H).
+    One received vector gives a float; a block gives one value per column.
     """
-    outside = 0.0
-    if isinstance(y, ReducedObservation):
-        vec, m, outside = y.z, y.m_antennas, y.outside_energy
-    else:
-        vec = np.asarray(y)
-        m = vec.shape[0]
-    block = vec.reshape(vec.shape[0], -1)
+    z = y.z.reshape(y.z.shape[0], -1)
     energy = (
-        np.einsum("ij,ij->j", block.real, block.real)
-        + np.einsum("ij,ij->j", block.imag, block.imag)
-        + outside
-    ) / m
-    return float(energy[0]) if vec.ndim == 1 else energy
+        np.einsum("ij,ij->j", z.real, z.real)
+        + np.einsum("ij,ij->j", z.imag, z.imag)
+        + y.outside_energy
+    ) / y.m_antennas
+    return float(energy[0]) if y.z.ndim == 1 else energy
 
 
 def deflection_exact(gains: GainVector, channel: ChannelRealization, scenario: Scenario) -> float:

@@ -474,21 +474,38 @@ def manifest_dict(config: ExperimentConfig) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _manifest_int(value, name: str) -> int:
-    """An integral manifest number as an int; 2.5, Infinity and NaN raise
-    ValueError rather than be truncated or overflow."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    """An integral manifest number as an int; anything else, 2.5, Infinity
+    and NaN included, raises ValueError rather than be truncated or overflow."""
+    if not (_is_number(value) and float(value).is_integer()):
+        raise ValueError(f"manifest {name!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, list) and all(map(ok, value))
+
+
+def _field(data: dict, key: str, what: str, ok=_is_number):
+    """data[key] if present and ok(value), else a ValueError naming the key."""
+    if key not in data or not ok(data[key]):
+        raise ValueError(f"manifest {key!r} must be {what}")
+    return data[key]
 
 
 def config_from_manifest(data: dict) -> ExperimentConfig:
     """Rebuild a config from :func:`manifest_dict` output.
 
     Raises ValueError for a manifest written under another random-stream
-    version, as replaying it would not reproduce its CSV bytes, and for a
-    non-integral M, trial or scenario count or seed.
+    version (replaying it would not reproduce its CSV bytes) and for a
+    missing, misshapen or non-integral field.
     """
+    if not isinstance(data, dict):
+        raise ValueError("manifest must be a JSON object")
     version = data.get("stream_version")
     if version != STREAM_VERSION:
         found = "no stream_version" if version is None else f"stream_version {version!r}"
@@ -496,24 +513,25 @@ def config_from_manifest(data: dict) -> ExperimentConfig:
             f"manifest has {found}, but this version replays only stream_version "
             f"{STREAM_VERSION}; rerun the experiment from its config instead"
         )
-    sc = data["scenario"]
-    scenario = Scenario(
-        np.asarray(sc["distances"], dtype=float),
-        np.asarray(sc["meas_noise_vars"], dtype=float),
-        float(sc["signal_var"]),
-        float(sc["fc_noise_var"]),
-        float(sc["path_loss_exp"]),
-    )
+    sc = _field(data, "scenario", "a mapping", lambda v: isinstance(v, dict))
+    numbers, strings = _list_of(_is_number), _list_of(lambda v: isinstance(v, str))
+    pairs = _list_of(lambda pm: numbers(pm) and len(pm) == 2)
+    vectors = ("distances", "meas_noise_vars")
+    scalars = ("signal_var", "fc_noise_var", "path_loss_exp")
     return ExperimentConfig(
-        experiment_id=str(data["experiment"]),
-        scenario=scenario,
-        sweep=tuple((float(p), _manifest_int(m, "sweep M")) for p, m in data["sweep"]),
-        trials_per_scenario=_manifest_int(data["trials"], "trials"),
-        n_scenarios=_manifest_int(data["scenarios"], "scenarios"),
-        target_pfa=float(data["target_pfa"]),
-        master_seed=_manifest_int(data["master_seed"], "master_seed"),
-        detectors=tuple(data["detectors"]),
-        gain_policies=tuple(data["policies"]),
+        experiment_id=_field(data, "experiment", "a string", lambda v: isinstance(v, str)),
+        scenario=Scenario(
+            *(np.asarray(_field(sc, k, "a list of numbers", numbers), float) for k in vectors),
+            *(float(_field(sc, k, "a number")) for k in scalars),
+        ),
+        sweep=tuple((float(p), _manifest_int(m, "sweep M"))
+                    for p, m in _field(data, "sweep", "a list of [P, M] pairs", pairs)),
+        trials_per_scenario=_manifest_int(data.get("trials"), "trials"),
+        n_scenarios=_manifest_int(data.get("scenarios"), "scenarios"),
+        target_pfa=float(_field(data, "target_pfa", "a number")),
+        master_seed=_manifest_int(data.get("master_seed"), "master_seed"),
+        detectors=tuple(_field(data, "detectors", "a list of strings", strings)),
+        gain_policies=tuple(_field(data, "policies", "a list of strings", strings)),
     )
 
 

@@ -21,13 +21,12 @@ def mse_closed_form(snr: float, signal_var: float) -> float:
     return 1.0 / (1.0 / signal_var + snr)
 
 
-def lmmse_estimate(ctx: NpTestContext, y: ReducedObservation | np.ndarray) -> complex | np.ndarray:
+def lmmse_estimate(ctx: NpTestContext, y: ReducedObservation) -> complex | np.ndarray:
     """Estimate the signal using the cached context: w^H y / (1/signal_var + g).
 
-    A received vector (M,) or its reduced form gives a complex estimate; a
-    block gives one estimate per column.  At M = 1 this is the scalar
-    receiver's estimator.  Its error variance is
-    ``mse_closed_form(ctx.snr, signal_var)``, the same for every y.
+    One received vector gives a complex estimate; a block gives one estimate
+    per column.  At M = 1 this is the scalar receiver's estimator.  Its error
+    variance is ``mse_closed_form(ctx.snr, signal_var)``, the same for every y.
     """
     return steering_response(ctx, y) / (1.0 / ctx.scenario.signal_var + ctx.snr)
 

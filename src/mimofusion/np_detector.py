@@ -135,19 +135,10 @@ class NpTestContext:
     target is supplied.
     """
 
-    gains: GainVector
-    channel: ChannelRealization
     scenario: Scenario
     steering_coeffs: np.ndarray
     snr: float
     threshold: float | None = None
-
-    @property
-    def whitened_steering(self) -> np.ndarray:
-        """The M-vector w = C_w^{-1} H a; needs a channel with an explicit H."""
-        if self.channel.h_matrix is None:
-            raise ValueError("the M-vector w needs an explicit H (ChannelRealization.from_matrix)")
-        return self.channel.h_matrix @ self.steering_coeffs
 
     @classmethod
     def build(
@@ -162,30 +153,23 @@ class NpTestContext:
         thr = None
         if target_pfa is not None:
             thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)
-        return cls(gains, channel, scenario, c, g, thr)
+        return cls(scenario, c, g, thr)
 
 
-def steering_response(
-    ctx: NpTestContext, y: ReducedObservation | np.ndarray
-) -> complex | np.ndarray:
+def steering_response(ctx: NpTestContext, y: ReducedObservation) -> complex | np.ndarray:
     """w^H y, the one inner product the statistic and the LMMSE estimate read.
 
-    A received vector (M,) gives a complex number; an (M, T) block gives one
-    per column.  A reduced observation gives the same values from z = Q^H y,
-    as (R c)^H z with w = H c.
+    With w = H c it is (R c)^H z for z = Q^H y: a complex number for z of
+    shape (k,), one per column for a (k, T) block.
     """
-    if isinstance(y, ReducedObservation):
-        out = (y.r @ ctx.steering_coeffs).conj() @ y.z
-    else:
-        out = ctx.whitened_steering.conj() @ np.asarray(y)
+    out = (y.r @ ctx.steering_coeffs).conj() @ y.z
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def np_statistic(ctx: NpTestContext, y: ReducedObservation | np.ndarray) -> float | np.ndarray:
+def np_statistic(ctx: NpTestContext, y: ReducedObservation) -> float | np.ndarray:
     """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2.
 
-    A received vector (M,) or its reduced form gives a float; a block gives
-    one value per column.
+    One received vector gives a float; a block gives one value per column.
     """
     stat = ctx.scenario.signal_var * np.abs(steering_response(ctx, y)) ** 2
     return float(stat) if np.ndim(stat) == 0 else stat

@@ -105,8 +105,7 @@ def snr_floor_gains(scenario: Scenario, m: int) -> GainVector:
 
 def snr_floor_power(scenario: Scenario, m: int) -> float:
     """Sum power of :func:`snr_floor_gains`: sum_i s d_i**alpha / (2 v_i M)."""
-    d_alpha = scenario.distances**scenario.path_loss_exp
-    return float(np.sum(scenario.fc_noise_var * d_alpha / (2.0 * scenario.meas_noise_vars * m)))
+    return snr_floor_gains(scenario, m).sum_power
 
 
 def single_antenna_optimal_gains(scenario: Scenario, h: np.ndarray, p: float) -> GainVector:

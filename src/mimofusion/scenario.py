@@ -1,11 +1,11 @@
-"""Static network description, fading channel draws, and observation sampling.
+"""Static network description, fading channel draws, and received observations.
 
 The sensor network is described by a :class:`Scenario` (geometry and noise
-levels), from which random channels and received-signal samples are drawn.
-A channel draw is held as the triangular factor R of H = QR and its Gram
-matrix (:class:`ChannelRealization`), drawn directly by the Bartlett
-decomposition, so it costs the same at M = 16 and at M = 1e6; an explicit H
-is kept only when a caller supplies one.  All sampling takes an explicit
+levels), from which random channels are drawn.  A channel draw is held as the
+triangular factor R of H = QR and its Gram matrix
+(:class:`ChannelRealization`), drawn directly by the Bartlett decomposition,
+so it costs the same at M = 16 and at M = 1e6.  A received vector is held as
+its reduced form (:class:`ReducedObservation`).  All sampling takes an explicit
 :class:`numpy.random.Generator`, and :func:`derive_rng` maps a master seed
 plus an index path to an independent stream, so results are reproducible
 regardless of execution order.
@@ -133,14 +133,12 @@ class ChannelRealization:
     r is the k x N factor of a thin QR H = QR (k = min(M, N)), gram the N x N
     Gram matrix H^H H = R^H R.  Every statistic in the package is evaluated
     from these two and the antenna count, never from M x M or M x N
-    intermediates.  h_matrix is the explicit H, present only on a channel
-    built by :meth:`from_matrix`; a sampled channel has none.
+    intermediates.
     """
 
     r: np.ndarray
     gram: np.ndarray
     m_antennas: int
-    h_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=complex)
@@ -150,20 +148,6 @@ class ChannelRealization:
         object.__setattr__(self, "r", _readonly(r))
         object.__setattr__(self, "gram", _readonly(np.asarray(self.gram, dtype=complex)))
         object.__setattr__(self, "m_antennas", m)
-        if self.h_matrix is not None:
-            h = np.asarray(self.h_matrix, dtype=complex)
-            if h.shape != (m, r.shape[1]):
-                raise ValueError("h_matrix must be M x N")
-            object.__setattr__(self, "h_matrix", _readonly(h))
-
-    @classmethod
-    def from_matrix(cls, h: np.ndarray) -> "ChannelRealization":
-        """Wrap an explicit M x N channel: one QR gives R, and G = R^H R."""
-        h = np.asarray(h, dtype=complex)
-        if h.ndim != 2 or h.shape[0] < 1:
-            raise ValueError("h_matrix must be an M x N matrix with M >= 1")
-        r = np.linalg.qr(h, mode="r")
-        return cls(r, r.conj().T @ r, h.shape[0], h)
 
     @property
     def n_sensors(self) -> int:
@@ -255,33 +239,3 @@ class ReducedObservation:
     outside_energy: float | np.ndarray
     r: np.ndarray
     m_antennas: int
-
-
-def sample_observation(
-    channel: ChannelRealization,
-    gains: GainVector,
-    scenario: Scenario,
-    hypothesis: str,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw one received M-vector under hypothesis ``"H0"`` or ``"H1"``.
-
-    Under H0 the received signal is H D v + n (forwarded measurement noise plus
-    receiver noise); under H1 the signal term H a theta is added.  Draw order is
-    theta (H1 only), v, n.
-    """
-    if hypothesis not in ("H0", "H1"):
-        raise ValueError("hypothesis must be 'H0' or 'H1'")
-    if gains.n_sensors != channel.n_sensors or channel.n_sensors != scenario.n_sensors:
-        raise ValueError("channel, gains, and scenario dimensions are inconsistent")
-    if channel.h_matrix is None:
-        raise ValueError("sampling a received vector needs an explicit H (from_matrix)")
-    a = gains.gains
-    y = np.zeros(channel.m_antennas, dtype=complex)
-    if hypothesis == "H1":
-        theta = complex_normal(rng, scenario.signal_var)
-        y += (channel.h_matrix @ a) * theta
-    v = complex_normal(rng, 1.0, scenario.n_sensors) * np.sqrt(scenario.meas_noise_vars)
-    y += channel.h_matrix @ (a * v)
-    y += complex_normal(rng, scenario.fc_noise_var, channel.m_antennas)
-    return y

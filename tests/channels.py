@@ -1,13 +1,70 @@
-"""Channels with an explicit H, for tests that read the M x N matrix itself."""
+"""The dense reference receiver: channels with an explicit H and full
+received M-vectors, for tests that check the reduced receiver against them.
+
+The package holds a channel only as its triangular factor R and a received
+vector only as its :class:`ReducedObservation`; here H, its thin-QR Q and the
+full y are kept, and :meth:`ExplicitChannel.reduce` maps y to what the
+package reads.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from mimofusion.scenario import ChannelRealization, Scenario, complex_normal
+from mimofusion.scenario import (
+    ChannelRealization,
+    GainVector,
+    ReducedObservation,
+    Scenario,
+    complex_normal,
+)
 
 
-def explicit_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> ChannelRealization:
-    """An M x N channel drawn entry by entry, H_ji ~ CN(0, 1/d_i**alpha), and
-    kept with its H: the same values, stream for stream, as the draw before
-    ``sample_channel`` sampled the triangular factor directly."""
+@dataclass(frozen=True, eq=False)
+class ExplicitChannel:
+    """An M x N channel H = QR (thin QR) and the channel built from its R."""
+
+    h: np.ndarray
+    q: np.ndarray
+    channel: ChannelRealization
+
+    def reduce(self, y: np.ndarray) -> ReducedObservation:
+        """y of shape (M,) or (M, T) as the receiver reads it: z = Q^H y and
+        the energy |y - Q z|^2 outside range(H)."""
+        z = self.q.conj().T @ y
+        outside = np.sum(np.abs(y - self.q @ z) ** 2, axis=0)
+        return ReducedObservation(z, outside, self.channel.r, self.channel.m_antennas)
+
+
+def explicit_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> ExplicitChannel:
+    """An M x N channel drawn entry by entry, H_ji ~ CN(0, 1/d_i**alpha): the
+    same values, stream for stream, as the draw before ``sample_channel``
+    sampled the triangular factor directly."""
     h = complex_normal(rng, 1.0, (m, scenario.n_sensors)) * np.sqrt(scenario.path_gains)
-    return ChannelRealization.from_matrix(h)
+    q, r = np.linalg.qr(h)
+    return ExplicitChannel(h, q, ChannelRealization(r, r.conj().T @ r, m))
+
+
+def sample_observation(
+    explicit: ExplicitChannel,
+    gains: GainVector,
+    scenario: Scenario,
+    hypothesis: str,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw one received M-vector under hypothesis ``"H0"`` or ``"H1"``.
+
+    Under H0 the received signal is H D v + n (forwarded measurement noise plus
+    receiver noise); under H1 the signal term H a theta is added.  Draw order is
+    theta (H1 only), v, n.
+    """
+    assert hypothesis in ("H0", "H1")
+    h, a = explicit.h, gains.gains
+    y = np.zeros(h.shape[0], dtype=complex)
+    if hypothesis == "H1":
+        theta = complex_normal(rng, scenario.signal_var)
+        y += (h @ a) * theta
+    v = complex_normal(rng, 1.0, scenario.n_sensors) * np.sqrt(scenario.meas_noise_vars)
+    y += h @ (a * v)
+    y += complex_normal(rng, scenario.fc_noise_var, h.shape[0])
+    return y

@@ -151,12 +151,12 @@ def test_criterion_5_lmmse_identity_and_floor(scenario):
         theory_total = 0.0
         n_channels, trials_per = 10, 10_000
         for c in range(n_channels):
-            channel = explicit_channel(scenario, m, derive_rng(SCENARIO_SEED, 5, c))
-            ctx = NpTestContext.build(gains, channel, scenario)
+            explicit = explicit_channel(scenario, m, derive_rng(SCENARIO_SEED, 5, c))
+            ctx = NpTestContext.build(gains, explicit.channel, scenario)
             theory_total += mse_closed_form(ctx.snr, scenario.signal_var)
             # reduced draws: z1 = Q^H y1 for a thin QR H = QR, w^H y1 = (Q^H w)^H z1
-            q, r = np.linalg.qr(channel.h_matrix)
-            w = q.conj().T @ ctx.whitened_steering
+            q, r = explicit.q, explicit.channel.r
+            w = q.conj().T @ (explicit.h @ ctx.steering_coeffs)
             stream = TrialStream(scenario, m, 505, (c,))
             for start in range(0, trials_per, 4096):
                 stop = min(start + 4096, trials_per)

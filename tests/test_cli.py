@@ -280,6 +280,22 @@ class TestExitCodes:
         assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("scenario", None), ("trials", [1]), ("sweep", 5), ("detectors", "np"),
+    ])
+    def test_replay_with_misshapen_manifest_is_config_error(self, experiment_cfg, tmp_path,
+                                                            capsys, key, value):
+        """A missing scenario, a list count, a scalar sweep or a string detector
+        list is a configuration error that names the key (None deletes it)."""
+        def edit(data):
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+
+        assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
+        assert f"'{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("detector", ["np", "ed"])
     @pytest.mark.parametrize("policy", ["no_such_policy", "single_antenna_optimal"])
     def test_threshold_policy_outside_multi_policies(self, scenario_cfg, capsys, detector,

@@ -25,11 +25,10 @@ from mimofusion.scenario import (
     complex_normal,
     derive_rng,
     sample_channel,
-    sample_observation,
     sample_scenario,
 )
 
-from channels import explicit_channel
+from channels import explicit_channel, sample_observation
 
 
 def oracle_tail(weights, excess) -> float:
@@ -68,26 +67,31 @@ def oracle_pfa(thr, sc, m) -> tuple[float, float]:
 
 class TestStatistic:
     def test_zero_vector(self):
-        assert ed_statistic(np.zeros(8, complex)) == 0.0
+        ex = explicit_channel(sample_scenario(3, derive_rng(400)), 8, derive_rng(400, 1))
+        assert ed_statistic(ex.reduce(np.zeros(8, complex))) == 0.0
 
     def test_block_matches_per_column_calls(self):
         sc = sample_scenario(3, derive_rng(407))
-        ch = explicit_channel(sc, 16, derive_rng(408))
+        ex = explicit_channel(sc, 16, derive_rng(408))
         gv = GainVector.equal_power(2.0, 3)
         block = np.stack(
-            [sample_observation(ch, gv, sc, "H1", derive_rng(409, k)) for k in range(5)], axis=1
+            [sample_observation(ex, gv, sc, "H1", derive_rng(409, k)) for k in range(5)], axis=1
         )
-        stats = ed_statistic(block)
+        stats = ed_statistic(ex.reduce(block))
         assert stats.shape == (5,)
         for k in range(5):
-            assert stats[k] == pytest.approx(ed_statistic(block[:, k]), rel=1e-12)
+            one = ed_statistic(ex.reduce(block[:, k]))
+            assert stats[k] == pytest.approx(one, rel=1e-12)
+            assert one == pytest.approx(np.vdot(block[:, k], block[:, k]).real / 16, rel=1e-12)
 
     def test_pure_noise_mean(self):
         sc = sample_scenario(3, derive_rng(401))
-        ch = explicit_channel(sc, 16, derive_rng(402))
+        ex = explicit_channel(sc, 16, derive_rng(402))
         gv = GainVector.from_gains(np.zeros(3, complex))
         rng = derive_rng(403)
-        stats = [ed_statistic(sample_observation(ch, gv, sc, "H0", rng)) for _ in range(4000)]
+        stats = [
+            ed_statistic(ex.reduce(sample_observation(ex, gv, sc, "H0", rng))) for _ in range(4000)
+        ]
         assert np.mean(stats) == pytest.approx(sc.fc_noise_var, rel=0.02)
 
     def test_signal_mean_matches_large_m_form(self):
@@ -112,14 +116,14 @@ class TestDeflectionExact:
 
     def test_matches_dense_traces(self):
         sc = Scenario(np.array([2.0, 3.5]), np.array([0.3, 0.45]), 1.2, 0.3, 2.0)
-        ch = explicit_channel(sc, 8, derive_rng(412))
+        ex = explicit_channel(sc, 8, derive_rng(412))
         gv = GainVector.from_gains(np.array([0.7 - 0.3j, 0.4 + 0.9j]))
-        h, a = ch.h_matrix, gv.gains
+        h, a = ex.h, gv.gains
         cw = h @ np.diag(np.abs(a) ** 2 * sc.meas_noise_vars) @ h.conj().T
         cw += sc.fc_noise_var * np.eye(8)
         cs = sc.signal_var * np.outer(h @ a, (h @ a).conj())
         dense = np.trace(cs).real ** 2 / np.trace(cw @ cw).real
-        assert deflection_exact(gv, ch, sc) == pytest.approx(dense, rel=1e-10)
+        assert deflection_exact(gv, ex.channel, sc) == pytest.approx(dense, rel=1e-10)
 
     def test_converges_to_asymptotic_on_sqrt_m_schedule(self):
         sc = sample_scenario(3, derive_rng(413))
@@ -200,12 +204,12 @@ class TestDeflectionAsymptotic:
 class TestSingleAntennaDeflection:
     def test_zero_gains(self):
         sc = sample_scenario(3, derive_rng(430))
-        h = explicit_channel(sc, 1, derive_rng(431)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(431)).h[0]
         assert single_antenna_deflection(GainVector.from_gains(np.zeros(3, complex)), h, sc) == 0.0
 
     def test_equals_squared_snr_ratio(self):
         sc = sample_scenario(4, derive_rng(432))
-        h = explicit_channel(sc, 1, derive_rng(433)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(433)).h[0]
         gv = GainVector.equal_power(3.0, 4)
         ctx = SingleAntennaContext.build(gv, h, sc)
         assert single_antenna_deflection(gv, h, sc) == pytest.approx(
@@ -214,7 +218,7 @@ class TestSingleAntennaDeflection:
 
     def test_strictly_decreases_when_shrunk(self):
         sc = sample_scenario(4, derive_rng(434))
-        h = explicit_channel(sc, 1, derive_rng(435)).h_matrix[0]
+        h = explicit_channel(sc, 1, derive_rng(435)).h[0]
         gv = GainVector.equal_power(3.0, 4)
         base = single_antenna_deflection(gv, h, sc)
         for c in (0.9, 0.5, 0.1):

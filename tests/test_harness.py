@@ -107,14 +107,15 @@ class TestTrialStream:
             assert not np.array_equal(theta, other[0])
 
 
-def full_synthesis(channel, gains, scenario, trials, rng):
+def full_synthesis(explicit, gains, scenario, trials, rng):
     """Independent M-vector trials: theta, y0 = H D v + n and y1 = y0 + H a theta."""
-    m, n = channel.h_matrix.shape
+    h = explicit.h
+    m, n = h.shape
     theta = complex_normal(rng, scenario.signal_var, trials)
     v = complex_normal(rng, 1.0, (n, trials)) * np.sqrt(scenario.meas_noise_vars)[:, None]
     noise = complex_normal(rng, scenario.fc_noise_var, (m, trials))
-    y0 = channel.h_matrix @ (gains.gains[:, None] * v) + noise
-    return theta, y0, y0 + np.outer(channel.h_matrix @ gains.gains, theta)
+    y0 = h @ (gains.gains[:, None] * v) + noise
+    return theta, y0, y0 + np.outer(h @ gains.gains, theta)
 
 
 class TestReducedSampler:
@@ -130,40 +131,43 @@ class TestReducedSampler:
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_statistics_match_full_synthesis(self, network, m):
         sc, trials = network, self.TRIALS
-        ch = explicit_channel(sc, m, derive_rng(621, m))
+        ex = explicit_channel(sc, m, derive_rng(621, m))
+        ch = ex.channel
         gv = GainVector.equal_power(5.0, sc.n_sensors)
         ctx = NpTestContext.build(gv, ch, sc)
-        theta, y0, y1 = full_synthesis(ch, gv, sc, trials, derive_rng(622, m))
+        theta, y0, y1 = full_synthesis(ex, gv, sc, trials, derive_rng(622, m))
         pvalues = {}
         for det, statistic in (("np", partial(np_statistic, ctx)), ("ed", ed_statistic)):
             t0, t1 = simulate_statistics(det, gv, ch, sc, trials, 623, (m,))
-            pvalues[f"{det} H0"] = ks_2samp(t0, statistic(y0)).pvalue
-            pvalues[f"{det} H1"] = ks_2samp(t1, statistic(y1)).pvalue
+            pvalues[f"{det} H0"] = ks_2samp(t0, statistic(ex.reduce(y0))).pvalue
+            pvalues[f"{det} H1"] = ks_2samp(t1, statistic(ex.reduce(y1))).pvalue
         # LMMSE errors on the reduced draws of a trial stream
         theta_r, v, noise, outside = TrialStream(sc, m, 624, (m,)).draw(trials)
         z1 = (ch.r * gv.gains) @ v + noise + np.outer(ch.r @ gv.gains, theta_r)
         est_r = lmmse_estimate(ctx, ReducedObservation(z1, outside, ch.r, m))
-        est = lmmse_estimate(ctx, y1)
+        est = lmmse_estimate(ctx, ex.reduce(y1))
         pvalues["lmmse"] = ks_2samp(np.abs(theta_r - est_r) ** 2, np.abs(theta - est) ** 2).pvalue
         assert min(pvalues.values()) >= 1e-3, pvalues
 
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_projected_block_gives_the_same_values(self, network, m):
-        """Projecting one synthesized block onto range(H) changes no statistic."""
+        """Projecting one synthesized block onto range(H) changes no statistic:
+        each equals its dense M-vector form, w^H y with w = C_w^{-1} H a = H c
+        and |y|^2 / M."""
         sc = network
-        ch = explicit_channel(sc, m, derive_rng(625, m))
+        ex = explicit_channel(sc, m, derive_rng(625, m))
         gv = GainVector.equal_power(5.0, sc.n_sensors)
-        ctx = NpTestContext.build(gv, ch, sc)
-        _, y0, y1 = full_synthesis(ch, gv, sc, 16, derive_rng(626, m))
-        q, r = np.linalg.qr(ch.h_matrix)
+        ctx = NpTestContext.build(gv, ex.channel, sc)
+        _, y0, y1 = full_synthesis(ex, gv, sc, 16, derive_rng(626, m))
+        w = ex.h @ ctx.steering_coeffs
         for y in (y0, y1, y1[:, 0]):
-            z = q.conj().T @ y
-            outside = np.sum(np.abs(y - q @ z) ** 2, axis=0)
-            reduced = ReducedObservation(z, outside, r, m)
+            reduced = ex.reduce(y)
+            response = w.conj() @ y
             for name, got, want in (
-                ("np", np_statistic(ctx, reduced), np_statistic(ctx, y)),
-                ("lmmse", lmmse_estimate(ctx, reduced), lmmse_estimate(ctx, y)),
-                ("ed", ed_statistic(reduced), ed_statistic(y)),
+                ("np", np_statistic(ctx, reduced), sc.signal_var * np.abs(response) ** 2),
+                ("lmmse", lmmse_estimate(ctx, reduced),
+                 response / (1.0 / sc.signal_var + ctx.snr)),
+                ("ed", ed_statistic(reduced), np.sum(np.abs(y) ** 2, axis=0) / m),
             ):
                 assert np.shape(got) == np.shape(want), name
                 np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
@@ -330,6 +334,36 @@ class TestManifest:
             data[key] = value
         with pytest.raises(ValueError, match="integer"):
             config_from_manifest(data)
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("scenario", [1.0]), ("experiment", None), ("target_pfa", "0.05"), ("trials", True),
+        ("sweep", [[4.0]]), ("sweep", [4.0, 12]), ("policies", "equal"), ("detectors", [1]),
+    ])
+    def test_rejects_misshapen_fields(self, scenario, key, value):
+        data = manifest_dict(small_config(scenario))
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            config_from_manifest(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("distances", None), ("meas_noise_vars", "0.3"), ("signal_var", [1.0]),
+    ])
+    def test_rejects_misshapen_scenario(self, scenario, key, value):
+        data = manifest_dict(small_config(scenario))
+        if value is None:
+            del data["scenario"][key]
+        else:
+            data["scenario"][key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            config_from_manifest(data)
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            config_from_manifest([1, 2])
 
 
 class TestResolveGains:

@@ -10,26 +10,25 @@ from mimofusion.scenario import (
     Scenario,
     derive_rng,
     sample_channel,
-    sample_observation,
     sample_scenario,
 )
 
-from channels import explicit_channel
+from channels import explicit_channel, sample_observation
 
 
-def estimation_errors(sc, ch, gv, trials, seed):
+def estimation_errors(sc, ex, gv, trials, seed):
     """Empirical squared errors and estimates of the signal over fresh trials.
 
     Trials are the harness's reduced draws: z1 = Q^H y1 for a thin QR H = QR,
     and the estimate reads w^H y1 = (Q^H w)^H z1.
     """
-    ctx = NpTestContext.build(gv, ch, sc)
+    ctx = NpTestContext.build(gv, ex.channel, sc)
     err_sq = np.empty(trials)
     est_minus_truth = np.empty(trials, dtype=complex)
     chunk = 4096
-    q, r = np.linalg.qr(ch.h_matrix)
-    w = q.conj().T @ ctx.whitened_steering
-    stream = TrialStream(sc, ch.m_antennas, seed, (0,))
+    q, r = ex.q, ex.channel.r
+    w = q.conj().T @ (ex.h @ ctx.steering_coeffs)  # Q^H w for w = C_w^{-1} H a = H c
+    stream = TrialStream(sc, ex.channel.m_antennas, seed, (0,))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         theta, v, noise, _ = stream.draw(stop - start)
@@ -59,26 +58,26 @@ class TestClosedForm:
 class TestEstimator:
     def test_zero_gains_give_prior(self):
         sc = sample_scenario(4, derive_rng(301))
-        ch = explicit_channel(sc, 8, derive_rng(302))
+        ex = explicit_channel(sc, 8, derive_rng(302))
         gv = GainVector.from_gains(np.zeros(4, complex))
-        ctx = NpTestContext.build(gv, ch, sc)
-        y = sample_observation(ch, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
-        assert lmmse_estimate(ctx, y) == 0.0
+        ctx = NpTestContext.build(gv, ex.channel, sc)
+        y = sample_observation(ex, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
+        assert lmmse_estimate(ctx, ex.reduce(y)) == 0.0
         assert mse_closed_form(ctx.snr, sc.signal_var) == pytest.approx(sc.signal_var, rel=1e-12)
 
     def test_empirical_mse_matches_theory(self):
         sc = sample_scenario(6, derive_rng(304))
-        ch = explicit_channel(sc, 32, derive_rng(305))
+        ex = explicit_channel(sc, 32, derive_rng(305))
         gv = GainVector.equal_power(5.0, 6)
-        ctx, err_sq, _ = estimation_errors(sc, ch, gv, 100_000, 306)
+        ctx, err_sq, _ = estimation_errors(sc, ex, gv, 100_000, 306)
         theory = mse_closed_form(ctx.snr, sc.signal_var)
         assert np.mean(err_sq) == pytest.approx(theory, rel=0.03)
 
     def test_estimator_unbiased(self):
         sc = sample_scenario(5, derive_rng(307))
-        ch = explicit_channel(sc, 16, derive_rng(308))
+        ex = explicit_channel(sc, 16, derive_rng(308))
         gv = GainVector.equal_power(3.0, 5)
-        ctx, err_sq, diff = estimation_errors(sc, ch, gv, 50_000, 309)
+        ctx, err_sq, diff = estimation_errors(sc, ex, gv, 50_000, 309)
         stderr = np.std(diff.real) / np.sqrt(diff.size)
         assert abs(np.mean(diff.real)) <= 4 * stderr
         assert abs(np.mean(diff.imag)) <= 4 * np.std(diff.imag) / np.sqrt(diff.size)
@@ -93,21 +92,22 @@ class TestEstimator:
 
     def test_matches_per_observation_call(self):
         sc = sample_scenario(4, derive_rng(312))
-        ch = explicit_channel(sc, 8, derive_rng(313))
+        ex = explicit_channel(sc, 8, derive_rng(313))
         gv = GainVector.equal_power(2.0, 4)
-        ctx = NpTestContext.build(gv, ch, sc)
-        y = sample_observation(ch, gv, sc, "H1", derive_rng(314))
-        result = lmmse_estimate(ctx, y)
-        manual = np.vdot(ctx.whitened_steering, y) / (1.0 / sc.signal_var + ctx.snr)
+        ctx = NpTestContext.build(gv, ex.channel, sc)
+        y = sample_observation(ex, gv, sc, "H1", derive_rng(314))
+        result = lmmse_estimate(ctx, ex.reduce(y))
+        w = ex.h @ ctx.steering_coeffs  # w = C_w^{-1} H a = H c
+        manual = np.vdot(w, y) / (1.0 / sc.signal_var + ctx.snr)
         assert result == pytest.approx(complex(manual), rel=1e-12)
         # an (M, T) block gives the per-column estimates
         block = np.stack(
-            [sample_observation(ch, gv, sc, "H1", derive_rng(314, k)) for k in range(6)], axis=1
+            [sample_observation(ex, gv, sc, "H1", derive_rng(314, k)) for k in range(6)], axis=1
         )
-        batched = lmmse_estimate(ctx, block)
+        batched = lmmse_estimate(ctx, ex.reduce(block))
         assert batched.shape == (6,)
         for k in range(6):
-            one = lmmse_estimate(ctx, block[:, k])
+            one = lmmse_estimate(ctx, ex.reduce(block[:, k]))
             assert batched[k] == pytest.approx(one, rel=1e-12)
 
 
@@ -115,13 +115,13 @@ class TestSingleAntennaEstimator:
     def test_empirical_mse_matches_theory(self):
         """The estimator on a one-antenna channel is the scalar receiver's."""
         sc = sample_scenario(5, derive_rng(320))
-        ch = explicit_channel(sc, 1, derive_rng(321))
-        h = ch.h_matrix[0]
+        ex = explicit_channel(sc, 1, derive_rng(321))
+        h = ex.h[0]
         gv = GainVector.equal_power(4.0, 5)
-        ctx = NpTestContext.build(gv, ch, sc)
+        ctx = NpTestContext.build(gv, ex.channel, sc)
         theta, v, noise, outside = TrialStream(sc, 1, 322, (0,)).draw(50_000)
         # reduced draws: z1 = q^H y1 with q the 1 x 1 factor of a QR of H
-        q, r = np.linalg.qr(ch.h_matrix)
+        q, r = ex.q, ex.channel.r
         z1 = (r * gv.gains) @ v + noise + np.outer(r @ gv.gains, theta)
         result = lmmse_estimate(ctx, ReducedObservation(z1, outside, r, 1))
         y1 = q[0, 0] * z1[0]

@@ -22,109 +22,107 @@ from mimofusion.scenario import (
     Scenario,
     derive_rng,
     sample_channel,
-    sample_observation,
     sample_scenario,
 )
 
-from channels import explicit_channel
+from channels import explicit_channel, sample_observation
 
 
 def small_scenario():
     return Scenario(np.array([2.0, 3.5]), np.array([0.3, 0.45]), 1.0, 0.3, 2.0)
 
 
-def dense_noise_cov(sc, ch, gv):
-    h, a = ch.h_matrix, gv.gains
+def dense_noise_cov(sc, ex, gv):
+    h, a = ex.h, gv.gains
     cw = h @ np.diag(np.abs(a) ** 2 * sc.meas_noise_vars) @ h.conj().T
-    return cw + sc.fc_noise_var * np.eye(ch.m_antennas)
+    return cw + sc.fc_noise_var * np.eye(h.shape[0])
 
 
-def dense_statistic(sc, ch, gv, y):
-    cw = dense_noise_cov(sc, ch, gv)
-    return sc.signal_var * abs(gv.gains.conj() @ ch.h_matrix.conj().T @ np.linalg.solve(cw, y)) ** 2
+def dense_statistic(sc, ex, gv, y):
+    cw = dense_noise_cov(sc, ex, gv)
+    return sc.signal_var * abs(gv.gains.conj() @ ex.h.conj().T @ np.linalg.solve(cw, y)) ** 2
 
 
-def dense_snr(sc, ch, gv):
-    cw = dense_noise_cov(sc, ch, gv)
-    ha = ch.h_matrix @ gv.gains
+def dense_snr(sc, ex, gv):
+    cw = dense_noise_cov(sc, ex, gv)
+    ha = ex.h @ gv.gains
     return float((ha.conj() @ np.linalg.solve(cw, ha)).real)
 
 
 class TestStatistic:
     def test_matches_dense_inverse_small_instance(self):
         sc = small_scenario()
-        ch = explicit_channel(sc, 6, derive_rng(101))
+        ex = explicit_channel(sc, 6, derive_rng(101))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
-        ctx = NpTestContext.build(gv, ch, sc)
+        ctx = NpTestContext.build(gv, ex.channel, sc)
         for k in range(5):
-            y = sample_observation(ch, gv, sc, "H1", derive_rng(102, k))
-            ref = dense_statistic(sc, ch, gv, y)
-            assert np_statistic(ctx, y) == pytest.approx(ref, rel=1e-10)
+            y = sample_observation(ex, gv, sc, "H1", derive_rng(102, k))
+            ref = dense_statistic(sc, ex, gv, y)
+            assert np_statistic(ctx, ex.reduce(y)) == pytest.approx(ref, rel=1e-10)
 
     def test_matches_dense_inverse_across_sizes(self):
         rng = derive_rng(103)
         for m in (2, 4, 8, 12, 16):
             n = int(rng.integers(1, 5))
             sc = sample_scenario(n, derive_rng(104, m))
-            ch = explicit_channel(sc, m, derive_rng(105, m))
+            ex = explicit_channel(sc, m, derive_rng(105, m))
             gv = GainVector.from_gains(
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
-            ctx = NpTestContext.build(gv, ch, sc)
-            y = sample_observation(ch, gv, sc, "H0", derive_rng(106, m))
-            assert np_statistic(ctx, y) == pytest.approx(dense_statistic(sc, ch, gv, y), rel=1e-10)
-            assert ctx.snr == pytest.approx(dense_snr(sc, ch, gv), rel=1e-10)
+            ctx = NpTestContext.build(gv, ex.channel, sc)
+            y = sample_observation(ex, gv, sc, "H0", derive_rng(106, m))
+            ref = dense_statistic(sc, ex, gv, y)
+            assert np_statistic(ctx, ex.reduce(y)) == pytest.approx(ref, rel=1e-10)
+            assert ctx.snr == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
     def test_block_matches_per_column_calls(self):
         sc = small_scenario()
-        ch = explicit_channel(sc, 6, derive_rng(114))
+        ex = explicit_channel(sc, 6, derive_rng(114))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
-        ctx = NpTestContext.build(gv, ch, sc)
+        ctx = NpTestContext.build(gv, ex.channel, sc)
         block = np.stack(
-            [sample_observation(ch, gv, sc, "H1", derive_rng(115, k)) for k in range(5)], axis=1
+            [sample_observation(ex, gv, sc, "H1", derive_rng(115, k)) for k in range(5)], axis=1
         )
-        stats = np_statistic(ctx, block)
+        stats = np_statistic(ctx, ex.reduce(block))
         assert stats.shape == (5,)
         for k in range(5):
-            assert stats[k] == pytest.approx(np_statistic(ctx, block[:, k]), rel=1e-12)
+            one = np_statistic(ctx, ex.reduce(block[:, k]))
+            assert stats[k] == pytest.approx(one, rel=1e-12)
 
     def test_zero_gains_zero_statistic(self):
         sc = small_scenario()
-        ch = explicit_channel(sc, 6, derive_rng(107))
+        ex = explicit_channel(sc, 6, derive_rng(107))
         gv = GainVector.from_gains(np.zeros(2, complex))
-        ctx = NpTestContext.build(gv, ch, sc)
-        y = sample_observation(ch, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
-        assert np_statistic(ctx, y) == 0.0
+        ctx = NpTestContext.build(gv, ex.channel, sc)
+        y = sample_observation(ex, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
+        assert np_statistic(ctx, ex.reduce(y)) == 0.0
         assert ctx.snr == 0.0
 
     def test_orthogonal_observation_zero_statistic(self):
         sc = small_scenario()
-        ch = explicit_channel(sc, 6, derive_rng(109))
+        ex = explicit_channel(sc, 6, derive_rng(109))
         gv = GainVector.from_gains(np.array([0.5, 0.3 + 0.2j]))
-        ctx = NpTestContext.build(gv, ch, sc)
-        w = ctx.whitened_steering
+        ctx = NpTestContext.build(gv, ex.channel, sc)
+        w = ex.h @ ctx.steering_coeffs  # w = C_w^{-1} H a = H c
         z = derive_rng(110).standard_normal(6) + 1j * derive_rng(111).standard_normal(6)
         y = z - (np.vdot(w, z) / np.vdot(w, w)) * w
-        assert np_statistic(ctx, y) < 1e-20
+        assert np_statistic(ctx, ex.reduce(y)) < 1e-20
 
     def test_partial_support_matches_dense(self):
         # one sensor silent: the reduced solve must drop it, not fail
         sc = small_scenario()
-        ch = explicit_channel(sc, 8, derive_rng(112))
+        ex = explicit_channel(sc, 8, derive_rng(112))
         gv = GainVector.from_gains(np.array([0.0, 0.9 - 0.4j]))
-        ctx = NpTestContext.build(gv, ch, sc)
-        y = sample_observation(ch, gv, sc, "H1", derive_rng(113))
-        assert np_statistic(ctx, y) == pytest.approx(dense_statistic(sc, ch, gv, y), rel=1e-10)
+        ctx = NpTestContext.build(gv, ex.channel, sc)
+        y = sample_observation(ex, gv, sc, "H1", derive_rng(113))
+        ref = dense_statistic(sc, ex, gv, y)
+        assert np_statistic(ctx, ex.reduce(y)) == pytest.approx(ref, rel=1e-10)
 
-    def test_channel_without_h_has_no_m_vector(self):
+    def test_sampled_channel_reads_reduced_block(self):
         sc = small_scenario()
         ch = sample_channel(sc, 6, derive_rng(116))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ch, sc)
-        with pytest.raises(ValueError, match="explicit H"):
-            ctx.whitened_steering
-        with pytest.raises(ValueError, match="explicit H"):
-            np_statistic(ctx, np.ones(6, complex))
         z = np.ones((2, 3), complex)
         expected = sc.signal_var * np.abs((ch.r @ ctx.steering_coeffs).conj() @ z) ** 2
         reduced = ReducedObservation(z, np.zeros(3), ch.r, 6)
@@ -159,9 +157,9 @@ class TestSnr:
 
     def test_single_sensor_matches_dense(self):
         sc = Scenario(np.array([2.5]), np.array([0.4]), 1.0, 0.3, 2.0)
-        ch = explicit_channel(sc, 8, derive_rng(120))
+        ex = explicit_channel(sc, 8, derive_rng(120))
         gv = GainVector.from_gains(np.array([1.3 + 0.1j]))
-        assert snr_exact(gv, ch, sc) == pytest.approx(dense_snr(sc, ch, gv), rel=1e-10)
+        assert snr_exact(gv, ex.channel, sc) == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
     def test_exact_converges_to_asymptotic(self):
         sc = sample_scenario(4, derive_rng(121))
@@ -258,10 +256,10 @@ class TestSingleAntenna:
 
     def test_empirical_calibration(self):
         sc = sample_scenario(5, derive_rng(140))
-        ch = explicit_channel(sc, 1, derive_rng(141))
+        ex = explicit_channel(sc, 1, derive_rng(141))
         gv = GainVector.equal_power(6.0, 5)
-        ctx = SingleAntennaContext.build(gv, ch.h_matrix[0], sc, target_pfa=0.05)
-        t0, t1 = simulate_statistics("np_single", gv, ch, sc, 100_000, 142)
+        ctx = SingleAntennaContext.build(gv, ex.h[0], sc, target_pfa=0.05)
+        t0, t1 = simulate_statistics("np_single", gv, ex.channel, sc, 100_000, 142)
         assert np.mean(t0 > ctx.threshold) == pytest.approx(0.05, abs=0.01)
         assert np.mean(t1 > ctx.threshold) == pytest.approx(single_antenna_pd(ctx), abs=0.01)
 

@@ -38,24 +38,24 @@ PFA = 0.05
 def test_general_path_matches_scalar_forms(n, log_p, seed, policy):
     p = 10.0**log_p
     sc = sample_scenario(n, derive_rng(seed, 0))
-    ch = explicit_channel(sc, 1, derive_rng(seed, 1))
-    h = ch.h_matrix[0]
+    ex = explicit_channel(sc, 1, derive_rng(seed, 1))
+    h = ex.h[0]
     if policy == "equal":
         gv = GainVector.equal_power(p, n)
     else:
         gv = single_antenna_optimal_gains(sc, h, p)
-    ctx = NpTestContext.build(gv, ch, sc)
+    ctx = NpTestContext.build(gv, ex.channel, sc)
     ref = SingleAntennaContext.build(gv, h, sc, target_pfa=PFA)
     sv = sc.signal_var
 
     snr = ref.sigma_s_sq / (sv * ref.sigma_w_sq)
     assert ctx.snr == pytest.approx(snr, rel=REL)
     assert pd_closed_form(ctx.snr, sv, PFA) == pytest.approx(single_antenna_pd(ref), rel=REL)
-    assert deflection_exact(gv, ch, sc) == pytest.approx(
+    assert deflection_exact(gv, ex.channel, sc) == pytest.approx(
         single_antenna_deflection(gv, h, sc), rel=REL
     )
 
     y = derive_rng(seed, 2).standard_normal(2) @ np.array([1.0, 1.0j])
     coherent = np.sum(gv.gains * h)
     scalar = (np.conj(coherent) / ref.sigma_w_sq) * y / (1.0 / sv + snr)
-    assert lmmse_estimate(ctx, np.array([y])) == pytest.approx(scalar, rel=REL)
+    assert lmmse_estimate(ctx, ex.reduce(np.array([y]))) == pytest.approx(scalar, rel=REL)

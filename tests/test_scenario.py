@@ -11,11 +11,10 @@ from mimofusion.scenario import (
     complex_normal,
     derive_rng,
     sample_channel,
-    sample_observation,
     sample_scenario,
 )
 
-from channels import explicit_channel
+from channels import explicit_channel, sample_observation
 
 
 def make_scenario(d, v, signal_var=1.0, fc_noise_var=0.3, alpha=2.0):
@@ -108,31 +107,21 @@ class TestSampleChannel:
         sc = make_scenario([2.0, 3.0, 4.0], [0.3, 0.4, 0.5])
         for m, k in ((1, 1), (2, 2), (3, 3), (16, 3)):
             ch = sample_channel(sc, m, derive_rng(6, m))
-            assert ch.r.shape == (k, 3) and ch.m_antennas == m and ch.h_matrix is None
+            assert ch.r.shape == (k, 3) and ch.m_antennas == m
             assert np.array_equal(ch.r, np.triu(ch.r))
             assert np.all(np.diag(ch.r).real > 0) and np.all(np.diag(ch.r).imag == 0)
             assert_allclose(ch.gram, ch.r.conj().T @ ch.r, rtol=1e-12)
 
     def test_gram_cached(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.4])
-        ch = explicit_channel(sc, 16, derive_rng(6))
-        assert_allclose(ch.gram, ch.h_matrix.conj().T @ ch.h_matrix, rtol=1e-12)
+        explicit = explicit_channel(sc, 16, derive_rng(6))
+        ch, h = explicit.channel, explicit.h
+        assert_allclose(ch.gram, h.conj().T @ h, rtol=1e-12)
         assert ch.r.shape == (2, 2) and ch.m_antennas == 16
-
-    def test_from_matrix_keeps_its_factor(self):
-        h = complex_normal(derive_rng(8), 1.0, (3, 5))
-        ch = ChannelRealization.from_matrix(h)
-        assert ch.r.shape == (3, 5) and ch.n_sensors == 5
-        q = np.linalg.qr(h)[0]
-        assert_allclose(q @ ch.r, h, atol=1e-12)
-        with pytest.raises(ValueError):
-            ChannelRealization.from_matrix(np.zeros(4, complex))
 
     def test_rejects_inconsistent_factor(self):
         with pytest.raises(ValueError):
             ChannelRealization(np.eye(2), np.eye(2), 1)  # k must be min(M, N) = 1
-        with pytest.raises(ValueError):
-            ChannelRealization(np.eye(2), np.eye(2), 4, np.zeros((3, 2)))
 
     def test_rejects_zero_antennas(self):
         sc = make_scenario([2.0], [0.3])
@@ -154,7 +143,9 @@ class TestBartlettSampler:
         sc = make_scenario([2.0, 3.0, 4.0, 5.0], [0.3, 0.4, 0.3, 0.4], alpha=1.0)
         n, k = sc.n_sensors, min(m, sc.n_sensors)
         bartlett = [sample_channel(sc, m, derive_rng(50, m, i)) for i in range(self.DRAWS)]
-        explicit = [explicit_channel(sc, m, derive_rng(51, m, i)) for i in range(self.DRAWS)]
+        explicit = [
+            explicit_channel(sc, m, derive_rng(51, m, i)).channel for i in range(self.DRAWS)
+        ]
 
         def features(channels):
             g = np.array([ch.gram for ch in channels])
@@ -227,6 +218,8 @@ class TestGainVector:
 
 
 class TestSampleObservation:
+    """The full-vector reference generator of ``channels``, against the model."""
+
     def test_zero_gains_tiny_noise_gives_zero(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.4], fc_noise_var=1e-30)
         ch = explicit_channel(sc, 8, derive_rng(21))
@@ -235,21 +228,9 @@ class TestSampleObservation:
             y = sample_observation(ch, gv, sc, hyp, derive_rng(22))
             assert np.max(np.abs(y)) < 1e-12
 
-    def test_channel_without_h_rejected(self):
-        sc = make_scenario([2.0, 3.0], [0.3, 0.4])
-        ch = sample_channel(sc, 8, derive_rng(29))
-        with pytest.raises(ValueError, match="explicit H"):
-            sample_observation(ch, GainVector.equal_power(1.0, 2), sc, "H0", derive_rng(30))
-
-    def test_dimension_mismatch_rejected(self):
-        sc = make_scenario([2.0, 3.0], [0.3, 0.4])
-        ch = sample_channel(sc, 8, derive_rng(23))
-        with pytest.raises(ValueError):
-            sample_observation(ch, GainVector.equal_power(1.0, 3), sc, "H0", derive_rng(24))
-
     @staticmethod
     def _sample_cov(sc, ch, gv, hyp, trials, seed):
-        m = ch.m_antennas
+        m = ch.h.shape[0]
         acc = np.zeros((m, m), dtype=complex)
         rng = derive_rng(seed)
         for _ in range(trials):
@@ -261,7 +242,7 @@ class TestSampleObservation:
         sc = make_scenario([2.0, 3.0], [0.3, 0.45], fc_noise_var=0.2)
         ch = explicit_channel(sc, 4, derive_rng(25))
         gv = GainVector.from_gains(np.array([0.8 + 0.2j, -0.5 + 0.9j]))
-        h, a = ch.h_matrix, gv.gains
+        h, a = ch.h, gv.gains
         cw = h @ np.diag(np.abs(a) ** 2 * sc.meas_noise_vars) @ h.conj().T
         cw += sc.fc_noise_var * np.eye(4)
         emp = self._sample_cov(sc, ch, gv, "H0", 60_000, 26)
@@ -271,7 +252,7 @@ class TestSampleObservation:
         sc = make_scenario([2.0, 3.0], [0.3, 0.45], fc_noise_var=0.2)
         ch = explicit_channel(sc, 4, derive_rng(27))
         gv = GainVector.from_gains(np.array([0.8 + 0.2j, -0.5 + 0.9j]))
-        h, a = ch.h_matrix, gv.gains
+        h, a = ch.h, gv.gains
         cw = h @ np.diag(np.abs(a) ** 2 * sc.meas_noise_vars) @ h.conj().T
         cw += sc.fc_noise_var * np.eye(4)
         cs = sc.signal_var * np.outer(h @ a, (h @ a).conj())
