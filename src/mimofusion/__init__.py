@@ -8,7 +8,6 @@ from .scenario import (
     GainVector,
     ReducedObservation,
     Scenario,
-    asymptotic_gram,
     complex_normal,
     derive_rng,
     sample_channel,
@@ -26,7 +25,6 @@ from .np_detector import (
     single_antenna_statistic,
     single_antenna_threshold_for_pfa,
     snr_asymptotic,
-    snr_exact,
     threshold_for_pfa,
 )
 from .np_gains import (
@@ -36,7 +34,6 @@ from .np_gains import (
     snr_floor_gains,
     snr_floor_power,
     waterfill,
-    waterfill_kkt_residual,
 )
 from .lmmse import lmmse_estimate, lmmse_mse_bound, mse_closed_form
 from .energy_detector import (
@@ -64,7 +61,6 @@ from .harness import (
     ResultRow,
     resolve_gains,
     run_experiment,
-    simulate_statistics,
 )
 from .config import ConfigError, load_experiment, load_packaged_experiment, load_scenario
 

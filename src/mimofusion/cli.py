@@ -113,23 +113,13 @@ def _check_power_antennas(args) -> None:
         raise ConfigError("need a finite --power > 0 and --antennas >= 1")
 
 
-def _load_scenario(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    return load_scenario(path)
-
-
 def _cmd_run(args) -> int:
     if args.replay:
-        if not os.path.exists(args.replay):
-            raise ConfigError(f"manifest not found: {args.replay}")
         try:
             config = load_manifest(args.replay)
         except ValueError as exc:  # bad JSON, values or stream version
             raise ConfigError(f"cannot replay {args.replay}: {exc}") from exc
     elif args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
         config = load_experiment(args.config, _overrides(args))
     else:
         config = load_packaged_experiment(args.experiment, _overrides(args))
@@ -149,7 +139,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_waterfill(args) -> int:
-    scenario = _load_scenario(args.config)
+    scenario = load_scenario(args.config)
     _check_power_antennas(args)
     sol = np_gains.waterfill(scenario, args.antennas, args.power)
     for i, x in enumerate(sol.magnitudes_sq):
@@ -160,7 +150,7 @@ def _cmd_waterfill(args) -> int:
 
 
 def _cmd_ed_alloc(args) -> int:
-    scenario = _load_scenario(args.config)
+    scenario = load_scenario(args.config)
     _check_power_antennas(args)
     if args.form == "qclp":
         problem = ed_gains.EdAllocationProblem.from_scenario(
@@ -190,7 +180,7 @@ def _cmd_ed_alloc(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    scenario = _load_scenario(args.config)
+    scenario = load_scenario(args.config)
     pfa = _check_pfa(args.pfa)
     _check_power_antennas(args)
     if args.detector == "np":
@@ -207,7 +197,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    scenario = _load_scenario(args.config)
+    scenario = load_scenario(args.config)
     pfa = _check_pfa(args.pfa)
     print(f"pd_low_power_bound = {np_gains.np_pd_bound(scenario, 'low_power', pfa)!r}")
     print(f"pd_high_power_bound = {np_gains.np_pd_bound(scenario, 'high_power', pfa)!r}")

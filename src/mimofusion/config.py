@@ -139,18 +139,6 @@ def load_scenario(path) -> Scenario:
     return build_scenario(raw)
 
 
-def dump_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario with explicit vectors (round-trips exactly)."""
-    return "\n".join([
-        f"n_sensors = {scenario.n_sensors}",
-        "distances = " + ", ".join(repr(float(x)) for x in scenario.distances),
-        "meas_noise_vars = " + ", ".join(repr(float(x)) for x in scenario.meas_noise_vars),
-        f"signal_var = {scenario.signal_var!r}",
-        f"fc_noise_var = {scenario.fc_noise_var!r}",
-        f"path_loss_exp = {scenario.path_loss_exp!r}",
-    ]) + "\n"
-
-
 def _build_sweep(raw: dict[str, str], scenario: Scenario) -> tuple[tuple[float, int], ...]:
     if "sweep_p" in raw:
         if "sweep_m" in raw:

@@ -61,11 +61,6 @@ class EdAllocationProblem:
     def n_sensors(self) -> int:
         return self.d_vec.size
 
-    @property
-    def b_tilde(self) -> np.ndarray:
-        n = self.n_sensors
-        return np.diag(self.b_diag) + self.rank1_coeff * np.ones((n, n))
-
     def objective(self, x: np.ndarray, include_cross_term: bool = True) -> float:
         """Deflection value of an allocation under this problem's variant."""
         return _deflection_ratio(
@@ -113,25 +108,6 @@ def _solve_diag_rank1(b_diag: np.ndarray, coeff: float, rhs: np.ndarray) -> np.n
     return ((spread - spread_mean) + mean / (1.0 + coeff * inv_diag_sum)) / b_diag
 
 
-def _certificate(problem: EdAllocationProblem, x_unit: np.ndarray) -> tuple[float, np.ndarray]:
-    bt_x = problem.b_diag * x_unit + problem.rank1_coeff * x_unit.sum()
-    nu = 0.5 * float(problem.d_vec @ x_unit)
-    mu = 2.0 * nu * bt_x - problem.d_vec
-    return nu, mu
-
-
-def certificate_residual(problem: EdAllocationProblem, x_unit: np.ndarray) -> float:
-    """Worst violation (relative to max d_i) of the optimality conditions at x_unit."""
-    nu, mu = _certificate(problem, x_unit)
-    scale = float(np.max(problem.d_vec))
-    support = x_unit > 1e-12 * float(np.max(x_unit))
-    stationarity = float(np.max(np.abs(mu[support]))) if support.any() else np.inf
-    dual_feas = float(max(0.0, -np.min(mu[~support]))) if (~support).any() else 0.0
-    quad = float(problem.b_diag @ x_unit**2 + problem.rank1_coeff * x_unit.sum() ** 2)
-    complementarity = float(np.max(np.abs(mu * x_unit))) if (~support).any() else 0.0
-    return max(stationarity, dual_feas, complementarity, abs(quad - 1.0) * scale) / scale
-
-
 def solve_qclp(problem: EdAllocationProblem) -> QclpSolution:
     """Maximize the large-M deflection bound, then rescale onto the power budget.
 
@@ -156,8 +132,9 @@ def solve_qclp(problem: EdAllocationProblem) -> QclpSolution:
         free &= ~clamped
 
     x_unit = y / np.sqrt(float(y @ problem.d_vec))
-    nu, mu = _certificate(problem, x_unit)
-    mu = np.where(free, 0.0, mu)
+    nu = 0.5 * float(problem.d_vec @ x_unit)
+    bt_x = problem.b_diag * x_unit + problem.rank1_coeff * x_unit.sum()
+    mu = np.where(free, 0.0, 2.0 * nu * bt_x - problem.d_vec)
     tol = 1e-9 * float(np.max(problem.d_vec))
     if np.any(x_unit < 0) or float(np.min(mu)) < -tol:
         raise SolverError("active-set allocation fails its optimality certificate")

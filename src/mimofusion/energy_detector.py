@@ -208,10 +208,9 @@ def weighted_chi2_tail(eta: np.ndarray, scenario: Scenario, m: int, gamma_hat: f
 
 @dataclass(frozen=True, eq=False)
 class EdThreshold:
-    """A false-alarm-calibrated energy threshold."""
+    """A false-alarm-calibrated energy threshold and the eta weights it was set for."""
 
     gamma_hat: float
-    target_pfa: float
     eta: np.ndarray
     # always False; kept only for perfbench's Monte Carlo fallback counter
     mc_fallback: ClassVar[bool] = False
@@ -257,7 +256,7 @@ def ed_threshold_for_pfa(
             lo = gamma
         else:
             hi = gamma
-    return EdThreshold(gamma, target_pfa, eta)
+    return EdThreshold(gamma, eta)
 
 
 def quadratic_form_variance(a_matrix: np.ndarray) -> float:

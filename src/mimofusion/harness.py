@@ -30,14 +30,12 @@ decisions rather than repeat them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import ed_gains, energy_detector, lmmse, np_detector, np_gains
 from .scenario import (
-    ChannelRealization,
     GainVector,
     ReducedObservation,
     Scenario,
@@ -97,12 +95,13 @@ class ExperimentConfig:
         for p, m in self.sweep:
             if not (np.isfinite(p) and p > 0) or m < 1:
                 raise ValueError("sweep points need finite positive power and M >= 1")
-        for det in self.detectors:
-            if det not in DETECTORS:
-                raise ValueError(f"unknown detector {det!r}")
-        for pol in self.gain_policies:
-            if pol not in POLICIES:
-                raise ValueError(f"unknown gain policy {pol!r}")
+        for kind, names, known in (("detector", self.detectors, DETECTORS),
+                                   ("gain policy", self.gain_policies, POLICIES)):
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}")
+                if name in names[:i]:
+                    raise ValueError(f"repeated {kind} {name!r}")
         if not self.curves():
             raise ValueError("no compatible (detector, policy) pairs in config")
 
@@ -117,6 +116,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One CSV row: its fields, in order, are the columns of :data:`CSV_COLUMNS`."""
+
     experiment: str
     policy: str
     detector: str
@@ -150,13 +151,7 @@ class ExperimentResult:
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join((
-                r.experiment, r.policy, r.detector, str(r.m), _fmt(r.p),
-                _fmt(r.pd_emp), _fmt(r.pd_theory), _fmt(r.pfa_emp),
-                _fmt(r.mse_emp), _fmt(r.mse_theory), _fmt(r.deflection),
-                _fmt(r.bound_lo), _fmt(r.bound_hi), _fmt(r.stderr), str(r.trials),
-            )))
+        lines.extend(",".join(map(_fmt, astuple(r))) for r in self.rows)
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -237,43 +232,6 @@ def _received(r: np.ndarray, m: int, gains: GainVector, theta, v, noise, outside
     z1 = np.outer(r @ gains.gains, theta)
     z1 += z0
     return ReducedObservation(z0, outside, r, m), ReducedObservation(z1, outside, r, m)
-
-
-def simulate_statistics(
-    detector: str,
-    gains: GainVector,
-    channel: ChannelRealization,
-    scenario: Scenario,
-    trials: int,
-    master_seed: int,
-    path: tuple[int, ...] = (0,),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the detector statistic under both hypotheses from one trial stream.
-
-    Returns (noise-only statistics, signal-present statistics); thresholding is
-    left to the caller, so one sampled set serves a whole ROC sweep or any
-    number of empirical rates.  The two hypotheses share each trial's signal
-    and noise draws, sampled in the range of the channel and read through
-    :meth:`TrialStream.chunks`, as the harness reads them.  The ``*_single``
-    detectors need a one-antenna channel and return |y|^2, the energy there.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}")
-    if detector in SINGLE_DETECTORS and channel.m_antennas != 1:
-        raise ValueError("single-antenna detectors need a one-antenna channel")
-    statistic = energy_detector.ed_statistic
-    if detector == "np":
-        ctx = np_detector.NpTestContext.build(gains, channel, scenario)
-        statistic = partial(np_detector.np_statistic, ctx)
-    m = channel.m_antennas
-    t0, t1 = [], []
-    for draws in TrialStream(scenario, m, master_seed, path).chunks(trials):
-        y0, y1 = _received(channel.r, m, gains, *draws)
-        t0.append(statistic(y0))
-        t1.append(statistic(y1))
-    return np.concatenate(t0), np.concatenate(t1)
 
 
 @dataclass

@@ -59,20 +59,6 @@ def _steering_coefficients(
     return c / s
 
 
-def _snr(a: np.ndarray, gram: np.ndarray, c: np.ndarray) -> float:
-    # g = a^H H^H C_w^{-1} H a = a^H H^H H c = a^H G c
-    return max(float(np.real(np.vdot(a, gram @ c))), 0.0)
-
-
-def snr_exact(gains: GainVector, channel: ChannelRealization, scenario: Scenario) -> float:
-    """Exact detection SNR g(a) = a^H H^H C_w^{-1} H a for one channel draw.
-
-    Evaluated entirely from the cached N x N Gram matrix, as a^H G c with the
-    steering coefficients c of :func:`_steering_coefficients`.
-    """
-    return _snr(gains.gains, channel.gram, _steering_coefficients(gains, channel, scenario))
-
-
 def snr_asymptotic(gains: GainVector, scenario: Scenario, m: int) -> float:
     """Large-M limit of the detection SNR; depends on gains only through |a_i|^2."""
     return asymptotic_snr_from_power(gains.magnitudes_sq, scenario, m)
@@ -149,7 +135,8 @@ class NpTestContext:
         target_pfa: float | None = None,
     ) -> "NpTestContext":
         c = _steering_coefficients(gains, channel, scenario)
-        g = _snr(gains.gains, channel.gram, c)
+        # exact detection SNR g = a^H H^H C_w^{-1} H a = a^H H^H H c = a^H G c
+        g = max(float(np.real(np.vdot(gains.gains, channel.gram @ c))), 0.0)
         thr = None
         if target_pfa is not None:
             thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)

@@ -70,25 +70,6 @@ def waterfill(scenario: Scenario, m: int, p: float) -> WaterfillSolution:
     return WaterfillSolution(x, float(lam), asymptotic_snr_from_power(x, scenario, m), 1)
 
 
-def waterfill_kkt_residual(sol: WaterfillSolution, scenario: Scenario, m: int) -> float:
-    """Worst-case stationarity violation of a water-filling solution.
-
-    Active sensors must have marginal SNR equal to the multiplier; inactive
-    sensors must have marginal at zero power not exceeding it.
-    """
-    d_alpha = scenario.distances**scenario.path_loss_exp
-    noise_dist = scenario.fc_noise_var * d_alpha
-    marginal = m * noise_dist / (noise_dist + scenario.meas_noise_vars * m * sol.magnitudes_sq) ** 2
-    active = sol.magnitudes_sq > 0
-    resid = 0.0
-    if active.any():
-        resid = float(np.max(np.abs(marginal[active] - sol.multiplier)) / sol.multiplier)
-    if (~active).any():
-        slack = float(np.max(marginal[~active] - sol.multiplier) / sol.multiplier)
-        resid = max(resid, slack)
-    return resid
-
-
 def snr_floor_gains(scenario: Scenario, m: int) -> GainVector:
     """Closed-form gains whose power shrinks as 1/M while the large-M SNR stays
     at exactly one third of its infinite-power limit.
@@ -123,26 +104,6 @@ def single_antenna_optimal_gains(scenario: Scenario, h: np.ndarray, p: float) ->
     direction = np.conj(h) / r
     scale = np.sqrt(p / np.sum(np.abs(h) ** 2 / r**2))
     return GainVector.from_gains(scale * direction)
-
-
-def single_antenna_best_ratio(scenario: Scenario, h: np.ndarray, p: float) -> float:
-    """SNR achieved by :func:`single_antenna_optimal_gains`: signal_var * h^H R^{-1} h."""
-    h = np.asarray(h, dtype=complex)
-    r = np.abs(h) ** 2 * scenario.meas_noise_vars + scenario.fc_noise_var / p
-    return float(scenario.signal_var * np.sum(np.abs(h) ** 2 / r))
-
-
-def single_antenna_zeta(scenario: Scenario, h: np.ndarray, m: int) -> float:
-    """Per-realization SNR cap for the scalar receiver on the 1/M power schedule.
-
-    Equals (signal_var / 2M) * sum_i d_i**alpha / v_i * ||h||^2; shrinks to zero
-    in probability as the antenna budget grows, so the scalar receiver's
-    detection probability collapses to the false-alarm rate in that regime.
-    """
-    h = np.asarray(h, dtype=complex)
-    d_alpha = scenario.distances**scenario.path_loss_exp
-    coeff = scenario.signal_var * np.sum(d_alpha / scenario.meas_noise_vars) / (2.0 * m)
-    return float(coeff * np.sum(np.abs(h) ** 2))
 
 
 def np_pd_bound(scenario: Scenario, regime: str, target_pfa: float) -> float:

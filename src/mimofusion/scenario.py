@@ -174,11 +174,6 @@ def sample_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> Chan
     return ChannelRealization(r, r.conj().T @ r, m)
 
 
-def asymptotic_gram(scenario: Scenario) -> np.ndarray:
-    """Large-M limit of H^H H / M: diag{1/d_1**alpha, ..., 1/d_N**alpha}."""
-    return np.diag(scenario.path_gains)
-
-
 @dataclass(frozen=True, eq=False)
 class GainVector:
     """Per-sensor complex transmit gains together with their total power."""

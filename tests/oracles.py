@@ -1,0 +1,132 @@
+"""Independent references the tests hold the package to.
+
+None of these runs in the package: a direct sampler of the detector
+statistics under both hypotheses, the optimality residuals of the two gain
+solvers, the scalar receiver's best ratio and SNR cap, and a scenario
+serializer for config round trips.  The dense explicit-H receiver lives in
+``channels.py``.
+"""
+
+from functools import partial
+
+import numpy as np
+
+from mimofusion import energy_detector, np_detector
+from mimofusion.ed_gains import EdAllocationProblem
+from mimofusion.harness import DETECTORS, SINGLE_DETECTORS, TrialStream, _received
+from mimofusion.np_gains import WaterfillSolution
+from mimofusion.scenario import ChannelRealization, GainVector, Scenario
+
+
+def simulate_statistics(
+    detector: str,
+    gains: GainVector,
+    channel: ChannelRealization,
+    scenario: Scenario,
+    trials: int,
+    master_seed: int,
+    path: tuple[int, ...] = (0,),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the detector statistic under both hypotheses from one trial stream.
+
+    Returns (noise-only statistics, signal-present statistics); thresholding is
+    left to the caller, so one sampled set serves a whole ROC sweep or any
+    number of empirical rates.  The two hypotheses share each trial's signal
+    and noise draws, sampled in the range of the channel and read through
+    :meth:`TrialStream.chunks`, as the harness reads them.  The ``*_single``
+    detectors need a one-antenna channel and return |y|^2, the energy there.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if detector not in DETECTORS:
+        raise ValueError(f"unknown detector {detector!r}")
+    if detector in SINGLE_DETECTORS and channel.m_antennas != 1:
+        raise ValueError("single-antenna detectors need a one-antenna channel")
+    statistic = energy_detector.ed_statistic
+    if detector == "np":
+        ctx = np_detector.NpTestContext.build(gains, channel, scenario)
+        statistic = partial(np_detector.np_statistic, ctx)
+    m = channel.m_antennas
+    t0, t1 = [], []
+    for draws in TrialStream(scenario, m, master_seed, path).chunks(trials):
+        y0, y1 = _received(channel.r, m, gains, *draws)
+        t0.append(statistic(y0))
+        t1.append(statistic(y1))
+    return np.concatenate(t0), np.concatenate(t1)
+
+
+def waterfill_kkt_residual(sol: WaterfillSolution, scenario: Scenario, m: int) -> float:
+    """Worst-case stationarity violation of a water-filling solution.
+
+    Active sensors must have marginal SNR equal to the multiplier; inactive
+    sensors must have marginal at zero power not exceeding it.
+    """
+    d_alpha = scenario.distances**scenario.path_loss_exp
+    noise_dist = scenario.fc_noise_var * d_alpha
+    marginal = m * noise_dist / (noise_dist + scenario.meas_noise_vars * m * sol.magnitudes_sq) ** 2
+    active = sol.magnitudes_sq > 0
+    resid = 0.0
+    if active.any():
+        resid = float(np.max(np.abs(marginal[active] - sol.multiplier)) / sol.multiplier)
+    if (~active).any():
+        slack = float(np.max(marginal[~active] - sol.multiplier) / sol.multiplier)
+        resid = max(resid, slack)
+    return resid
+
+
+def b_tilde(problem: EdAllocationProblem) -> np.ndarray:
+    """The regularized matrix Bt = diag(b) + c 11^T of the deflection problem, dense."""
+    n = problem.n_sensors
+    return np.diag(problem.b_diag) + problem.rank1_coeff * np.ones((n, n))
+
+
+def certificate_residual(problem: EdAllocationProblem, x_unit: np.ndarray) -> float:
+    """Worst violation (relative to max d_i) of the optimality conditions at x_unit.
+
+    Maximizing x.d subject to x^T Bt x <= 1 and x >= 0 needs d - 2 nu Bt x + mu = 0
+    with mu >= 0, mu_i x_i = 0 and x^T Bt x = 1; the product with x then gives
+    nu = x.d / 2.  Everything is evaluated on the dense Bt of :func:`b_tilde`.
+    """
+    d = problem.d_vec
+    bt_x = b_tilde(problem) @ x_unit
+    nu = 0.5 * float(d @ x_unit)
+    mu = 2.0 * nu * bt_x - d
+    scale = float(np.max(d))
+    support = x_unit > 1e-12 * float(np.max(x_unit))
+    stationarity = float(np.max(np.abs(mu[support]))) if support.any() else np.inf
+    dual_feas = float(max(0.0, -np.min(mu[~support]))) if (~support).any() else 0.0
+    quad = float(x_unit @ bt_x)
+    complementarity = float(np.max(np.abs(mu * x_unit))) if (~support).any() else 0.0
+    return max(stationarity, dual_feas, complementarity, abs(quad - 1.0) * scale) / scale
+
+
+def single_antenna_best_ratio(scenario: Scenario, h: np.ndarray, p: float) -> float:
+    """SNR achieved by ``np_gains.single_antenna_optimal_gains``: signal_var * h^H R^{-1} h."""
+    h = np.asarray(h, dtype=complex)
+    r = np.abs(h) ** 2 * scenario.meas_noise_vars + scenario.fc_noise_var / p
+    return float(scenario.signal_var * np.sum(np.abs(h) ** 2 / r))
+
+
+def single_antenna_zeta(scenario: Scenario, h: np.ndarray, m: int) -> float:
+    """Per-realization SNR cap for the scalar receiver on the 1/M power schedule.
+
+    Equals (signal_var / 2M) * sum_i d_i**alpha / v_i * ||h||^2; shrinks to zero
+    in probability as the antenna budget grows, so the scalar receiver's
+    detection probability collapses to the false-alarm rate in that regime.
+    """
+    h = np.asarray(h, dtype=complex)
+    d_alpha = scenario.distances**scenario.path_loss_exp
+    coeff = scenario.signal_var * np.sum(d_alpha / scenario.meas_noise_vars) / (2.0 * m)
+    return float(coeff * np.sum(np.abs(h) ** 2))
+
+
+def dump_scenario(scenario: Scenario) -> str:
+    """Serialize a scenario with explicit vectors (round-trips exactly)."""
+    return "\n".join([
+        f"n_sensors = {scenario.n_sensors}",
+        "distances = " + ", ".join(repr(float(x)) for x in scenario.distances),
+        "meas_noise_vars = " + ", ".join(repr(float(x)) for x in scenario.meas_noise_vars),
+        f"signal_var = {scenario.signal_var!r}",
+        f"fc_noise_var = {scenario.fc_noise_var!r}",
+        f"path_loss_exp = {scenario.path_loss_exp!r}",
+    ]) + "\n"

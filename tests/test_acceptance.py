@@ -28,14 +28,14 @@ from mimofusion.harness import (
     ExperimentConfig,
     TrialStream,
     run_experiment,
-    simulate_statistics,
 )
 from mimofusion.lmmse import lmmse_mse_bound, mse_closed_form
 from mimofusion.np_detector import NpTestContext, pd_closed_form
-from mimofusion.np_gains import np_pd_bound, snr_floor_power, waterfill, waterfill_kkt_residual
+from mimofusion.np_gains import np_pd_bound, snr_floor_power, waterfill
 from mimofusion.scenario import complex_normal, derive_rng, sample_channel, sample_scenario
 
 from channels import explicit_channel
+from oracles import simulate_statistics, waterfill_kkt_residual
 
 PFA_TARGET = 0.05
 SCENARIO_SEED = 73

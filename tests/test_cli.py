@@ -207,10 +207,20 @@ class TestExitCodes:
         path.write_text(EXPERIMENT_CFG + "mystery_knob = 7\n")
         assert main(["run", "--config", str(path)]) == 2
 
-    def test_missing_config_file(self):
+    def test_missing_config_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
         assert main(["run", "--config", "/nonexistent/exp.cfg"]) == 2
-        assert main(["waterfill", "--config", "/nonexistent/net.cfg",
-                     "--power", "1", "--antennas", "8"]) == 2
+        assert main(["run", "--replay", "/nonexistent/exp.manifest.json",
+                     "--output-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+        net = ["--config", "/nonexistent/net.cfg"]
+        for command in (["waterfill", *net, "--power", "1", "--antennas", "8"],
+                        ["ed-alloc", *net, "--power", "1", "--antennas", "8"],
+                        ["threshold", "--detector", "ed", *net, "--pfa", "0.05",
+                         "--power", "1", "--antennas", "8"],
+                        ["bounds", *net, "--pfa", "0.05"]):
+            assert main(command) == 2, command
+        assert capsys.readouterr().err.count("/nonexistent/") == 6
 
     def test_invalid_pfa(self, scenario_cfg):
         assert main(["bounds", "--config", scenario_cfg, "--pfa", "1.5"]) == 2
@@ -295,6 +305,22 @@ class TestExitCodes:
 
         assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_repeated_detectors_and_policies_are_config_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--experiment", "fig1", "--trials", "50", "--scenarios", "1",
+                     "--set", "detectors=np,np", "--set", "policies=equal,equal",
+                     "--output-dir", str(out_dir)]) == 2
+        assert "repeated detector 'np'" in capsys.readouterr().err
+        assert not (out_dir / "fig1.csv").exists()
+
+    def test_replay_with_repeated_detector_is_config_error(self, experiment_cfg, tmp_path,
+                                                           capsys):
+        def edit(data):
+            data["detectors"] = ["np", "np"]
+
+        assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
+        assert "repeated detector 'np'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("detector", ["np", "ed"])
     @pytest.mark.parametrize("policy", ["no_such_policy", "single_antenna_optimal"])

@@ -5,13 +5,14 @@ from mimofusion.config import (
     ConfigError,
     PACKAGED_EXPERIMENTS,
     build_scenario,
-    dump_scenario,
     experiment_from_text,
     load_packaged_experiment,
     parse_kv,
 )
 from mimofusion.np_gains import snr_floor_power
 from mimofusion.scenario import derive_rng, sample_scenario
+
+from oracles import dump_scenario
 
 
 class TestParseKv:

@@ -17,7 +17,7 @@ from mimofusion.energy_detector import (
     single_antenna_deflection,
     weighted_chi2_tail,
 )
-from mimofusion.harness import resolve_gains, simulate_statistics
+from mimofusion.harness import resolve_gains
 from mimofusion.np_detector import SingleAntennaContext
 from mimofusion.scenario import (
     GainVector,
@@ -29,6 +29,7 @@ from mimofusion.scenario import (
 )
 
 from channels import explicit_channel, sample_observation
+from oracles import simulate_statistics
 
 
 def oracle_tail(weights, excess) -> float:

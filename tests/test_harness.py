@@ -1,3 +1,4 @@
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -10,12 +11,12 @@ from mimofusion.harness import (
     CSV_COLUMNS,
     STREAM_VERSION,
     ExperimentConfig,
+    ResultRow,
     TrialStream,
     config_from_manifest,
     manifest_dict,
     resolve_gains,
     run_experiment,
-    simulate_statistics,
 )
 from mimofusion.lmmse import lmmse_estimate
 from mimofusion.np_detector import NpTestContext, np_statistic
@@ -29,6 +30,7 @@ from mimofusion.scenario import (
 )
 
 from channels import explicit_channel
+from oracles import simulate_statistics
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,11 @@ class TestConfigValidation:
             small_config(scenario, detectors=("bogus",))
         with pytest.raises(ValueError):
             small_config(scenario, detectors=("np_single",), gain_policies=("waterfill",))
+        # a repeated entry would write each of its curves' rows once per repetition
+        with pytest.raises(ValueError, match="repeated detector 'np'"):
+            small_config(scenario, detectors=("np", "ed", "np"))
+        with pytest.raises(ValueError, match="repeated gain policy 'equal'"):
+            small_config(scenario, gain_policies=("waterfill", "equal", "equal"))
 
     def test_curves_filter_compatible_pairs(self, scenario):
         cfg = small_config(
@@ -286,6 +293,10 @@ class TestRunExperiment:
         first = lines[1].split(",")
         assert len(first) == len(CSV_COLUMNS)
         assert "np.float64" not in result.to_csv()
+
+    def test_csv_columns_are_result_row_fields(self):
+        # rows are written field by field, so the header must name the fields in order
+        assert [c.lower() for c in CSV_COLUMNS] == [f.name for f in fields(ResultRow)]
 
     def test_numpy_sweep_values_serialize_plainly(self, scenario):
         cfg = small_config(

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mimofusion.harness import simulate_statistics
 from mimofusion.np_detector import (
     DegenerateDetectorError,
     NpTestContext,
@@ -12,7 +11,6 @@ from mimofusion.np_detector import (
     single_antenna_pfa,
     single_antenna_statistic,
     snr_asymptotic,
-    snr_exact,
     threshold_for_pfa,
 )
 from mimofusion.np_gains import snr_floor_gains
@@ -26,6 +24,7 @@ from mimofusion.scenario import (
 )
 
 from channels import explicit_channel, sample_observation
+from oracles import simulate_statistics
 
 
 def small_scenario():
@@ -143,23 +142,23 @@ def two_solve_snr(sc, ch, gv):
 
 class TestSnr:
     def test_matches_separate_solve(self):
-        """snr_exact reads the steering coefficients; the value is the one a
-        second solve gives, to rounding, on full, partial and empty support."""
+        """The context's SNR reads the steering coefficients; the value is the
+        one a second solve gives, to rounding, on full, partial and empty support."""
         for i, (n, m) in enumerate(((1, 1), (3, 2), (6, 24), (10, 500))):
             sc = sample_scenario(n, derive_rng(125, i))
             ch = sample_channel(sc, m, derive_rng(126, i))
             mags = derive_rng(127, i).uniform(0.0, 3.0, n)
             for keep in (np.ones(n, bool), np.arange(n) % 2 == 1, np.zeros(n, bool)):
                 gv = GainVector.from_gains(np.where(keep, mags, 0.0) * np.exp(0.3j * np.arange(n)))
-                g = snr_exact(gv, ch, sc)
+                g = NpTestContext.build(gv, ch, sc).snr
                 assert g == pytest.approx(two_solve_snr(sc, ch, gv), rel=1e-12, abs=1e-300)
-                assert NpTestContext.build(gv, ch, sc).snr == g
 
     def test_single_sensor_matches_dense(self):
         sc = Scenario(np.array([2.5]), np.array([0.4]), 1.0, 0.3, 2.0)
         ex = explicit_channel(sc, 8, derive_rng(120))
         gv = GainVector.from_gains(np.array([1.3 + 0.1j]))
-        assert snr_exact(gv, ex.channel, sc) == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
+        snr = NpTestContext.build(gv, ex.channel, sc).snr
+        assert snr == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
     def test_exact_converges_to_asymptotic(self):
         sc = sample_scenario(4, derive_rng(121))
@@ -169,7 +168,8 @@ class TestSnr:
             gv = GainVector.from_magnitudes_sq(z / m)
             target = snr_asymptotic(gv, sc, m)
             draws = [
-                abs(snr_exact(gv, sample_channel(sc, m, derive_rng(122, m, k)), sc) - target)
+                abs(NpTestContext.build(gv, sample_channel(sc, m, derive_rng(122, m, k)), sc).snr
+                    - target)
                 for k in range(10)
             ]
             errs.append(np.median(draws))

@@ -11,13 +11,10 @@ from mimofusion.np_detector import (
 )
 from mimofusion.np_gains import (
     np_pd_bound,
-    single_antenna_best_ratio,
     single_antenna_optimal_gains,
-    single_antenna_zeta,
     snr_floor_gains,
     snr_floor_power,
     waterfill,
-    waterfill_kkt_residual,
 )
 from mimofusion.np_detector import SingleAntennaContext
 from mimofusion.scenario import (
@@ -28,6 +25,7 @@ from mimofusion.scenario import (
 )
 
 from channels import explicit_channel
+from oracles import single_antenna_best_ratio, single_antenna_zeta, waterfill_kkt_residual
 
 
 def grid_search_best(scenario, m, p, resolution=1e-3):

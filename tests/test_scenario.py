@@ -7,7 +7,6 @@ from mimofusion.scenario import (
     ChannelRealization,
     GainVector,
     Scenario,
-    asymptotic_gram,
     complex_normal,
     derive_rng,
     sample_channel,
@@ -167,21 +166,23 @@ class TestBartlettSampler:
 
 
 class TestAsymptoticGram:
+    """The large-M limit of G / M is diag(path_gains) = diag(1/d_i**alpha)."""
+
     def test_unit_distances(self):
         sc = make_scenario([1.0, 1.0, 1.0], [0.3, 0.3, 0.3], alpha=3.0)
-        assert_allclose(asymptotic_gram(sc), np.eye(3))
+        assert_allclose(np.diag(sc.path_gains), np.eye(3))
 
     def test_zero_exponent(self):
         sc = make_scenario([4.0, 9.0], [0.3, 0.3], alpha=0.0)
-        assert_allclose(asymptotic_gram(sc), np.eye(2))
+        assert_allclose(np.diag(sc.path_gains), np.eye(2))
 
     def test_direct_evaluation(self):
         sc = make_scenario([2.0, 10.0], [0.3, 0.3], alpha=2.0)
-        assert_allclose(asymptotic_gram(sc), np.diag([0.25, 0.01]))
+        assert_allclose(np.diag(sc.path_gains), np.diag([0.25, 0.01]))
 
     def test_normalized_gram_error_shrinks_with_antennas(self):
         sc = sample_scenario(6, derive_rng(11))
-        target = asymptotic_gram(sc)
+        target = np.diag(sc.path_gains)
         medians = []
         for m in (256, 1024, 4096):
             errs = [
