@@ -25,6 +25,7 @@ from .np_detector import (
     single_antenna_statistic,
     single_antenna_threshold_for_pfa,
     snr_asymptotic,
+    steering_response,
     threshold_for_pfa,
 )
 from .np_gains import (

@@ -102,6 +102,15 @@ def _overrides(args) -> dict[str, str]:
     return out
 
 
+def _load_input(load, path, *args):
+    """load(path, *args), with an input path that exists but cannot be read as
+    a file reported like a missing one: as a configuration error naming it."""
+    try:
+        return load(path, *args)
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _check_pfa(pfa: float) -> float:
     if not 0.0 < pfa < 1.0:
         raise ConfigError("--pfa must lie strictly between 0 and 1")
@@ -116,11 +125,11 @@ def _check_power_antennas(args) -> None:
 def _cmd_run(args) -> int:
     if args.replay:
         try:
-            config = load_manifest(args.replay)
+            config = _load_input(load_manifest, args.replay)
         except ValueError as exc:  # bad JSON, values or stream version
             raise ConfigError(f"cannot replay {args.replay}: {exc}") from exc
     elif args.config:
-        config = load_experiment(args.config, _overrides(args))
+        config = _load_input(load_experiment, args.config, _overrides(args))
     else:
         config = load_packaged_experiment(args.experiment, _overrides(args))
 
@@ -139,7 +148,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_waterfill(args) -> int:
-    scenario = load_scenario(args.config)
+    scenario = _load_input(load_scenario, args.config)
     _check_power_antennas(args)
     sol = np_gains.waterfill(scenario, args.antennas, args.power)
     for i, x in enumerate(sol.magnitudes_sq):
@@ -150,7 +159,7 @@ def _cmd_waterfill(args) -> int:
 
 
 def _cmd_ed_alloc(args) -> int:
-    scenario = load_scenario(args.config)
+    scenario = _load_input(load_scenario, args.config)
     _check_power_antennas(args)
     if args.form == "qclp":
         problem = ed_gains.EdAllocationProblem.from_scenario(
@@ -180,7 +189,7 @@ def _cmd_ed_alloc(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    scenario = load_scenario(args.config)
+    scenario = _load_input(load_scenario, args.config)
     pfa = _check_pfa(args.pfa)
     _check_power_antennas(args)
     if args.detector == "np":
@@ -197,7 +206,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    scenario = load_scenario(args.config)
+    scenario = _load_input(load_scenario, args.config)
     pfa = _check_pfa(args.pfa)
     print(f"pd_low_power_bound = {np_gains.np_pd_bound(scenario, 'low_power', pfa)!r}")
     print(f"pd_high_power_bound = {np_gains.np_pd_bound(scenario, 'high_power', pfa)!r}")

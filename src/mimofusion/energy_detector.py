@@ -30,15 +30,21 @@ _MAX_TABLE_ENTRIES = 1 << 22
 def ed_statistic(y: ReducedObservation) -> float | np.ndarray:
     """Average received energy per antenna, y^H y / M = (|z|^2 + outside_energy) / M.
 
-    One received vector gives a float; a block gives one value per column.
+    For the whitened z = U Lambda^{1/2} xi + b theta (b = R a) the energy
+    inside range(H) is lambda . |xi|^2 + 2 Re(conj(theta) bt^H xi) + |b|^2 |theta|^2
+    with bt = Lambda^{1/2} U^H b: two k-vector contractions of the draws,
+    shared by every row of theta.  One received vector gives a float; a block
+    gives one value per column, one row per hypothesis for a (H, T) theta.
     """
-    z = y.z.reshape(y.z.shape[0], -1)
+    xi = y.xi
+    bt_h = (y.signal.conj() @ y.basis) * np.sqrt(y.eigenvalues)
     energy = (
-        np.einsum("ij,ij->j", z.real, z.real)
-        + np.einsum("ij,ij->j", z.imag, z.imag)
+        y.eigenvalues @ (xi.real**2 + xi.imag**2)
+        + 2.0 * (np.conj(y.theta) * (bt_h @ xi)).real
+        + np.vdot(y.signal, y.signal).real * np.abs(y.theta) ** 2
         + y.outside_energy
     ) / y.m_antennas
-    return float(energy[0]) if y.z.ndim == 1 else energy
+    return float(energy) if np.ndim(energy) == 0 else energy
 
 
 def deflection_exact(gains: GainVector, channel: ChannelRealization, scenario: Scenario) -> float:

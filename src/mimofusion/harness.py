@@ -17,12 +17,17 @@ Trials are sampled in the range of the channel.  Every statistic reads a
 received vector only through z = Q^H y, for a thin QR H = QR, and through the
 energy of y outside range(H) (:class:`ReducedObservation`); those are drawn
 directly, and a channel draw is its factor R itself (:func:`sample_channel`),
-so neither a trial nor a channel draw grows with M.
+so neither a trial nor a channel draw grows with M.  A trial draws k + 1
+complex normals, k = min(M, N): the signal and a whitened k-vector, which
+each unit scales by the eigenpairs of its own noise covariance of z
+(:class:`TrialStream`).
 
 What the harness tallies is a unit: one antenna group with one gain policy.
-Each unit's reduced blocks are built once per chunk and scored once per
-decision rule (likelihood ratio, energy, LMMSE estimate) by the detector and
-estimator modules; every curve's row is read from its unit's tally, so
+Each unit's noise covariance is eigendecomposed once per channel draw, and
+each chunk of draws is scored once per decision rule (likelihood ratio,
+energy, LMMSE estimate) by the detector and estimator modules, each in O(k)
+contractions per trial; the likelihood-ratio decision and the estimate share
+one steering response.  Every curve's row is read from its unit's tally, so
 curves on one unit, such as ``np_single`` and ``ed_single``, share their
 decisions rather than repeat them.
 """
@@ -30,7 +35,8 @@ decisions rather than repeat them.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,7 +66,7 @@ CSV_COLUMNS = (
 _TAG_CHANNEL = 0
 _TAG_TRIALS = 1
 _CHUNK = 2048
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 
 def compatible(detector: str, policy: str) -> bool:
@@ -84,6 +90,10 @@ class ExperimentConfig:
     gain_policies: tuple[str, ...]
 
     def __post_init__(self):
+        # the id names the output files, so it must stay one name in the output directory
+        eid = self.experiment_id
+        if eid in ("", ".", "..") or "/" in eid or "\\" in eid:
+            raise ValueError(f"experiment id {eid!r} must be a file name without a path")
         if self.trials_per_scenario < 1 or self.n_scenarios < 1:
             raise ValueError("trials and scenario count must be >= 1")
         if not 0.0 < self.target_pfa < 1.0:
@@ -135,6 +145,10 @@ class ResultRow:
     trials: int
 
 
+# a row's cells in column order, read by name: dataclasses.astuple deep-copies every field
+_row_cells = attrgetter(*(f.name for f in fields(ResultRow)))
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return "" if np.isnan(value) else repr(float(value))
@@ -151,7 +165,7 @@ class ExperimentResult:
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        lines.extend(",".join(map(_fmt, astuple(r))) for r in self.rows)
+        lines.extend(",".join(map(_fmt, _row_cells(r))) for r in self.rows)
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -185,38 +199,38 @@ class TrialStream:
     A trial receives y = H a theta + H D v + n with n ~ CN(0, s I_M).  With
     H = QR a thin QR (k = min(M, N) columns in Q), the statistics read y only
     through z = Q^H y = R a theta + R D v + Q^H n and the energy of n outside
-    range(H).  For white n these two are independent, Q^H n ~ CN(0, s I_k)
-    and the outside energy ~ s Gamma(M - k, 1), whichever Q the factorization
-    gives, so both are drawn directly and the reduced trial is exact in
-    distribution.
+    range(H).  For white n these are independent of each other and of theta,
+    and the outside energy is s Gamma(M - k, 1) whichever Q the factorization
+    gives.  Under H0, z = R D v + Q^H n ~ CN(0, C0) with C0 = R E R^H + s I_k
+    and E = diag(|a_i|^2 v_i); for C0 = U Lambda U^H, z has the law of
+    U Lambda^{1/2} xi with xi ~ CN(0, I_k).  So a trial draws theta, xi and
+    the outside energy, k + 1 complex normals, and every antenna group's
+    units scale the same xi by their own C0 (:func:`_received`): the reduced
+    trial is exact in distribution.
 
-    The path seeds one stream, which spawns four children: one each for the
-    signal theta, the measurement noise v, Q^H n and the outside energy.  Each
-    child is drawn trial-major, so reading the trials in chunks of any size
-    gives the same values as reading them all at once.
+    The path seeds one stream, which spawns three children: one each for the
+    signal theta, the whitened draws xi and the outside energy.  Each child is
+    drawn trial-major, so reading the trials in chunks of any size gives the
+    same values as reading them all at once.
     """
 
     def __init__(self, scenario: Scenario, m: int, master_seed: int, path: tuple[int, ...]):
         self._scenario = scenario
         self._m = m
         self._k = min(m, scenario.n_sensors)
-        self._v_scale = np.sqrt(scenario.meas_noise_vars)
-        self._theta, self._v, self._noise, self._outside = derive_rng(master_seed, *path).spawn(4)
+        self._theta, self._xi, self._outside = derive_rng(master_seed, *path).spawn(3)
 
-    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``count`` trials: theta (count,), v (N, count), Q^H n
-        (k, count) and the receiver-noise energy outside range(H) (count,),
-        zero when k = M."""
+    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` trials: theta (count,), xi ~ CN(0, I_k) (k, count)
+        and the receiver-noise energy outside range(H) (count,), zero when
+        k = M."""
         sc = self._scenario
-        s = sc.fc_noise_var
         theta = complex_normal(self._theta, sc.signal_var, out=np.empty(count, complex))
-        v = complex_normal(self._v, 1.0, out=np.empty((count, sc.n_sensors), complex))
-        v *= self._v_scale
-        noise = complex_normal(self._noise, s, out=np.empty((count, self._k), complex))
+        xi = complex_normal(self._xi, 1.0, out=np.empty((count, self._k), complex))
         outside = np.zeros(count)
         if self._m > self._k:
-            outside = s * self._outside.standard_gamma(self._m - self._k, count)
-        return theta, v.T, noise.T, outside
+            outside = sc.fc_noise_var * self._outside.standard_gamma(self._m - self._k, count)
+        return theta, xi.T, outside
 
     def chunks(self, trials: int):
         """The draws of the next ``trials`` trials, :data:`_CHUNK` at a time."""
@@ -224,14 +238,25 @@ class TrialStream:
             yield self.draw(min(_CHUNK, trials - start))
 
 
-def _received(r: np.ndarray, m: int, gains: GainVector, theta, v, noise, outside):
-    """Reduced received blocks without and with the signal, z = R D v + Q^H n
-    and z + R a theta; the two hypotheses share each trial's draws."""
-    z0 = (r * gains.gains) @ v
-    z0 += noise
-    z1 = np.outer(r @ gains.gains, theta)
-    z1 += z0
-    return ReducedObservation(z0, outside, r, m), ReducedObservation(z1, outside, r, m)
+def _noise_law(r: np.ndarray, gains: GainVector, scenario: Scenario):
+    """The H0 law of z = Q^H y for one unit: the eigenbasis U and eigenvalues
+    Lambda of C0 = R E R^H + s I_k, E = diag(|a_i|^2 v_i), and the signal
+    direction R a.  C0's eigenvalues are those of F F^H, F = R E^{1/2}, on the
+    s-level bulk."""
+    f = r * np.sqrt(gains.magnitudes_sq * scenario.meas_noise_vars)
+    lam, u = np.linalg.eigh(f @ f.conj().T)
+    return u, np.maximum(lam, 0.0) + scenario.fc_noise_var, r @ gains.gains
+
+
+def _received(r: np.ndarray, m: int, law, theta, xi, outside) -> ReducedObservation:
+    """The reduced received blocks without and with the signal,
+    z0 = U Lambda^{1/2} xi and z1 = z0 + R a theta for the unit's ``law``
+    (:func:`_noise_law`), as one observation whose signal rows are 0 and theta:
+    the two hypotheses share each trial's draws, so every statistic contracts
+    them once and returns (H0, H1) rows.  Neither block is formed."""
+    u, lam, b = law
+    hypotheses = np.stack((np.zeros_like(theta), theta))
+    return ReducedObservation(xi, outside, r, m, u, lam, b, hypotheses)
 
 
 @dataclass
@@ -326,20 +351,23 @@ def _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds):
                 tally.deflection = energy_detector.deflection_exact(a, channel, scenario)
             ed_thr = ed_thresholds[pol] if "ed" in dets else None
             estimates = "np" in dets or "np_single" in dets
-            scored.append((tally, a, ctx, ed_thr, estimates))
+            scored.append((tally, _noise_law(r, a, scenario), ctx, ed_thr, estimates))
         stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
-        for theta, v, noise, outside in stream.chunks(config.trials_per_scenario):
-            for tally, a, ctx, ed_thr, estimates in scored:
-                y0, y1 = _received(r, m, a, theta, v, noise, outside)
+        for theta, xi, outside in stream.chunks(config.trials_per_scenario):
+            for tally, law, ctx, ed_thr, estimates in scored:
+                y = _received(r, m, law, theta, xi, outside)
                 tally.trials += theta.size
                 if ctx is not None:
-                    tally.lr_fa += _count_above(np_detector.np_statistic(ctx, y0), ctx.threshold)
-                    tally.lr_det += _count_above(np_detector.np_statistic(ctx, y1), ctx.threshold)
+                    w = np_detector.steering_response(ctx, y)
+                    lr0, lr1 = np_detector.np_statistic(ctx, w)
+                    tally.lr_fa += _count_above(lr0, ctx.threshold)
+                    tally.lr_det += _count_above(lr1, ctx.threshold)
                 if ed_thr is not None:
-                    tally.ed_fa += _count_above(energy_detector.ed_statistic(y0), ed_thr)
-                    tally.ed_det += _count_above(energy_detector.ed_statistic(y1), ed_thr)
+                    ed0, ed1 = energy_detector.ed_statistic(y)
+                    tally.ed_fa += _count_above(ed0, ed_thr)
+                    tally.ed_det += _count_above(ed1, ed_thr)
                 if estimates:
-                    est = lmmse.lmmse_estimate(ctx, y1)
+                    est = lmmse.lmmse_estimate(ctx, w[1])
                     tally.err_sq += float(np.sum(np.abs(theta - est) ** 2))
     return tallies
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .np_detector import NpTestContext, _power_limit_snr, steering_response
-from .scenario import ReducedObservation, Scenario
+from .np_detector import NpTestContext, _power_limit_snr
+from .scenario import Scenario
 
 
 def mse_closed_form(snr: float, signal_var: float) -> float:
@@ -22,14 +22,15 @@ def mse_closed_form(snr: float, signal_var: float) -> float:
     return 1.0 / (1.0 / signal_var + snr)
 
 
-def lmmse_estimate(ctx: NpTestContext, y: ReducedObservation) -> complex | np.ndarray:
-    """Estimate the signal using the cached context: w^H y / (1/signal_var + g).
+def lmmse_estimate(ctx: NpTestContext, response: complex | np.ndarray) -> complex | np.ndarray:
+    """Estimate the signal from the steering response w^H y of
+    :func:`np_detector.steering_response`: w^H y / (1/signal_var + g).
 
     One received vector gives a complex estimate; a block gives one estimate
     per column.  At M = 1 this is the scalar receiver's estimator.  Its error
     variance is ``mse_closed_form(ctx.snr, signal_var)``, the same for every y.
     """
-    return steering_response(ctx, y) / (1.0 / ctx.scenario.signal_var + ctx.snr)
+    return response / (1.0 / ctx.scenario.signal_var + ctx.snr)
 
 
 def lmmse_mse_bound(scenario: Scenario, regime: str) -> float:

@@ -146,19 +146,24 @@ class NpTestContext:
 def steering_response(ctx: NpTestContext, y: ReducedObservation) -> complex | np.ndarray:
     """w^H y, the one inner product the statistic and the LMMSE estimate read.
 
-    With w = H c it is (R c)^H z for z = Q^H y: a complex number for z of
-    shape (k,), one per column for a (k, T) block.
+    With w = H c it is u^H z for u = R c and z = Q^H y.  For the whitened
+    z = U Lambda^{1/2} xi + (R a) theta that is (Lambda^{1/2} U^H u)^H xi plus
+    (u^H R a) theta, one k-vector contraction of the draws shared by every row
+    of theta: a complex number for xi of shape (k,), one per column for a
+    (k, T) block, one row per hypothesis for a (H, T) theta.
     """
-    out = (y.r @ ctx.steering_coeffs).conj() @ y.z
+    u = y.r @ ctx.steering_coeffs
+    out = ((u.conj() @ y.basis) * np.sqrt(y.eigenvalues)) @ y.xi + np.vdot(u, y.signal) * y.theta
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def np_statistic(ctx: NpTestContext, y: ReducedObservation) -> float | np.ndarray:
-    """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2.
+def np_statistic(ctx: NpTestContext, response: complex | np.ndarray) -> float | np.ndarray:
+    """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2 from the steering response
+    w^H y of :func:`steering_response`.
 
     One received vector gives a float; a block gives one value per column.
     """
-    stat = ctx.scenario.signal_var * np.abs(steering_response(ctx, y)) ** 2
+    stat = ctx.scenario.signal_var * np.abs(response) ** 2
     return float(stat) if np.ndim(stat) == 0 else stat
 
 

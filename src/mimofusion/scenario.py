@@ -227,10 +227,32 @@ class ReducedObservation:
     are the coordinates of y in range(H) and outside_energy = |y - Q z|^2 is
     the energy of the rest, so |y|^2 = |z|^2 + outside_energy.  A vector
     w = H c in range(H) gives w^H y = (R c)^H z exactly, which is why R is kept.
-    z is (k,) or (k, T), outside_energy a float or (T,).
+
+    z is held in whitened form, z = U diag(sqrt(eigenvalues)) xi + signal theta,
+    with U = basis unitary: one draw xi ~ CN(0, I_k) per trial, scaled into
+    the eigenbasis of the noise covariance U diag(eigenvalues) U^H of z, plus
+    the signal direction R a times the signal theta.  An explicit z is the case
+    U = I, eigenvalues 1 and no signal, which the defaults give, so the
+    statistics read one form.  xi is (k,) or (k, T) and outside_energy a float
+    or (T,).  theta is a number, (T,), or (H, T) for H hypotheses that share
+    the draws, such as no signal and signal; a statistic then returns one row
+    per hypothesis.
     """
 
-    z: np.ndarray
+    xi: np.ndarray
     outside_energy: float | np.ndarray
     r: np.ndarray
     m_antennas: int
+    basis: np.ndarray | None = None
+    eigenvalues: np.ndarray | None = None
+    signal: np.ndarray | None = None
+    theta: complex | np.ndarray = 0.0
+
+    def __post_init__(self):
+        k = self.r.shape[0]
+        if self.basis is None:
+            object.__setattr__(self, "basis", np.eye(k))
+        if self.eigenvalues is None:
+            object.__setattr__(self, "eigenvalues", np.ones(k))
+        if self.signal is None:
+            object.__setattr__(self, "signal", np.zeros(k, complex))

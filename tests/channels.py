@@ -4,13 +4,15 @@ received M-vectors, for tests that check the reduced receiver against them.
 The package holds a channel only as its triangular factor R and a received
 vector only as its :class:`ReducedObservation`; here H, its thin-QR Q and the
 full y are kept, and :meth:`ExplicitChannel.reduce` maps y to what the
-package reads.
+package reads; :func:`formed_blocks` forms the reduced blocks a trial
+stream's draws stand for.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from mimofusion.harness import _noise_law
 from mimofusion.scenario import (
     ChannelRealization,
     GainVector,
@@ -43,6 +45,16 @@ def explicit_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> Ex
     h = complex_normal(rng, 1.0, (m, scenario.n_sensors)) * np.sqrt(scenario.path_gains)
     q, r = np.linalg.qr(h)
     return ExplicitChannel(h, q, ChannelRealization(r, r.conj().T @ r, m))
+
+
+def formed_blocks(
+    channel: ChannelRealization, gains: GainVector, scenario: Scenario, theta, xi
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced blocks the harness never forms, from a trial stream's draws:
+    z0 = U Lambda^{1/2} xi for C0 = U Lambda U^H, and z1 = z0 + (R a) theta^T."""
+    u, lam, b = _noise_law(channel.r, gains, scenario)
+    z0 = (u * np.sqrt(lam)) @ xi
+    return z0, z0 + np.outer(b, theta)
 
 
 def sample_observation(

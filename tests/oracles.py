@@ -7,13 +7,11 @@ serializer for config round trips.  The dense explicit-H receiver lives in
 ``channels.py``.
 """
 
-from functools import partial
-
 import numpy as np
 
 from mimofusion import energy_detector, np_detector
 from mimofusion.ed_gains import EdAllocationProblem
-from mimofusion.harness import DETECTORS, SINGLE_DETECTORS, TrialStream, _received
+from mimofusion.harness import DETECTORS, SINGLE_DETECTORS, TrialStream, _noise_law, _received
 from mimofusion.np_gains import WaterfillSolution
 from mimofusion.scenario import ChannelRealization, GainVector, Scenario
 
@@ -45,13 +43,16 @@ def simulate_statistics(
     statistic = energy_detector.ed_statistic
     if detector == "np":
         ctx = np_detector.NpTestContext.build(gains, channel, scenario)
-        statistic = partial(np_detector.np_statistic, ctx)
+
+        def statistic(y):
+            return np_detector.np_statistic(ctx, np_detector.steering_response(ctx, y))
     m = channel.m_antennas
+    law = _noise_law(channel.r, gains, scenario)
     t0, t1 = [], []
     for draws in TrialStream(scenario, m, master_seed, path).chunks(trials):
-        y0, y1 = _received(channel.r, m, gains, *draws)
-        t0.append(statistic(y0))
-        t1.append(statistic(y1))
+        h0, h1 = statistic(_received(channel.r, m, law, *draws))
+        t0.append(h0)
+        t1.append(h1)
     return np.concatenate(t0), np.concatenate(t1)
 
 

@@ -34,7 +34,7 @@ from mimofusion.np_detector import NpTestContext, pd_closed_form
 from mimofusion.np_gains import np_pd_bound, snr_floor_power, waterfill
 from mimofusion.scenario import complex_normal, derive_rng, sample_channel, sample_scenario
 
-from channels import explicit_channel
+from channels import explicit_channel, formed_blocks
 from oracles import simulate_statistics, waterfill_kkt_residual
 
 PFA_TARGET = 0.05
@@ -154,15 +154,14 @@ def test_criterion_5_lmmse_identity_and_floor(scenario):
             explicit = explicit_channel(scenario, m, derive_rng(SCENARIO_SEED, 5, c))
             ctx = NpTestContext.build(gains, explicit.channel, scenario)
             theory_total += mse_closed_form(ctx.snr, scenario.signal_var)
-            # reduced draws: z1 = Q^H y1 for a thin QR H = QR, w^H y1 = (Q^H w)^H z1
-            q, r = explicit.q, explicit.channel.r
-            w = q.conj().T @ (explicit.h @ ctx.steering_coeffs)
+            # reduced draws formed into z1 = Q^H y1 for a thin QR H = QR,
+            # w^H y1 = (Q^H w)^H z1
+            w = explicit.q.conj().T @ (explicit.h @ ctx.steering_coeffs)
             stream = TrialStream(scenario, m, 505, (c,))
             for start in range(0, trials_per, 4096):
                 stop = min(start + 4096, trials_per)
-                theta, v, noise, _ = stream.draw(stop - start)
-                z1 = (r * gains.gains) @ v + noise
-                z1 += np.outer(r @ gains.gains, theta)
+                theta, xi, _ = stream.draw(stop - start)
+                _, z1 = formed_blocks(explicit.channel, gains, scenario, theta, xi)
                 est = (w.conj() @ z1) / (1.0 / scenario.signal_var + ctx.snr)
                 err_total += float(np.sum(np.abs(theta - est) ** 2))
         mse_emp = err_total / (n_channels * trials_per)

@@ -322,6 +322,38 @@ class TestExitCodes:
         assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
         assert "repeated detector 'np'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["../escaped", "sub/escaped", "", ".", ".."])
+    def test_experiment_id_with_a_path_is_config_error(self, tmp_path, capsys, experiment):
+        """The id names the output files, so one that is not a plain file name
+        would write them outside --output-dir (or nowhere)."""
+        out_dir = tmp_path / "out"
+        assert main(["run", "--experiment", "fig1", "--trials", "10", "--scenarios", "1",
+                     "--set", f"experiment={experiment}", "--output-dir", str(out_dir)]) == 2
+        assert "experiment" in capsys.readouterr().err
+        assert not (tmp_path / "escaped.csv").exists() and not out_dir.exists()
+
+    def test_replay_with_a_path_experiment_id_is_config_error(self, experiment_cfg, tmp_path,
+                                                             capsys):
+        def edit(data):
+            data["experiment"] = "../escaped"
+
+        assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
+        assert "'../escaped'" in capsys.readouterr().err
+        assert not (tmp_path / "escaped.csv").exists()
+
+    def test_unreadable_input_path_is_config_error(self, scenario_cfg, tmp_path, capsys):
+        """An input path that exists but is not a readable file exits 2 and is
+        named, as a missing one is; here a directory and a path through a file."""
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        out_dir = tmp_path / "out"
+        for path in (str(directory), os.path.join(scenario_cfg, "net.cfg")):
+            assert main(["waterfill", "--config", path, "--power", "1", "--antennas", "8"]) == 2
+            assert path in capsys.readouterr().err
+            assert main(["run", "--replay", path, "--output-dir", str(out_dir)]) == 2
+            assert path in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("detector", ["np", "ed"])
     @pytest.mark.parametrize("policy", ["no_such_policy", "single_antenna_optimal"])
     def test_threshold_policy_outside_multi_policies(self, scenario_cfg, capsys, detector,

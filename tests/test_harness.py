@@ -1,5 +1,4 @@
 from dataclasses import fields
-from functools import partial
 
 import numpy as np
 import pytest
@@ -13,13 +12,15 @@ from mimofusion.harness import (
     ExperimentConfig,
     ResultRow,
     TrialStream,
+    _noise_law,
+    _received,
     config_from_manifest,
     manifest_dict,
     resolve_gains,
     run_experiment,
 )
 from mimofusion.lmmse import lmmse_estimate
-from mimofusion.np_detector import NpTestContext, np_statistic
+from mimofusion.np_detector import NpTestContext, np_statistic, steering_response
 from mimofusion.scenario import (
     GainVector,
     ReducedObservation,
@@ -29,7 +30,7 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
-from channels import explicit_channel
+from channels import explicit_channel, formed_blocks
 from oracles import simulate_statistics
 
 
@@ -94,17 +95,16 @@ class TestTrialStream:
         chunked = TrialStream(scenario, m, 611, (3, 1))
         pieces = [chunked.draw(7) for _ in range(3)]
         whole = TrialStream(scenario, m, 611, (3, 1)).draw(21)
-        for k, name in enumerate(("theta", "v", "noise", "outside")):
+        for k, name in enumerate(("theta", "xi", "outside")):
             joined = np.concatenate([piece[k] for piece in pieces], axis=-1)
             assert np.array_equal(joined, whole[k]), name
-        assert np.all(whole[3] > 0) if m > scenario.n_sensors else np.all(whole[3] == 0)
+        assert np.all(whole[2] > 0) if m > scenario.n_sensors else np.all(whole[2] == 0)
 
     def test_draw_shapes_and_distinct_paths(self, scenario):
-        # Q^H n has k = min(M, N) rows; N = 5 here
+        # xi has k = min(M, N) rows, k + 1 complex normals per trial; N = 5 here
         for m, k in ((1, 1), (4, 4), (6, 5), (16, 5)):
-            theta, v, noise, outside = TrialStream(scenario, m, 612, (0,)).draw(4)
-            assert theta.shape == (4,) and v.shape == (5, 4)
-            assert noise.shape == (k, 4) and outside.shape == (4,)
+            theta, xi, outside = TrialStream(scenario, m, 612, (0,)).draw(4)
+            assert theta.shape == (4,) and xi.shape == (k, 4) and outside.shape == (4,)
             other = TrialStream(scenario, m, 612, (1,)).draw(4)
             assert not np.array_equal(theta, other[0])
 
@@ -138,18 +138,51 @@ class TestReducedSampler:
         gv = GainVector.equal_power(5.0, sc.n_sensors)
         ctx = NpTestContext.build(gv, ch, sc)
         theta, y0, y1 = full_synthesis(ex, gv, sc, trials, derive_rng(622, m))
+
+        def lr_statistic(y):
+            return np_statistic(ctx, steering_response(ctx, y))
+
         pvalues = {}
-        for det, statistic in (("np", partial(np_statistic, ctx)), ("ed", ed_statistic)):
+        for det, statistic in (("np", lr_statistic), ("ed", ed_statistic)):
             t0, t1 = simulate_statistics(det, gv, ch, sc, trials, 623, (m,))
             pvalues[f"{det} H0"] = ks_2samp(t0, statistic(ex.reduce(y0))).pvalue
             pvalues[f"{det} H1"] = ks_2samp(t1, statistic(ex.reduce(y1))).pvalue
         # LMMSE errors on the reduced draws of a trial stream
-        theta_r, v, noise, outside = TrialStream(sc, m, 624, (m,)).draw(trials)
-        z1 = (ch.r * gv.gains) @ v + noise + np.outer(ch.r @ gv.gains, theta_r)
-        est_r = lmmse_estimate(ctx, ReducedObservation(z1, outside, ch.r, m))
-        est = lmmse_estimate(ctx, ex.reduce(y1))
+        theta_r, xi, outside = TrialStream(sc, m, 624, (m,)).draw(trials)
+        u, lam, b = _noise_law(ch.r, gv, sc)
+        reduced = ReducedObservation(xi, outside, ch.r, m, u, lam, b, theta_r)
+        est_r = lmmse_estimate(ctx, steering_response(ctx, reduced))
+        est = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(y1)))
         pvalues["lmmse"] = ks_2samp(np.abs(theta_r - est_r) ** 2, np.abs(theta - est) ** 2).pvalue
         assert min(pvalues.values()) >= 1e-3, pvalues
+
+    @pytest.mark.parametrize("m", [1, 4, 16, 64])
+    def test_whitened_forms_match_formed_blocks(self, network, m):
+        """The O(k) forms on a stream's draws equal the dense statistics of the
+        blocks they stand for, z0 = U Lambda^{1/2} xi and z1 = z0 + (R a) theta^T,
+        and the whitening reproduces C0 = R E R^H + s I_k."""
+        sc = network
+        ch = sample_channel(sc, m, derive_rng(627, m))
+        gv = GainVector.from_gains(GainVector.equal_power(5.0, sc.n_sensors).gains
+                                   * np.exp(1j * np.arange(sc.n_sensors)))
+        ctx = NpTestContext.build(gv, ch, sc)
+        theta, xi, outside = TrialStream(sc, m, 628, (m,)).draw(64)
+        u, lam, b = _noise_law(ch.r, gv, sc)
+        e = gv.magnitudes_sq * sc.meas_noise_vars
+        c0 = (ch.r * e) @ ch.r.conj().T + sc.fc_noise_var * np.eye(ch.r.shape[0])
+        np.testing.assert_allclose((u * lam) @ u.conj().T, c0, rtol=0,
+                                   atol=1e-12 * np.abs(c0).max())
+        z = np.stack(formed_blocks(ch, gv, sc, theta, xi))  # (H0, H1) x k x T
+        y = _received(ch.r, m, (u, lam, b), theta, xi, outside)
+        response = np.einsum("k,hkt->ht", (ch.r @ ctx.steering_coeffs).conj(), z)
+        for name, got, want in (
+            ("response", steering_response(ctx, y), response),
+            ("np", np_statistic(ctx, steering_response(ctx, y)),
+             sc.signal_var * np.abs(response) ** 2),
+            ("ed", ed_statistic(y), (np.sum(np.abs(z) ** 2, axis=1) + outside) / m),
+        ):
+            assert np.shape(got) == (2, theta.size), name
+            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_projected_block_gives_the_same_values(self, network, m):
@@ -166,8 +199,9 @@ class TestReducedSampler:
             reduced = ex.reduce(y)
             response = w.conj() @ y
             for name, got, want in (
-                ("np", np_statistic(ctx, reduced), sc.signal_var * np.abs(response) ** 2),
-                ("lmmse", lmmse_estimate(ctx, reduced),
+                ("np", np_statistic(ctx, steering_response(ctx, reduced)),
+                 sc.signal_var * np.abs(response) ** 2),
+                ("lmmse", lmmse_estimate(ctx, steering_response(ctx, reduced)),
                  response / (1.0 / sc.signal_var + ctx.snr)),
                 ("ed", ed_statistic(reduced), np.sum(np.abs(y) ** 2, axis=0) / m),
             ):
@@ -192,6 +226,10 @@ class TestConfigValidation:
             small_config(scenario, detectors=("np", "ed", "np"))
         with pytest.raises(ValueError, match="repeated gain policy 'equal'"):
             small_config(scenario, gain_policies=("waterfill", "equal", "equal"))
+        # the id names the output files, so it must be a file name without a path
+        for experiment_id in ("", ".", "..", "../up", "a/b", "a\\b"):
+            with pytest.raises(ValueError, match="experiment id"):
+                small_config(scenario, experiment_id=experiment_id)
 
     def test_curves_filter_compatible_pairs(self, scenario):
         cfg = small_config(

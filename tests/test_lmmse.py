@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mimofusion.harness import TrialStream
+from mimofusion.harness import TrialStream, _noise_law
 from mimofusion.lmmse import lmmse_estimate, lmmse_mse_bound, mse_closed_form
-from mimofusion.np_detector import NpTestContext, SingleAntennaContext
+from mimofusion.np_detector import NpTestContext, SingleAntennaContext, steering_response
 from mimofusion.scenario import (
     GainVector,
     ReducedObservation,
@@ -13,26 +13,25 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
-from channels import explicit_channel, sample_observation
+from channels import explicit_channel, formed_blocks, sample_observation
 
 
 def estimation_errors(sc, ex, gv, trials, seed):
     """Empirical squared errors and estimates of the signal over fresh trials.
 
-    Trials are the harness's reduced draws: z1 = Q^H y1 for a thin QR H = QR,
-    and the estimate reads w^H y1 = (Q^H w)^H z1.
+    Trials are the harness's reduced draws, formed into z1 = Q^H y1 for a thin
+    QR H = QR, and the estimate reads w^H y1 = (Q^H w)^H z1.
     """
     ctx = NpTestContext.build(gv, ex.channel, sc)
     err_sq = np.empty(trials)
     est_minus_truth = np.empty(trials, dtype=complex)
     chunk = 4096
-    q, r = ex.q, ex.channel.r
-    w = q.conj().T @ (ex.h @ ctx.steering_coeffs)  # Q^H w for w = C_w^{-1} H a = H c
+    w = ex.q.conj().T @ (ex.h @ ctx.steering_coeffs)  # Q^H w for w = C_w^{-1} H a = H c
     stream = TrialStream(sc, ex.channel.m_antennas, seed, (0,))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        theta, v, noise, _ = stream.draw(stop - start)
-        z1 = (r * gv.gains) @ v + noise + np.outer(r @ gv.gains, theta)
+        theta, xi, _ = stream.draw(stop - start)
+        _, z1 = formed_blocks(ex.channel, gv, sc, theta, xi)
         est = (w.conj() @ z1) / (1.0 / sc.signal_var + ctx.snr)
         err_sq[start:stop] = np.abs(theta - est) ** 2
         est_minus_truth[start:stop] = est - theta
@@ -62,7 +61,7 @@ class TestEstimator:
         gv = GainVector.from_gains(np.zeros(4, complex))
         ctx = NpTestContext.build(gv, ex.channel, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
-        assert lmmse_estimate(ctx, ex.reduce(y)) == 0.0
+        assert lmmse_estimate(ctx, steering_response(ctx, ex.reduce(y))) == 0.0
         assert mse_closed_form(ctx.snr, sc.signal_var) == pytest.approx(sc.signal_var, rel=1e-12)
 
     def test_empirical_mse_matches_theory(self):
@@ -96,7 +95,7 @@ class TestEstimator:
         gv = GainVector.equal_power(2.0, 4)
         ctx = NpTestContext.build(gv, ex.channel, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(314))
-        result = lmmse_estimate(ctx, ex.reduce(y))
+        result = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(y)))
         w = ex.h @ ctx.steering_coeffs  # w = C_w^{-1} H a = H c
         manual = np.vdot(w, y) / (1.0 / sc.signal_var + ctx.snr)
         assert result == pytest.approx(complex(manual), rel=1e-12)
@@ -104,10 +103,10 @@ class TestEstimator:
         block = np.stack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(314, k)) for k in range(6)], axis=1
         )
-        batched = lmmse_estimate(ctx, ex.reduce(block))
+        batched = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(block)))
         assert batched.shape == (6,)
         for k in range(6):
-            one = lmmse_estimate(ctx, ex.reduce(block[:, k]))
+            one = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(block[:, k])))
             assert batched[k] == pytest.approx(one, rel=1e-12)
 
 
@@ -119,12 +118,15 @@ class TestSingleAntennaEstimator:
         h = ex.h[0]
         gv = GainVector.equal_power(4.0, 5)
         ctx = NpTestContext.build(gv, ex.channel, sc)
-        theta, v, noise, outside = TrialStream(sc, 1, 322, (0,)).draw(50_000)
-        # reduced draws: z1 = q^H y1 with q the 1 x 1 factor of a QR of H
-        q, r = ex.q, ex.channel.r
-        z1 = (r * gv.gains) @ v + noise + np.outer(r @ gv.gains, theta)
-        result = lmmse_estimate(ctx, ReducedObservation(z1, outside, r, 1))
-        y1 = q[0, 0] * z1[0]
+        theta, xi, outside = TrialStream(sc, 1, 322, (0,)).draw(50_000)
+        # the harness's whitened observation; formed, z1 = q^H y1 with q the
+        # 1 x 1 factor of a QR of H
+        r = ex.channel.r
+        u, lam, b = _noise_law(r, gv, sc)
+        reduced = ReducedObservation(xi, outside, r, 1, u, lam, b, theta)
+        result = lmmse_estimate(ctx, steering_response(ctx, reduced))
+        _, z1 = formed_blocks(ex.channel, gv, sc, theta, xi)
+        y1 = ex.q[0, 0] * z1[0]
         ref = SingleAntennaContext.build(gv, h, sc)
         g_s = ref.sigma_s_sq / (sc.signal_var * ref.sigma_w_sq)
         theory = mse_closed_form(g_s, sc.signal_var)

@@ -11,6 +11,7 @@ from mimofusion.np_detector import (
     single_antenna_pfa,
     single_antenna_statistic,
     snr_asymptotic,
+    steering_response,
     threshold_for_pfa,
 )
 from mimofusion.np_gains import snr_floor_gains
@@ -57,7 +58,8 @@ class TestStatistic:
         for k in range(5):
             y = sample_observation(ex, gv, sc, "H1", derive_rng(102, k))
             ref = dense_statistic(sc, ex, gv, y)
-            assert np_statistic(ctx, ex.reduce(y)) == pytest.approx(ref, rel=1e-10)
+            stat = np_statistic(ctx, steering_response(ctx, ex.reduce(y)))
+            assert stat == pytest.approx(ref, rel=1e-10)
 
     def test_matches_dense_inverse_across_sizes(self):
         rng = derive_rng(103)
@@ -71,7 +73,8 @@ class TestStatistic:
             ctx = NpTestContext.build(gv, ex.channel, sc)
             y = sample_observation(ex, gv, sc, "H0", derive_rng(106, m))
             ref = dense_statistic(sc, ex, gv, y)
-            assert np_statistic(ctx, ex.reduce(y)) == pytest.approx(ref, rel=1e-10)
+            stat = np_statistic(ctx, steering_response(ctx, ex.reduce(y)))
+            assert stat == pytest.approx(ref, rel=1e-10)
             assert ctx.snr == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
     def test_block_matches_per_column_calls(self):
@@ -82,10 +85,10 @@ class TestStatistic:
         block = np.stack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(115, k)) for k in range(5)], axis=1
         )
-        stats = np_statistic(ctx, ex.reduce(block))
+        stats = np_statistic(ctx, steering_response(ctx, ex.reduce(block)))
         assert stats.shape == (5,)
         for k in range(5):
-            one = np_statistic(ctx, ex.reduce(block[:, k]))
+            one = np_statistic(ctx, steering_response(ctx, ex.reduce(block[:, k])))
             assert stats[k] == pytest.approx(one, rel=1e-12)
 
     def test_zero_gains_zero_statistic(self):
@@ -94,7 +97,7 @@ class TestStatistic:
         gv = GainVector.from_gains(np.zeros(2, complex))
         ctx = NpTestContext.build(gv, ex.channel, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
-        assert np_statistic(ctx, ex.reduce(y)) == 0.0
+        assert np_statistic(ctx, steering_response(ctx, ex.reduce(y))) == 0.0
         assert ctx.snr == 0.0
 
     def test_orthogonal_observation_zero_statistic(self):
@@ -105,7 +108,7 @@ class TestStatistic:
         w = ex.h @ ctx.steering_coeffs  # w = C_w^{-1} H a = H c
         z = derive_rng(110).standard_normal(6) + 1j * derive_rng(111).standard_normal(6)
         y = z - (np.vdot(w, z) / np.vdot(w, w)) * w
-        assert np_statistic(ctx, ex.reduce(y)) < 1e-20
+        assert np_statistic(ctx, steering_response(ctx, ex.reduce(y))) < 1e-20
 
     def test_partial_support_matches_dense(self):
         # one sensor silent: the reduced solve must drop it, not fail
@@ -115,7 +118,8 @@ class TestStatistic:
         ctx = NpTestContext.build(gv, ex.channel, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(113))
         ref = dense_statistic(sc, ex, gv, y)
-        assert np_statistic(ctx, ex.reduce(y)) == pytest.approx(ref, rel=1e-10)
+        stat = np_statistic(ctx, steering_response(ctx, ex.reduce(y)))
+        assert stat == pytest.approx(ref, rel=1e-10)
 
     def test_sampled_channel_reads_reduced_block(self):
         sc = small_scenario()
@@ -125,7 +129,8 @@ class TestStatistic:
         z = np.ones((2, 3), complex)
         expected = sc.signal_var * np.abs((ch.r @ ctx.steering_coeffs).conj() @ z) ** 2
         reduced = ReducedObservation(z, np.zeros(3), ch.r, 6)
-        np.testing.assert_allclose(np_statistic(ctx, reduced), expected, rtol=1e-12)
+        stat = np_statistic(ctx, steering_response(ctx, reduced))
+        np.testing.assert_allclose(stat, expected, rtol=1e-12)
 
 
 def two_solve_snr(sc, ch, gv):

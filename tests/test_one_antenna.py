@@ -18,6 +18,7 @@ from mimofusion.np_detector import (
     SingleAntennaContext,
     pd_closed_form,
     single_antenna_pd,
+    steering_response,
 )
 from mimofusion.np_gains import single_antenna_optimal_gains
 from mimofusion.scenario import GainVector, derive_rng, sample_scenario
@@ -58,4 +59,5 @@ def test_general_path_matches_scalar_forms(n, log_p, seed, policy):
     y = derive_rng(seed, 2).standard_normal(2) @ np.array([1.0, 1.0j])
     coherent = np.sum(gv.gains * h)
     scalar = (np.conj(coherent) / ref.sigma_w_sq) * y / (1.0 / sv + snr)
-    assert lmmse_estimate(ctx, ex.reduce(np.array([y]))) == pytest.approx(scalar, rel=REL)
+    estimate = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(np.array([y]))))
+    assert estimate == pytest.approx(scalar, rel=REL)
