@@ -6,7 +6,6 @@ Monte Carlo harness for the power-scaling experiments."""
 from .scenario import (
     ChannelRealization,
     GainVector,
-    ReducedObservation,
     Scenario,
     complex_normal,
     derive_rng,
@@ -16,7 +15,6 @@ from .scenario import (
 from .np_detector import (
     DegenerateDetectorError,
     NpTestContext,
-    NumericalDegeneracyError,
     SingleAntennaContext,
     np_statistic,
     pd_closed_form,

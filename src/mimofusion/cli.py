@@ -104,11 +104,13 @@ def _overrides(args) -> dict[str, str]:
 
 def _load_input(load, path, *args):
     """load(path, *args), with an input path that exists but cannot be read as
-    a file reported like a missing one: as a configuration error naming it."""
+    a text file reported like a missing one: as a configuration error naming it."""
     try:
         return load(path, *args)
     except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _check_pfa(pfa: float) -> float:

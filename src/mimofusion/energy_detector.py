@@ -19,7 +19,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .scenario import ChannelRealization, GainVector, ReducedObservation, Scenario
+from .np_detector import NpTestContext
+from .scenario import ChannelRealization, GainVector, Scenario
 
 # survival table cap, 32 MiB: at N = 100 it serves a weight spread max w / min w
 # up to about 700, at N = 20 up to 1e4.  The gain policies can exceed it (spreads
@@ -27,23 +28,27 @@ from .scenario import ChannelRealization, GainVector, ReducedObservation, Scenar
 _MAX_TABLE_ENTRIES = 1 << 22
 
 
-def ed_statistic(y: ReducedObservation) -> float | np.ndarray:
-    """Average received energy per antenna, y^H y / M = (|z|^2 + outside_energy) / M.
+def ed_statistic(
+    ctx: NpTestContext, xi: np.ndarray, theta: complex | np.ndarray, outside
+) -> float | np.ndarray:
+    """Average received energy per antenna, y^H y / M = (|z|^2 + outside) / M.
 
-    For the whitened z = U Lambda^{1/2} xi + b theta (b = R a) the energy
-    inside range(H) is lambda . |xi|^2 + 2 Re(conj(theta) bt^H xi) + |b|^2 |theta|^2
-    with bt = Lambda^{1/2} U^H b: two k-vector contractions of the draws,
-    shared by every row of theta.  One received vector gives a float; a block
-    gives one value per column, one row per hypothesis for a (H, T) theta.
+    The decision uses no channel state: its threshold depends only on the eta
+    weights, and ``ctx`` only supplies the coordinates the draws live in.  For
+    z = U Lambda^{1/2} xi + (R a) theta, |z|^2 = lambda . |xi|^2 +
+    2 Re(conj(theta) (Lambda^{1/2} beta)^H xi) + |beta|^2 |theta|^2: two
+    k-vector contractions shared by every row of theta.  xi and theta are
+    shaped as for :func:`np_detector.steering_response`; outside, the energy
+    outside range(H), is a float or (T,), and so is the result, with one row
+    per hypothesis for a (H, T) theta.
     """
-    xi = y.xi
-    bt_h = (y.signal.conj() @ y.basis) * np.sqrt(y.eigenvalues)
+    beta = ctx.signal
     energy = (
-        y.eigenvalues @ (xi.real**2 + xi.imag**2)
-        + 2.0 * (np.conj(y.theta) * (bt_h @ xi)).real
-        + np.vdot(y.signal, y.signal).real * np.abs(y.theta) ** 2
-        + y.outside_energy
-    ) / y.m_antennas
+        ctx.eigenvalues @ (xi.real**2 + xi.imag**2)
+        + 2.0 * (np.conj(theta) * ((beta * np.sqrt(ctx.eigenvalues)).conj() @ xi)).real
+        + np.vdot(beta, beta).real * np.abs(theta) ** 2
+        + outside
+    ) / ctx.m_antennas
     return float(energy) if np.ndim(energy) == 0 else energy
 
 

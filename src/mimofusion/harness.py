@@ -15,17 +15,15 @@ differ.
 
 Trials are sampled in the range of the channel.  Every statistic reads a
 received vector only through z = Q^H y, for a thin QR H = QR, and through the
-energy of y outside range(H) (:class:`ReducedObservation`); those are drawn
-directly, and a channel draw is its factor R itself (:func:`sample_channel`),
-so neither a trial nor a channel draw grows with M.  A trial draws k + 1
-complex normals, k = min(M, N): the signal and a whitened k-vector, which
-each unit scales by the eigenpairs of its own noise covariance of z
-(:class:`TrialStream`).
+energy of y outside range(H); those are drawn directly, and a channel draw is
+its factor R itself (:func:`sample_channel`), so neither a trial nor a
+channel draw grows with M.  A trial draws k + 1 complex normals,
+k = min(M, N): the signal and a whitened k-vector (:class:`TrialStream`).
 
 What the harness tallies is a unit: one antenna group with one gain policy.
-Each unit's noise covariance is eigendecomposed once per channel draw, and
-each chunk of draws is scored once per decision rule (likelihood ratio,
-energy, LMMSE estimate) by the detector and estimator modules, each in O(k)
+Each unit's noise law is factored once per channel draw
+(:class:`np_detector.NpTestContext`), and every decision rule (likelihood
+ratio, energy, LMMSE estimate) scores each chunk of draws from it in O(k)
 contractions per trial; the likelihood-ratio decision and the estimate share
 one steering response.  Every curve's row is read from its unit's tally, so
 curves on one unit, such as ``np_single`` and ``ed_single``, share their
@@ -43,7 +41,6 @@ import numpy as np
 from . import ed_gains, energy_detector, lmmse, np_detector, np_gains
 from .scenario import (
     GainVector,
-    ReducedObservation,
     Scenario,
     complex_normal,
     derive_rng,
@@ -98,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("trials and scenario count must be >= 1")
         if not 0.0 < self.target_pfa < 1.0:
             raise ValueError("target_pfa must lie in (0, 1)")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         if not self.sweep:
             raise ValueError("sweep must contain at least one (P, M) point")
         # plain Python numbers keep CSV/JSON formatting independent of the caller
@@ -205,8 +204,9 @@ class TrialStream:
     and E = diag(|a_i|^2 v_i); for C0 = U Lambda U^H, z has the law of
     U Lambda^{1/2} xi with xi ~ CN(0, I_k).  So a trial draws theta, xi and
     the outside energy, k + 1 complex normals, and every antenna group's
-    units scale the same xi by their own C0 (:func:`_received`): the reduced
-    trial is exact in distribution.
+    units read the same xi in the eigenbasis of their own C0
+    (:class:`np_detector.NpTestContext`): the reduced trial is exact in
+    distribution.
 
     The path seeds one stream, which spawns three children: one each for the
     signal theta, the whitened draws xi and the outside energy.  Each child is
@@ -236,27 +236,6 @@ class TrialStream:
         """The draws of the next ``trials`` trials, :data:`_CHUNK` at a time."""
         for start in range(0, trials, _CHUNK):
             yield self.draw(min(_CHUNK, trials - start))
-
-
-def _noise_law(r: np.ndarray, gains: GainVector, scenario: Scenario):
-    """The H0 law of z = Q^H y for one unit: the eigenbasis U and eigenvalues
-    Lambda of C0 = R E R^H + s I_k, E = diag(|a_i|^2 v_i), and the signal
-    direction R a.  C0's eigenvalues are those of F F^H, F = R E^{1/2}, on the
-    s-level bulk."""
-    f = r * np.sqrt(gains.magnitudes_sq * scenario.meas_noise_vars)
-    lam, u = np.linalg.eigh(f @ f.conj().T)
-    return u, np.maximum(lam, 0.0) + scenario.fc_noise_var, r @ gains.gains
-
-
-def _received(r: np.ndarray, m: int, law, theta, xi, outside) -> ReducedObservation:
-    """The reduced received blocks without and with the signal,
-    z0 = U Lambda^{1/2} xi and z1 = z0 + R a theta for the unit's ``law``
-    (:func:`_noise_law`), as one observation whose signal rows are 0 and theta:
-    the two hypotheses share each trial's draws, so every statistic contracts
-    them once and returns (H0, H1) rows.  Neither block is formed."""
-    u, lam, b = law
-    hypotheses = np.stack((np.zeros_like(theta), theta))
-    return ReducedObservation(xi, outside, r, m, u, lam, b, hypotheses)
 
 
 @dataclass
@@ -316,7 +295,7 @@ def _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds):
     """Tally every unit on one scenario, one antenna group at a time.
 
     Each group draws one channel and one trial stream, and each unit scores
-    its reduced blocks once per decision rule: the likelihood-ratio (LR)
+    the draws from its context once per decision rule: the likelihood-ratio (LR)
     decision if any of its detectors is not ``ed``, the energy decision if
     ``ed`` is among them, and the LMMSE estimate for ``np``/``np_single``.
     ``ed_single`` reads the LR decision: at M = 1 that decision is
@@ -333,7 +312,6 @@ def _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds):
         channel = sample_channel(
             scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
         )
-        r = channel.r
         scored = []
         for (group, pol), dets in units.items():
             if group != m:
@@ -341,29 +319,30 @@ def _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds):
             tally = tallies[group, pol]
             a = gains[pol]
             if a is None:
-                a = np_gains.single_antenna_optimal_gains(scenario, r[0], p)
-            ctx = None
-            if any(det != "ed" for det in dets):
-                ctx = np_detector.NpTestContext.build(a, channel, scenario, target_pfa=pfa)
+                a = np_gains.single_antenna_optimal_gains(scenario, channel.r[0], p)
+            ctx = np_detector.NpTestContext.build(a, channel, scenario, target_pfa=pfa)
+            lr = any(det != "ed" for det in dets)
+            if lr:
                 tally.pd_theory = np_detector.pd_closed_form(ctx.snr, sv, pfa)
                 tally.mse_theory = lmmse.mse_closed_form(ctx.snr, sv)
             if "ed" in dets or "ed_single" in dets:
                 tally.deflection = energy_detector.deflection_exact(a, channel, scenario)
             ed_thr = ed_thresholds[pol] if "ed" in dets else None
             estimates = "np" in dets or "np_single" in dets
-            scored.append((tally, _noise_law(r, a, scenario), ctx, ed_thr, estimates))
+            scored.append((tally, ctx, lr, ed_thr, estimates))
         stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
         for theta, xi, outside in stream.chunks(config.trials_per_scenario):
-            for tally, law, ctx, ed_thr, estimates in scored:
-                y = _received(r, m, law, theta, xi, outside)
+            # the two hypotheses share each trial's draws: signal rows 0 and theta
+            hypotheses = np.stack((np.zeros_like(theta), theta))
+            for tally, ctx, lr, ed_thr, estimates in scored:
                 tally.trials += theta.size
-                if ctx is not None:
-                    w = np_detector.steering_response(ctx, y)
+                if lr:
+                    w = np_detector.steering_response(ctx, xi, hypotheses)
                     lr0, lr1 = np_detector.np_statistic(ctx, w)
                     tally.lr_fa += _count_above(lr0, ctx.threshold)
                     tally.lr_det += _count_above(lr1, ctx.threshold)
                 if ed_thr is not None:
-                    ed0, ed1 = energy_detector.ed_statistic(y)
+                    ed0, ed1 = energy_detector.ed_statistic(ctx, xi, hypotheses, outside)
                     tally.ed_fa += _count_above(ed0, ed_thr)
                     tally.ed_det += _count_above(ed1, ed_thr)
                 if estimates:

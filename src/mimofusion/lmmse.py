@@ -1,8 +1,8 @@
 """Linear minimum-MSE estimation of the common signal.
 
-The estimator shares the steering coefficients c of :class:`NpTestContext`
-(w = C_w^{-1} H a = H c) with the likelihood-ratio detector, so the heavy
-N x N solve is done once per (channel, gains) pair.
+The estimator reads the same noise law (:class:`NpTestContext`) and steering
+response w^H y, w = C_w^{-1} H a, as the likelihood-ratio detector, so the
+noise covariance is factored once per (channel, gains) pair.
 Its error variance is 1 / (1/signal_var + g), with g the same detection SNR
 the detector maximizes: the two optimization problems coincide.
 """

@@ -2,14 +2,14 @@
 
 The optimal test statistic is sigma_theta^2 |a^H H^H C_w^{-1} y|^2, where
 C_w = H D V D^H H^H + sigma_n^2 I is the noise covariance at the receiver.
-C_w^{-1} is always applied through the matrix inversion lemma with an N x N
-solve on the Gram matrix (O(N^3)); the M x M covariance is never formed.  The
-steering vector w = C_w^{-1} H a lies in range(H), so the statistic reads a
-received vector only through its coordinates in range(H)
-(:class:`ReducedObservation`), which is what the Monte Carlo harness samples.
-Closed-form detection and false-alarm probabilities follow from the statistic
-being a scaled chi-square variable with two degrees of freedom under both
-hypotheses.
+The steering vector w = C_w^{-1} H a lies in range(H), so for a thin QR
+H = QR the statistic reads y only through z = Q^H y, whose noise covariance
+is C0 = R E R^H + s I_k (k = min(M, N)).  :class:`NpTestContext` factors C0
+once, C0 = U Lambda U^H, and every statistic of the package reads that
+context plus a trial's whitened draws xi = Lambda^{-1/2} U^H (z - R a theta);
+the M x M covariance is never formed.  Closed-form detection and
+false-alarm probabilities follow from the statistic being a scaled
+chi-square variable with two degrees of freedom under both hypotheses.
 """
 
 from __future__ import annotations
@@ -18,45 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ChannelRealization, GainVector, ReducedObservation, Scenario
-
-
-class NumericalDegeneracyError(RuntimeError):
-    """The reduced N x N system is singular (only possible without receiver noise)."""
+from .scenario import ChannelRealization, GainVector, Scenario
 
 
 class DegenerateDetectorError(ValueError):
     """The detector carries no signal information (zero effective signal power)."""
-
-
-def _support(gains: GainVector, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Indices with nonzero forwarded-noise power, and those powers e_i = |a_i|^2 v_i."""
-    e = gains.magnitudes_sq * scenario.meas_noise_vars
-    return e > 0, e
-
-
-def _steering_coefficients(
-    gains: GainVector, channel: ChannelRealization, scenario: Scenario
-) -> np.ndarray:
-    """The N-vector c with C_w^{-1} H a = H c, from the Gram matrix alone.
-
-    By the low-rank update identity C_w^{-1} = (1/s) (I - H_s K^{-1} H_s^H)
-    with K = G_ss + s E_s^{-1}, where s is the receiver noise variance,
-    E = diag(|a_i|^2 v_i) and the subscript keeps only sensors with nonzero
-    forwarded noise, c = (a - K^{-1} (G a)_s) / s, the solve entering on the
-    support only.
-    """
-    s = scenario.fc_noise_var
-    sup, e = _support(gains, scenario)
-    a = gains.gains
-    c = a.copy()
-    if sup.any():
-        k = channel.gram[np.ix_(sup, sup)] + np.diag(s / e[sup])
-        try:
-            c[sup] -= np.linalg.solve(k, (channel.gram @ a)[sup])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError("reduced noise-covariance system is singular") from exc
-    return c / s
 
 
 def snr_asymptotic(gains: GainVector, scenario: Scenario, m: int) -> float:
@@ -114,15 +80,24 @@ def pd_closed_form(snr: float, signal_var: float, target_pfa: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class NpTestContext:
-    """Cached quantities for repeated evaluation of the likelihood-ratio statistic.
+    """One unit's H0 law of the reduced observation, read by every statistic.
 
-    steering_coeffs is the N-vector c with w = C_w^{-1} H a = H c, so each
-    statistic costs one inner product.  threshold is None until a false-alarm
-    target is supplied.
+    z = Q^H y (H = QR, thin) has the H0 covariance C0 = R E R^H + s I_k,
+    E = diag(|a_i|^2 v_i), factored once as C0 = U Lambda U^H: ``basis`` U,
+    ``eigenvalues`` Lambda (all >= s) and ``signal`` beta = U^H R a.  The SNR
+    g = a^H H^H C_w^{-1} H a = b^H C0^{-1} b (b = R a) is taken in the
+    stationary form 2 Re(b^H x) - x^H C0 x at x = U Lambda^{-1} beta, C0 x
+    applied through F = R E^{1/2}: U is off by about eps |F|^2 / gap, which
+    the plain sum beta^H Lambda^{-1} beta passes on to g (2e-12 relative at
+    P = 3500, M = 173), the stationary form only squared.  threshold is None
+    until a false-alarm target is supplied.
     """
 
     scenario: Scenario
-    steering_coeffs: np.ndarray
+    m_antennas: int
+    basis: np.ndarray
+    eigenvalues: np.ndarray
+    signal: np.ndarray
     snr: float
     threshold: float | None = None
 
@@ -134,26 +109,35 @@ class NpTestContext:
         scenario: Scenario,
         target_pfa: float | None = None,
     ) -> "NpTestContext":
-        c = _steering_coefficients(gains, channel, scenario)
-        # exact detection SNR g = a^H H^H C_w^{-1} H a = a^H H^H H c = a^H G c
-        g = max(float(np.real(np.vdot(gains.gains, channel.gram @ c))), 0.0)
+        # C0's eigenvalues are those of F F^H, F = R E^{1/2}, on the s-level bulk
+        r = channel.r
+        f = r * np.sqrt(gains.magnitudes_sq * scenario.meas_noise_vars)
+        lam, u = np.linalg.eigh(f @ f.conj().T)
+        lam = np.maximum(lam, 0.0) + scenario.fc_noise_var
+        b = r @ gains.gains
+        beta = u.conj().T @ b
+        x = u @ (beta / lam)
+        fx = f.conj().T @ x
+        g = float(2.0 * np.vdot(b, x).real - np.vdot(fx, fx).real
+                  - scenario.fc_noise_var * np.vdot(x, x).real)
         thr = None
         if target_pfa is not None:
             thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)
-        return cls(scenario, c, g, thr)
+        return cls(scenario, channel.m_antennas, u, lam, beta, g, thr)
 
 
-def steering_response(ctx: NpTestContext, y: ReducedObservation) -> complex | np.ndarray:
+def steering_response(
+    ctx: NpTestContext, xi: np.ndarray, theta: complex | np.ndarray
+) -> complex | np.ndarray:
     """w^H y, the one inner product the statistic and the LMMSE estimate read.
 
-    With w = H c it is u^H z for u = R c and z = Q^H y.  For the whitened
-    z = U Lambda^{1/2} xi + (R a) theta that is (Lambda^{1/2} U^H u)^H xi plus
-    (u^H R a) theta, one k-vector contraction of the draws shared by every row
-    of theta: a complex number for xi of shape (k,), one per column for a
-    (k, T) block, one row per hypothesis for a (H, T) theta.
+    For z = U Lambda^{1/2} xi + (R a) theta it is beta^H Lambda^{-1} U^H z =
+    (Lambda^{-1/2} beta)^H xi + g theta: one k-vector contraction of the draws
+    shared by every row of theta.  xi is (k,) or (k, T) and theta a number,
+    (T,) or (H, T) for H hypotheses sharing the draws; the result is a complex
+    number, one value per column, or one row per hypothesis.
     """
-    u = y.r @ ctx.steering_coeffs
-    out = ((u.conj() @ y.basis) * np.sqrt(y.eigenvalues)) @ y.xi + np.vdot(u, y.signal) * y.theta
+    out = (ctx.signal / np.sqrt(ctx.eigenvalues)).conj() @ xi + ctx.snr * theta
     return complex(out) if np.ndim(out) == 0 else out
 
 

@@ -4,8 +4,9 @@ The sensor network is described by a :class:`Scenario` (geometry and noise
 levels), from which random channels are drawn.  A channel draw is held as the
 triangular factor R of H = QR and its Gram matrix
 (:class:`ChannelRealization`), drawn directly by the Bartlett decomposition,
-so it costs the same at M = 16 and at M = 1e6.  A received vector is held as
-its reduced form (:class:`ReducedObservation`).  All sampling takes an explicit
+so it costs the same at M = 16 and at M = 1e6.  A received vector is never
+formed: the statistics read a trial through its whitened draws and the noise
+law of :class:`np_detector.NpTestContext`.  All sampling takes an explicit
 :class:`numpy.random.Generator`, and :func:`derive_rng` maps a master seed
 plus an index path to an independent stream, so results are reproducible
 regardless of execution order.
@@ -131,9 +132,10 @@ class ChannelRealization:
     """One draw of the M x N complex channel H, held as its triangular factor.
 
     r is the k x N factor of a thin QR H = QR (k = min(M, N)), gram the N x N
-    Gram matrix H^H H = R^H R.  Every statistic in the package is evaluated
-    from these two and the antenna count, never from M x M or M x N
-    intermediates.
+    Gram matrix H^H H = R^H R.  The statistics read the channel through the
+    noise law :class:`np_detector.NpTestContext` factors from r, and the
+    finite-M deflection reads gram; nothing forms an M x M or M x N
+    intermediate.
     """
 
     r: np.ndarray
@@ -148,10 +150,6 @@ class ChannelRealization:
         object.__setattr__(self, "r", _readonly(r))
         object.__setattr__(self, "gram", _readonly(np.asarray(self.gram, dtype=complex)))
         object.__setattr__(self, "m_antennas", m)
-
-    @property
-    def n_sensors(self) -> int:
-        return self.r.shape[1]
 
 
 def sample_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> ChannelRealization:
@@ -217,42 +215,3 @@ class GainVector:
     @property
     def n_sensors(self) -> int:
         return self.gains.size
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedObservation:
-    """Received vectors reduced to the part every statistic reads.
-
-    For a thin QR H = QR of the channel (k = min(M, N) columns in Q), z = Q^H y
-    are the coordinates of y in range(H) and outside_energy = |y - Q z|^2 is
-    the energy of the rest, so |y|^2 = |z|^2 + outside_energy.  A vector
-    w = H c in range(H) gives w^H y = (R c)^H z exactly, which is why R is kept.
-
-    z is held in whitened form, z = U diag(sqrt(eigenvalues)) xi + signal theta,
-    with U = basis unitary: one draw xi ~ CN(0, I_k) per trial, scaled into
-    the eigenbasis of the noise covariance U diag(eigenvalues) U^H of z, plus
-    the signal direction R a times the signal theta.  An explicit z is the case
-    U = I, eigenvalues 1 and no signal, which the defaults give, so the
-    statistics read one form.  xi is (k,) or (k, T) and outside_energy a float
-    or (T,).  theta is a number, (T,), or (H, T) for H hypotheses that share
-    the draws, such as no signal and signal; a statistic then returns one row
-    per hypothesis.
-    """
-
-    xi: np.ndarray
-    outside_energy: float | np.ndarray
-    r: np.ndarray
-    m_antennas: int
-    basis: np.ndarray | None = None
-    eigenvalues: np.ndarray | None = None
-    signal: np.ndarray | None = None
-    theta: complex | np.ndarray = 0.0
-
-    def __post_init__(self):
-        k = self.r.shape[0]
-        if self.basis is None:
-            object.__setattr__(self, "basis", np.eye(k))
-        if self.eigenvalues is None:
-            object.__setattr__(self, "eigenvalues", np.ones(k))
-        if self.signal is None:
-            object.__setattr__(self, "signal", np.zeros(k, complex))

@@ -1,25 +1,21 @@
 """The dense reference receiver: channels with an explicit H and full
 received M-vectors, for tests that check the reduced receiver against them.
 
-The package holds a channel only as its triangular factor R and a received
-vector only as its :class:`ReducedObservation`; here H, its thin-QR Q and the
-full y are kept, and :meth:`ExplicitChannel.reduce` maps y to what the
-package reads; :func:`formed_blocks` forms the reduced blocks a trial
-stream's draws stand for.
+The package holds a channel only as its triangular factor R and never forms a
+received vector: its statistics read a trial's whitened draws in the noise
+law of an :class:`NpTestContext`.  Here H, its thin-QR Q and the full y are
+kept: :meth:`ExplicitChannel.reduce` maps y to the draws the package reads,
+:func:`formed_blocks` forms the reduced blocks a trial stream's draws stand
+for, and :func:`dense_steering` solves the M x M noise covariance for the
+steering vector.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from mimofusion.harness import _noise_law
-from mimofusion.scenario import (
-    ChannelRealization,
-    GainVector,
-    ReducedObservation,
-    Scenario,
-    complex_normal,
-)
+from mimofusion.np_detector import NpTestContext
+from mimofusion.scenario import ChannelRealization, GainVector, Scenario, complex_normal
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,12 +26,15 @@ class ExplicitChannel:
     q: np.ndarray
     channel: ChannelRealization
 
-    def reduce(self, y: np.ndarray) -> ReducedObservation:
-        """y of shape (M,) or (M, T) as the receiver reads it: z = Q^H y and
-        the energy |y - Q z|^2 outside range(H)."""
+    def reduce(self, y: np.ndarray, ctx: NpTestContext):
+        """y of shape (M,) or (M, T) as the receiver reads it in the noise law
+        of ``ctx``: (xi, theta, outside) with z = Q^H y whitened as
+        xi = Lambda^{-1/2} U^H z, no separate signal (theta = 0), and the
+        energy |y - Q z|^2 outside range(H)."""
         z = self.q.conj().T @ y
         outside = np.sum(np.abs(y - self.q @ z) ** 2, axis=0)
-        return ReducedObservation(z, outside, self.channel.r, self.channel.m_antennas)
+        xi = (ctx.basis / np.sqrt(ctx.eigenvalues)).conj().T @ z
+        return xi, 0.0, outside
 
 
 def explicit_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> ExplicitChannel:
@@ -47,14 +46,27 @@ def explicit_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> Ex
     return ExplicitChannel(h, q, ChannelRealization(r, r.conj().T @ r, m))
 
 
-def formed_blocks(
-    channel: ChannelRealization, gains: GainVector, scenario: Scenario, theta, xi
-) -> tuple[np.ndarray, np.ndarray]:
+def embedded_channel(channel: ChannelRealization) -> ExplicitChannel:
+    """A sampled channel as an explicit H = QR, with Q the first k columns of I_M."""
+    q = np.eye(channel.m_antennas, channel.r.shape[0])
+    return ExplicitChannel(q @ channel.r, q, channel)
+
+
+def dense_steering(explicit: ExplicitChannel, gains: GainVector, scenario: Scenario) -> np.ndarray:
+    """w = C_w^{-1} H a from the M x M noise covariance C_w = H E H^H + s I_M,
+    E = diag(|a_i|^2 v_i)."""
+    h = explicit.h
+    e = gains.magnitudes_sq * scenario.meas_noise_vars
+    cw = (h * e) @ h.conj().T + scenario.fc_noise_var * np.eye(h.shape[0])
+    return np.linalg.solve(cw, h @ gains.gains)
+
+
+def formed_blocks(ctx: NpTestContext, theta, xi) -> tuple[np.ndarray, np.ndarray]:
     """The reduced blocks the harness never forms, from a trial stream's draws:
-    z0 = U Lambda^{1/2} xi for C0 = U Lambda U^H, and z1 = z0 + (R a) theta^T."""
-    u, lam, b = _noise_law(channel.r, gains, scenario)
-    z0 = (u * np.sqrt(lam)) @ xi
-    return z0, z0 + np.outer(b, theta)
+    z0 = U Lambda^{1/2} xi for C0 = U Lambda U^H, and z1 = z0 + (U beta) theta^T,
+    U beta = R a."""
+    z0 = (ctx.basis * np.sqrt(ctx.eigenvalues)) @ xi
+    return z0, z0 + np.outer(ctx.basis @ ctx.signal, theta)
 
 
 def sample_observation(

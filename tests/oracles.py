@@ -11,7 +11,7 @@ import numpy as np
 
 from mimofusion import energy_detector, np_detector
 from mimofusion.ed_gains import EdAllocationProblem
-from mimofusion.harness import DETECTORS, SINGLE_DETECTORS, TrialStream, _noise_law, _received
+from mimofusion.harness import DETECTORS, SINGLE_DETECTORS, TrialStream
 from mimofusion.np_gains import WaterfillSolution
 from mimofusion.scenario import ChannelRealization, GainVector, Scenario
 
@@ -40,17 +40,17 @@ def simulate_statistics(
         raise ValueError(f"unknown detector {detector!r}")
     if detector in SINGLE_DETECTORS and channel.m_antennas != 1:
         raise ValueError("single-antenna detectors need a one-antenna channel")
-    statistic = energy_detector.ed_statistic
-    if detector == "np":
-        ctx = np_detector.NpTestContext.build(gains, channel, scenario)
+    ctx = np_detector.NpTestContext.build(gains, channel, scenario)
 
-        def statistic(y):
-            return np_detector.np_statistic(ctx, np_detector.steering_response(ctx, y))
-    m = channel.m_antennas
-    law = _noise_law(channel.r, gains, scenario)
+    def statistic(xi, theta, outside):
+        if detector == "np":
+            return np_detector.np_statistic(ctx, np_detector.steering_response(ctx, xi, theta))
+        return energy_detector.ed_statistic(ctx, xi, theta, outside)
+
+    stream = TrialStream(scenario, channel.m_antennas, master_seed, path)
     t0, t1 = [], []
-    for draws in TrialStream(scenario, m, master_seed, path).chunks(trials):
-        h0, h1 = statistic(_received(channel.r, m, law, *draws))
+    for theta, xi, outside in stream.chunks(trials):
+        h0, h1 = statistic(xi, np.stack((np.zeros_like(theta), theta)), outside)
         t0.append(h0)
         t1.append(h1)
     return np.concatenate(t0), np.concatenate(t1)

@@ -34,7 +34,7 @@ from mimofusion.np_detector import NpTestContext, pd_closed_form
 from mimofusion.np_gains import np_pd_bound, snr_floor_power, waterfill
 from mimofusion.scenario import complex_normal, derive_rng, sample_channel, sample_scenario
 
-from channels import explicit_channel, formed_blocks
+from channels import dense_steering, explicit_channel, formed_blocks
 from oracles import simulate_statistics, waterfill_kkt_residual
 
 PFA_TARGET = 0.05
@@ -156,12 +156,12 @@ def test_criterion_5_lmmse_identity_and_floor(scenario):
             theory_total += mse_closed_form(ctx.snr, scenario.signal_var)
             # reduced draws formed into z1 = Q^H y1 for a thin QR H = QR,
             # w^H y1 = (Q^H w)^H z1
-            w = explicit.q.conj().T @ (explicit.h @ ctx.steering_coeffs)
+            w = explicit.q.conj().T @ dense_steering(explicit, gains, scenario)
             stream = TrialStream(scenario, m, 505, (c,))
             for start in range(0, trials_per, 4096):
                 stop = min(start + 4096, trials_per)
                 theta, xi, _ = stream.draw(stop - start)
-                _, z1 = formed_blocks(explicit.channel, gains, scenario, theta, xi)
+                _, z1 = formed_blocks(ctx, theta, xi)
                 est = (w.conj() @ z1) / (1.0 / scenario.signal_var + ctx.snr)
                 err_total += float(np.sum(np.abs(theta - est) ** 2))
         mse_emp = err_total / (n_channels * trials_per)

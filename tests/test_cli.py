@@ -354,6 +354,33 @@ class TestExitCodes:
             assert path in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        """A config file that is not UTF-8 text exits 2 and is named."""
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff")
+        out_dir = tmp_path / "out"
+        assert main(["waterfill", "--config", str(path), "--power", "1", "--antennas", "8"]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--output-dir", str(out_dir)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        """A negative master seed derives no stream, so it is refused before
+        a run rather than fail every sweep point."""
+        out_dir = tmp_path / "out"
+        assert main(["run", "--experiment", "fig1", "--seed", "-1", "--trials", "10",
+                     "--scenarios", "1", "--output-dir", str(out_dir)]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_replay_with_negative_seed_is_config_error(self, experiment_cfg, tmp_path, capsys):
+        def edit(data):
+            data["master_seed"] = -1
+
+        assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
+        assert "master_seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("detector", ["np", "ed"])
     @pytest.mark.parametrize("policy", ["no_such_policy", "single_antenna_optimal"])
     def test_threshold_policy_outside_multi_policies(self, scenario_cfg, capsys, detector,

@@ -18,7 +18,7 @@ from mimofusion.energy_detector import (
     weighted_chi2_tail,
 )
 from mimofusion.harness import resolve_gains
-from mimofusion.np_detector import SingleAntennaContext
+from mimofusion.np_detector import NpTestContext, SingleAntennaContext
 from mimofusion.scenario import (
     GainVector,
     Scenario,
@@ -68,20 +68,23 @@ def oracle_pfa(thr, sc, m) -> tuple[float, float]:
 
 class TestStatistic:
     def test_zero_vector(self):
-        ex = explicit_channel(sample_scenario(3, derive_rng(400)), 8, derive_rng(400, 1))
-        assert ed_statistic(ex.reduce(np.zeros(8, complex))) == 0.0
+        sc = sample_scenario(3, derive_rng(400))
+        ex = explicit_channel(sc, 8, derive_rng(400, 1))
+        ctx = NpTestContext.build(GainVector.equal_power(1.0, 3), ex.channel, sc)
+        assert ed_statistic(ctx, *ex.reduce(np.zeros(8, complex), ctx)) == 0.0
 
     def test_block_matches_per_column_calls(self):
         sc = sample_scenario(3, derive_rng(407))
         ex = explicit_channel(sc, 16, derive_rng(408))
         gv = GainVector.equal_power(2.0, 3)
+        ctx = NpTestContext.build(gv, ex.channel, sc)
         block = np.stack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(409, k)) for k in range(5)], axis=1
         )
-        stats = ed_statistic(ex.reduce(block))
+        stats = ed_statistic(ctx, *ex.reduce(block, ctx))
         assert stats.shape == (5,)
         for k in range(5):
-            one = ed_statistic(ex.reduce(block[:, k]))
+            one = ed_statistic(ctx, *ex.reduce(block[:, k], ctx))
             assert stats[k] == pytest.approx(one, rel=1e-12)
             assert one == pytest.approx(np.vdot(block[:, k], block[:, k]).real / 16, rel=1e-12)
 
@@ -89,9 +92,11 @@ class TestStatistic:
         sc = sample_scenario(3, derive_rng(401))
         ex = explicit_channel(sc, 16, derive_rng(402))
         gv = GainVector.from_gains(np.zeros(3, complex))
+        ctx = NpTestContext.build(gv, ex.channel, sc)
         rng = derive_rng(403)
         stats = [
-            ed_statistic(ex.reduce(sample_observation(ex, gv, sc, "H0", rng))) for _ in range(4000)
+            ed_statistic(ctx, *ex.reduce(sample_observation(ex, gv, sc, "H0", rng), ctx))
+            for _ in range(4000)
         ]
         assert np.mean(stats) == pytest.approx(sc.fc_noise_var, rel=0.02)
 

@@ -12,8 +12,6 @@ from mimofusion.harness import (
     ExperimentConfig,
     ResultRow,
     TrialStream,
-    _noise_law,
-    _received,
     config_from_manifest,
     manifest_dict,
     resolve_gains,
@@ -23,14 +21,13 @@ from mimofusion.lmmse import lmmse_estimate
 from mimofusion.np_detector import NpTestContext, np_statistic, steering_response
 from mimofusion.scenario import (
     GainVector,
-    ReducedObservation,
     complex_normal,
     derive_rng,
     sample_channel,
     sample_scenario,
 )
 
-from channels import explicit_channel, formed_blocks
+from channels import dense_steering, embedded_channel, explicit_channel, formed_blocks
 from oracles import simulate_statistics
 
 
@@ -139,20 +136,18 @@ class TestReducedSampler:
         ctx = NpTestContext.build(gv, ch, sc)
         theta, y0, y1 = full_synthesis(ex, gv, sc, trials, derive_rng(622, m))
 
-        def lr_statistic(y):
-            return np_statistic(ctx, steering_response(ctx, y))
+        def lr_statistic(ctx, xi, theta, outside):
+            return np_statistic(ctx, steering_response(ctx, xi, theta))
 
         pvalues = {}
         for det, statistic in (("np", lr_statistic), ("ed", ed_statistic)):
             t0, t1 = simulate_statistics(det, gv, ch, sc, trials, 623, (m,))
-            pvalues[f"{det} H0"] = ks_2samp(t0, statistic(ex.reduce(y0))).pvalue
-            pvalues[f"{det} H1"] = ks_2samp(t1, statistic(ex.reduce(y1))).pvalue
+            pvalues[f"{det} H0"] = ks_2samp(t0, statistic(ctx, *ex.reduce(y0, ctx))).pvalue
+            pvalues[f"{det} H1"] = ks_2samp(t1, statistic(ctx, *ex.reduce(y1, ctx))).pvalue
         # LMMSE errors on the reduced draws of a trial stream
-        theta_r, xi, outside = TrialStream(sc, m, 624, (m,)).draw(trials)
-        u, lam, b = _noise_law(ch.r, gv, sc)
-        reduced = ReducedObservation(xi, outside, ch.r, m, u, lam, b, theta_r)
-        est_r = lmmse_estimate(ctx, steering_response(ctx, reduced))
-        est = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(y1)))
+        theta_r, xi, _ = TrialStream(sc, m, 624, (m,)).draw(trials)
+        est_r = lmmse_estimate(ctx, steering_response(ctx, xi, theta_r))
+        est = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(y1, ctx)[:2]))
         pvalues["lmmse"] = ks_2samp(np.abs(theta_r - est_r) ** 2, np.abs(theta - est) ** 2).pvalue
         assert min(pvalues.values()) >= 1e-3, pvalues
 
@@ -160,26 +155,32 @@ class TestReducedSampler:
     def test_whitened_forms_match_formed_blocks(self, network, m):
         """The O(k) forms on a stream's draws equal the dense statistics of the
         blocks they stand for, z0 = U Lambda^{1/2} xi and z1 = z0 + (R a) theta^T,
-        and the whitening reproduces C0 = R E R^H + s I_k."""
+        and the context's law reproduces C0 = R E R^H + s I_k and R a."""
         sc = network
         ch = sample_channel(sc, m, derive_rng(627, m))
         gv = GainVector.from_gains(GainVector.equal_power(5.0, sc.n_sensors).gains
                                    * np.exp(1j * np.arange(sc.n_sensors)))
         ctx = NpTestContext.build(gv, ch, sc)
         theta, xi, outside = TrialStream(sc, m, 628, (m,)).draw(64)
-        u, lam, b = _noise_law(ch.r, gv, sc)
+        u, lam = ctx.basis, ctx.eigenvalues
         e = gv.magnitudes_sq * sc.meas_noise_vars
         c0 = (ch.r * e) @ ch.r.conj().T + sc.fc_noise_var * np.eye(ch.r.shape[0])
         np.testing.assert_allclose((u * lam) @ u.conj().T, c0, rtol=0,
                                    atol=1e-12 * np.abs(c0).max())
-        z = np.stack(formed_blocks(ch, gv, sc, theta, xi))  # (H0, H1) x k x T
-        y = _received(ch.r, m, (u, lam, b), theta, xi, outside)
-        response = np.einsum("k,hkt->ht", (ch.r @ ctx.steering_coeffs).conj(), z)
+        b = ch.r @ gv.gains
+        np.testing.assert_allclose(u @ ctx.signal, b, rtol=0, atol=1e-12 * np.abs(b).max())
+        z = np.stack(formed_blocks(ctx, theta, xi))  # (H0, H1) x k x T
+        # Q^H w for w = C_w^{-1} H a, with Q = the first k columns of I_M
+        ex = embedded_channel(ch)
+        w = ex.q.conj().T @ dense_steering(ex, gv, sc)
+        response = np.einsum("k,hkt->ht", w.conj(), z)
+        hypotheses = np.stack((np.zeros_like(theta), theta))
         for name, got, want in (
-            ("response", steering_response(ctx, y), response),
-            ("np", np_statistic(ctx, steering_response(ctx, y)),
+            ("response", steering_response(ctx, xi, hypotheses), response),
+            ("np", np_statistic(ctx, steering_response(ctx, xi, hypotheses)),
              sc.signal_var * np.abs(response) ** 2),
-            ("ed", ed_statistic(y), (np.sum(np.abs(z) ** 2, axis=1) + outside) / m),
+            ("ed", ed_statistic(ctx, xi, hypotheses, outside),
+             (np.sum(np.abs(z) ** 2, axis=1) + outside) / m),
         ):
             assert np.shape(got) == (2, theta.size), name
             np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
@@ -187,23 +188,23 @@ class TestReducedSampler:
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_projected_block_gives_the_same_values(self, network, m):
         """Projecting one synthesized block onto range(H) changes no statistic:
-        each equals its dense M-vector form, w^H y with w = C_w^{-1} H a = H c
+        each equals its dense M-vector form, w^H y with w = C_w^{-1} H a
         and |y|^2 / M."""
         sc = network
         ex = explicit_channel(sc, m, derive_rng(625, m))
         gv = GainVector.equal_power(5.0, sc.n_sensors)
         ctx = NpTestContext.build(gv, ex.channel, sc)
         _, y0, y1 = full_synthesis(ex, gv, sc, 16, derive_rng(626, m))
-        w = ex.h @ ctx.steering_coeffs
+        w = dense_steering(ex, gv, sc)
         for y in (y0, y1, y1[:, 0]):
-            reduced = ex.reduce(y)
+            xi, theta, outside = ex.reduce(y, ctx)
             response = w.conj() @ y
             for name, got, want in (
-                ("np", np_statistic(ctx, steering_response(ctx, reduced)),
+                ("np", np_statistic(ctx, steering_response(ctx, xi, theta)),
                  sc.signal_var * np.abs(response) ** 2),
-                ("lmmse", lmmse_estimate(ctx, steering_response(ctx, reduced)),
+                ("lmmse", lmmse_estimate(ctx, steering_response(ctx, xi, theta)),
                  response / (1.0 / sc.signal_var + ctx.snr)),
-                ("ed", ed_statistic(reduced), np.sum(np.abs(y) ** 2, axis=0) / m),
+                ("ed", ed_statistic(ctx, xi, theta, outside), np.sum(np.abs(y) ** 2, axis=0) / m),
             ):
                 assert np.shape(got) == np.shape(want), name
                 np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from mimofusion.harness import TrialStream, _noise_law
+from mimofusion.harness import TrialStream
 from mimofusion.lmmse import lmmse_estimate, lmmse_mse_bound, mse_closed_form
 from mimofusion.np_detector import NpTestContext, SingleAntennaContext, steering_response
 from mimofusion.scenario import (
     GainVector,
-    ReducedObservation,
     Scenario,
     derive_rng,
     sample_channel,
     sample_scenario,
 )
 
-from channels import explicit_channel, formed_blocks, sample_observation
+from channels import dense_steering, explicit_channel, formed_blocks, sample_observation
 
 
 def estimation_errors(sc, ex, gv, trials, seed):
@@ -26,12 +25,12 @@ def estimation_errors(sc, ex, gv, trials, seed):
     err_sq = np.empty(trials)
     est_minus_truth = np.empty(trials, dtype=complex)
     chunk = 4096
-    w = ex.q.conj().T @ (ex.h @ ctx.steering_coeffs)  # Q^H w for w = C_w^{-1} H a = H c
+    w = ex.q.conj().T @ dense_steering(ex, gv, sc)  # Q^H w for w = C_w^{-1} H a
     stream = TrialStream(sc, ex.channel.m_antennas, seed, (0,))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         theta, xi, _ = stream.draw(stop - start)
-        _, z1 = formed_blocks(ex.channel, gv, sc, theta, xi)
+        _, z1 = formed_blocks(ctx, theta, xi)
         est = (w.conj() @ z1) / (1.0 / sc.signal_var + ctx.snr)
         err_sq[start:stop] = np.abs(theta - est) ** 2
         est_minus_truth[start:stop] = est - theta
@@ -61,7 +60,7 @@ class TestEstimator:
         gv = GainVector.from_gains(np.zeros(4, complex))
         ctx = NpTestContext.build(gv, ex.channel, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
-        assert lmmse_estimate(ctx, steering_response(ctx, ex.reduce(y))) == 0.0
+        assert lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
         assert mse_closed_form(ctx.snr, sc.signal_var) == pytest.approx(sc.signal_var, rel=1e-12)
 
     def test_empirical_mse_matches_theory(self):
@@ -95,18 +94,19 @@ class TestEstimator:
         gv = GainVector.equal_power(2.0, 4)
         ctx = NpTestContext.build(gv, ex.channel, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(314))
-        result = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(y)))
-        w = ex.h @ ctx.steering_coeffs  # w = C_w^{-1} H a = H c
+        result = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
+        w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         manual = np.vdot(w, y) / (1.0 / sc.signal_var + ctx.snr)
         assert result == pytest.approx(complex(manual), rel=1e-12)
         # an (M, T) block gives the per-column estimates
         block = np.stack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(314, k)) for k in range(6)], axis=1
         )
-        batched = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(block)))
+        batched = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(block, ctx)[:2]))
         assert batched.shape == (6,)
         for k in range(6):
-            one = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(block[:, k])))
+            xi, theta, _ = ex.reduce(block[:, k], ctx)
+            one = lmmse_estimate(ctx, steering_response(ctx, xi, theta))
             assert batched[k] == pytest.approx(one, rel=1e-12)
 
 
@@ -118,14 +118,11 @@ class TestSingleAntennaEstimator:
         h = ex.h[0]
         gv = GainVector.equal_power(4.0, 5)
         ctx = NpTestContext.build(gv, ex.channel, sc)
-        theta, xi, outside = TrialStream(sc, 1, 322, (0,)).draw(50_000)
-        # the harness's whitened observation; formed, z1 = q^H y1 with q the
+        theta, xi, _ = TrialStream(sc, 1, 322, (0,)).draw(50_000)
+        # the harness's whitened draws; formed, z1 = q^H y1 with q the
         # 1 x 1 factor of a QR of H
-        r = ex.channel.r
-        u, lam, b = _noise_law(r, gv, sc)
-        reduced = ReducedObservation(xi, outside, r, 1, u, lam, b, theta)
-        result = lmmse_estimate(ctx, steering_response(ctx, reduced))
-        _, z1 = formed_blocks(ex.channel, gv, sc, theta, xi)
+        result = lmmse_estimate(ctx, steering_response(ctx, xi, theta))
+        _, z1 = formed_blocks(ctx, theta, xi)
         y1 = ex.q[0, 0] * z1[0]
         ref = SingleAntennaContext.build(gv, h, sc)
         g_s = ref.sigma_s_sq / (sc.signal_var * ref.sigma_w_sq)

@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
+from mimofusion.harness import MULTI_POLICIES, resolve_gains
 from mimofusion.np_detector import (
     DegenerateDetectorError,
     NpTestContext,
@@ -17,14 +19,13 @@ from mimofusion.np_detector import (
 from mimofusion.np_gains import snr_floor_gains
 from mimofusion.scenario import (
     GainVector,
-    ReducedObservation,
     Scenario,
     derive_rng,
     sample_channel,
     sample_scenario,
 )
 
-from channels import explicit_channel, sample_observation
+from channels import dense_steering, embedded_channel, explicit_channel, sample_observation
 from oracles import simulate_statistics
 
 
@@ -58,7 +59,7 @@ class TestStatistic:
         for k in range(5):
             y = sample_observation(ex, gv, sc, "H1", derive_rng(102, k))
             ref = dense_statistic(sc, ex, gv, y)
-            stat = np_statistic(ctx, steering_response(ctx, ex.reduce(y)))
+            stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
             assert stat == pytest.approx(ref, rel=1e-10)
 
     def test_matches_dense_inverse_across_sizes(self):
@@ -73,7 +74,7 @@ class TestStatistic:
             ctx = NpTestContext.build(gv, ex.channel, sc)
             y = sample_observation(ex, gv, sc, "H0", derive_rng(106, m))
             ref = dense_statistic(sc, ex, gv, y)
-            stat = np_statistic(ctx, steering_response(ctx, ex.reduce(y)))
+            stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
             assert stat == pytest.approx(ref, rel=1e-10)
             assert ctx.snr == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
@@ -85,10 +86,10 @@ class TestStatistic:
         block = np.stack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(115, k)) for k in range(5)], axis=1
         )
-        stats = np_statistic(ctx, steering_response(ctx, ex.reduce(block)))
+        stats = np_statistic(ctx, steering_response(ctx, *ex.reduce(block, ctx)[:2]))
         assert stats.shape == (5,)
         for k in range(5):
-            one = np_statistic(ctx, steering_response(ctx, ex.reduce(block[:, k])))
+            one = np_statistic(ctx, steering_response(ctx, *ex.reduce(block[:, k], ctx)[:2]))
             assert stats[k] == pytest.approx(one, rel=1e-12)
 
     def test_zero_gains_zero_statistic(self):
@@ -97,7 +98,7 @@ class TestStatistic:
         gv = GainVector.from_gains(np.zeros(2, complex))
         ctx = NpTestContext.build(gv, ex.channel, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
-        assert np_statistic(ctx, steering_response(ctx, ex.reduce(y))) == 0.0
+        assert np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
         assert ctx.snr == 0.0
 
     def test_orthogonal_observation_zero_statistic(self):
@@ -105,10 +106,10 @@ class TestStatistic:
         ex = explicit_channel(sc, 6, derive_rng(109))
         gv = GainVector.from_gains(np.array([0.5, 0.3 + 0.2j]))
         ctx = NpTestContext.build(gv, ex.channel, sc)
-        w = ex.h @ ctx.steering_coeffs  # w = C_w^{-1} H a = H c
+        w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         z = derive_rng(110).standard_normal(6) + 1j * derive_rng(111).standard_normal(6)
         y = z - (np.vdot(w, z) / np.vdot(w, w)) * w
-        assert np_statistic(ctx, steering_response(ctx, ex.reduce(y))) < 1e-20
+        assert np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) < 1e-20
 
     def test_partial_support_matches_dense(self):
         # one sensor silent: the reduced solve must drop it, not fail
@@ -118,7 +119,7 @@ class TestStatistic:
         ctx = NpTestContext.build(gv, ex.channel, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(113))
         ref = dense_statistic(sc, ex, gv, y)
-        stat = np_statistic(ctx, steering_response(ctx, ex.reduce(y)))
+        stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
         assert stat == pytest.approx(ref, rel=1e-10)
 
     def test_sampled_channel_reads_reduced_block(self):
@@ -126,10 +127,10 @@ class TestStatistic:
         ch = sample_channel(sc, 6, derive_rng(116))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ch, sc)
-        z = np.ones((2, 3), complex)
-        expected = sc.signal_var * np.abs((ch.r @ ctx.steering_coeffs).conj() @ z) ** 2
-        reduced = ReducedObservation(z, np.zeros(3), ch.r, 6)
-        stat = np_statistic(ctx, steering_response(ctx, reduced))
+        ex = embedded_channel(ch)
+        y = ex.q @ np.ones((2, 3), complex)
+        expected = sc.signal_var * np.abs(dense_steering(ex, gv, sc).conj() @ y) ** 2
+        stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
         np.testing.assert_allclose(stat, expected, rtol=1e-12)
 
 
@@ -145,10 +146,49 @@ def two_solve_snr(sc, ch, gv):
     return max((quad - float(np.real(np.vdot(u, np.linalg.solve(k, u))))) / s, 0.0)
 
 
+def mpmath_snr(sc, ch, gv) -> float:
+    """b^H C0^{-1} b with b = R a and C0 = R E R^H + s I_k, E = diag(|a_i|^2 v_i),
+    solved in 50-digit arithmetic from the float R, gains and noise levels."""
+    with mpmath.workdps(50):
+        r = mpmath.matrix(ch.r.tolist())
+        a = mpmath.matrix(gv.gains.tolist())
+        e = [abs(x) ** 2 * mpmath.mpf(float(v)) for x, v in zip(a, sc.meas_noise_vars)]
+        k, n = r.rows, r.cols
+        c0 = mpmath.matrix(k, k)
+        for i in range(k):
+            for j in range(k):
+                c0[i, j] = mpmath.fsum(r[i, t] * e[t] * mpmath.conj(r[j, t]) for t in range(n))
+            c0[i, i] += mpmath.mpf(sc.fc_noise_var)
+        b = r * a
+        x = mpmath.lu_solve(c0, b)
+        return float(mpmath.re(mpmath.fsum(mpmath.conj(b[i]) * x[i] for i in range(k))))
+
+
 class TestSnr:
+    def test_matches_mpmath_oracle(self):
+        """On 300 networks (N 1 to 11, M 1 to 1e5, P 1e-4 to 1e4, every
+        multi-antenna gain policy, distances 2 to 10 or 1 to 1000) the SNR is
+        within 1e-12 relative of a 50-digit solve."""
+        rng = derive_rng(129)
+        misses = []
+        for i in range(300):
+            n = int(rng.integers(1, 12))
+            m = int(round(10.0 ** rng.uniform(0.0, 5.0)))
+            p = 10.0 ** rng.uniform(-4.0, 4.0)
+            policy = MULTI_POLICIES[i % len(MULTI_POLICIES)]
+            distances = ((2.0, 10.0), (1.0, 1000.0))[i // len(MULTI_POLICIES) % 2]
+            sc = sample_scenario(n, derive_rng(129, i, 0), distance_range=distances)
+            ch = sample_channel(sc, m, derive_rng(129, i, 1))
+            gv = resolve_gains(policy, sc, m, p)
+            g = NpTestContext.build(gv, ch, sc).snr
+            ref = mpmath_snr(sc, ch, gv)
+            if not abs(g - ref) <= 1e-12 * ref:
+                misses.append((n, m, p, policy, abs(g - ref) / ref))
+        assert not misses, misses
+
     def test_matches_separate_solve(self):
-        """The context's SNR reads the steering coefficients; the value is the
-        one a second solve gives, to rounding, on full, partial and empty support."""
+        """The context's SNR, read from its eigendecomposition, is the one a
+        separate solve gives, to rounding, on full, partial and empty support."""
         for i, (n, m) in enumerate(((1, 1), (3, 2), (6, 24), (10, 500))):
             sc = sample_scenario(n, derive_rng(125, i))
             ch = sample_channel(sc, m, derive_rng(126, i))

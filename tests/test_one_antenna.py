@@ -59,5 +59,5 @@ def test_general_path_matches_scalar_forms(n, log_p, seed, policy):
     y = derive_rng(seed, 2).standard_normal(2) @ np.array([1.0, 1.0j])
     coherent = np.sum(gv.gains * h)
     scalar = (np.conj(coherent) / ref.sigma_w_sq) * y / (1.0 / sv + snr)
-    estimate = lmmse_estimate(ctx, steering_response(ctx, ex.reduce(np.array([y]))))
+    estimate = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(np.array([y]), ctx)[:2]))
     assert estimate == pytest.approx(scalar, rel=REL)
