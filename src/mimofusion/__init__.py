@@ -42,7 +42,6 @@ from .energy_detector import (
     ed_statistic,
     ed_threshold_for_pfa,
     eta_weights,
-    quadratic_form_variance,
     single_antenna_deflection,
     weighted_chi2_tail,
 )

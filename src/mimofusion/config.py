@@ -101,35 +101,38 @@ def build_scenario(raw: dict[str, str]) -> Scenario:
     """Construct the network description from raw config keys.
 
     Explicit vectors win; otherwise distances and measurement noise powers are
-    sampled from `seed` using the standard uniform ranges.
+    sampled from `seed` using the standard uniform ranges.  A value the
+    scenario or the seed's stream rejects is a configuration error naming it.
     """
     signal_var = _as_float(raw, "signal_var") if "signal_var" in raw else 1.0
     fc_noise_var = _as_float(raw, "fc_noise_var") if "fc_noise_var" in raw else 0.3
     path_loss_exp = _as_float(raw, "path_loss_exp") if "path_loss_exp" in raw else 2.0
-    if "distances" in raw or "meas_noise_vars" in raw:
-        if "distances" not in raw or "meas_noise_vars" not in raw:
-            raise ConfigError("explicit scenarios need both distances and meas_noise_vars")
-        d = np.asarray(_as_float_list(raw, "distances"))
-        v = np.asarray(_as_float_list(raw, "meas_noise_vars"))
-        try:
+    try:
+        if "distances" in raw or "meas_noise_vars" in raw:
+            if "distances" not in raw or "meas_noise_vars" not in raw:
+                raise ConfigError("explicit scenarios need both distances and meas_noise_vars")
+            d = np.asarray(_as_float_list(raw, "distances"))
+            v = np.asarray(_as_float_list(raw, "meas_noise_vars"))
             scenario = Scenario(d, v, signal_var, fc_noise_var, path_loss_exp)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if "n_sensors" in raw and _as_int(raw, "n_sensors") != scenario.n_sensors:
-            raise ConfigError("n_sensors does not match the length of distances")
-        return scenario
-    if "n_sensors" not in raw or "seed" not in raw:
-        raise ConfigError("sampled scenarios need n_sensors and seed")
-    n = _as_int(raw, "n_sensors")
-    if n < 1:
-        raise ConfigError("n_sensors must be >= 1")
-    return sample_scenario(
-        n,
-        derive_rng(_as_int(raw, "seed")),
-        signal_var=signal_var,
-        fc_noise_var=fc_noise_var,
-        path_loss_exp=path_loss_exp,
-    )
+            if "n_sensors" in raw and _as_int(raw, "n_sensors") != scenario.n_sensors:
+                raise ConfigError("n_sensors does not match the length of distances")
+            return scenario
+        if "n_sensors" not in raw or "seed" not in raw:
+            raise ConfigError("sampled scenarios need n_sensors and seed")
+        n = _as_int(raw, "n_sensors")
+        if n < 1:
+            raise ConfigError("n_sensors must be >= 1")
+        return sample_scenario(
+            n,
+            derive_rng(_as_int(raw, "seed")),
+            signal_var=signal_var,
+            fc_noise_var=fc_noise_var,
+            path_loss_exp=path_loss_exp,
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:

@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .np_detector import NpTestContext
-from .scenario import ChannelRealization, GainVector, Scenario
+from .scenario import GainVector, Scenario
 
 # survival table cap, 32 MiB: at N = 100 it serves a weight spread max w / min w
 # up to about 700, at N = 20 up to 1e4.  The gain policies can exceed it (spreads
@@ -52,22 +52,18 @@ def ed_statistic(
     return float(energy) if np.ndim(energy) == 0 else energy
 
 
-def deflection_exact(gains: GainVector, channel: ChannelRealization, scenario: Scenario) -> float:
-    """Finite-M deflection (tr C_s)^2 / tr(C_w^2) for one channel draw.
+def deflection_exact(ctx: NpTestContext) -> float:
+    """Finite-M deflection (tr C_s)^2 / tr(C_w^2) for one unit's channel draw.
 
-    Both traces reduce to N x N Gram products:
-    tr C_s = signal_var * a^H G a and
-    tr(C_w^2) = tr((E G)^2) + 2 s tr(E G) + M s^2 with E = diag(|a_i|^2 v_i).
+    Both traces are read from the unit's H0 law C0 = U Lambda U^H:
+    tr C_s = signal_var |R a|^2 = signal_var |beta|^2, and C_w has C0's k
+    eigenvalues plus M - k more at the noise level s, so
+    tr(C_w^2) = sum Lambda^2 + (M - k) s^2, a sum of positive terms.
     """
-    a = gains.gains
-    g = channel.gram
-    s = scenario.fc_noise_var
-    e = gains.magnitudes_sq * scenario.meas_noise_vars
-    tr_cs = scenario.signal_var * float(np.real(np.vdot(a, g @ a)))
-    eg = e[:, None] * g
-    tr_cw2 = float(np.real(np.sum(eg * eg.T))) + 2.0 * s * float(
-        np.real(np.sum(e * np.diag(g)))
-    ) + channel.m_antennas * s**2
+    sc = ctx.scenario
+    tr_cs = sc.signal_var * float(np.vdot(ctx.signal, ctx.signal).real)
+    lam = ctx.eigenvalues
+    tr_cw2 = float(lam @ lam) + (ctx.m_antennas - lam.size) * sc.fc_noise_var**2
     return tr_cs**2 / tr_cw2
 
 
@@ -268,19 +264,3 @@ def ed_threshold_for_pfa(
         else:
             hi = gamma
     return EdThreshold(gamma, eta)
-
-
-def quadratic_form_variance(a_matrix: np.ndarray) -> float:
-    """Variance of z^H A z for standard complex Gaussian z and Hermitian A: tr(A^2).
-
-    Provided as an independent oracle for the noise-only variance of the energy
-    statistic.
-    """
-    a = np.asarray(a_matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("input must be a square matrix")
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if not np.allclose(a, a.conj().T, rtol=1e-10, atol=1e-12 * scale):
-        raise ValueError("input matrix must be Hermitian")
-    # for Hermitian A, tr(A^2) equals the squared Frobenius norm
-    return float(np.sum(np.abs(a) ** 2))

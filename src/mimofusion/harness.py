@@ -326,7 +326,7 @@ def _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds):
                 tally.pd_theory = np_detector.pd_closed_form(ctx.snr, sv, pfa)
                 tally.mse_theory = lmmse.mse_closed_form(ctx.snr, sv)
             if "ed" in dets or "ed_single" in dets:
-                tally.deflection = energy_detector.deflection_exact(a, channel, scenario)
+                tally.deflection = energy_detector.deflection_exact(ctx)
             ed_thr = ed_thresholds[pol] if "ed" in dets else None
             estimates = "np" in dets or "np_single" in dets
             scored.append((tally, ctx, lr, ed_thr, estimates))

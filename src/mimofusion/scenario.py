@@ -2,21 +2,24 @@
 
 The sensor network is described by a :class:`Scenario` (geometry and noise
 levels), from which random channels are drawn.  A channel draw is held as the
-triangular factor R of H = QR and its Gram matrix
-(:class:`ChannelRealization`), drawn directly by the Bartlett decomposition,
-so it costs the same at M = 16 and at M = 1e6.  A received vector is never
-formed: the statistics read a trial through its whitened draws and the noise
-law of :class:`np_detector.NpTestContext`.  All sampling takes an explicit
-:class:`numpy.random.Generator`, and :func:`derive_rng` maps a master seed
-plus an index path to an independent stream, so results are reproducible
-regardless of execution order.
+triangular factor R of H = QR (:class:`ChannelRealization`), drawn directly by
+the Bartlett decomposition, so it costs the same at M = 16 and at M = 1e6.  A
+received vector is never formed: the statistics read a trial through its
+whitened draws and the noise law of :class:`np_detector.NpTestContext`.  All
+sampling takes an explicit :class:`numpy.random.Generator`, and
+:func:`derive_rng` maps a master seed plus an index path to an independent
+stream, so results are reproducible regardless of execution order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# largest ln x of a finite double, about 709.78
+_MAX_LOG = math.log(np.finfo(float).max)
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -29,7 +32,7 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     on the order the units run in.
     """
     if master_seed < 0:
-        raise ValueError("master_seed must be nonnegative")
+        raise ValueError(f"seed must be nonnegative, got {master_seed}")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
     return np.random.default_rng(ss)
 
@@ -70,7 +73,7 @@ class Scenario:
         meas_noise_vars: per-sensor measurement noise variances, all > 0.
         signal_var: variance of the (zero-mean complex Gaussian) signal.
         fc_noise_var: receiver noise variance per antenna.
-        path_loss_exp: path loss exponent; average channel power is 1/d_i**alpha.
+        path_loss_exp: path loss exponent; average channel power 1/d_i**alpha, finite, > 0.
     """
 
     distances: np.ndarray
@@ -84,15 +87,19 @@ class Scenario:
         v = np.asarray(self.meas_noise_vars, dtype=float)
         if d.ndim != 1 or v.ndim != 1 or d.size != v.size or d.size == 0:
             raise ValueError("distances and meas_noise_vars must be 1-D vectors of equal length")
-        scalars = [self.signal_var, self.fc_noise_var, self.path_loss_exp]
-        if not np.all(np.isfinite(np.concatenate((d, v, scalars)))):
-            raise ValueError("scenario values must be finite")
-        if not (np.all(d > 0) and np.all(v > 0)):
-            raise ValueError("distances and meas_noise_vars must be strictly positive")
-        if not (self.signal_var > 0 and self.fc_noise_var > 0):
-            raise ValueError("signal_var and fc_noise_var must be strictly positive")
-        if self.path_loss_exp < 0:
-            raise ValueError("path_loss_exp must be nonnegative")
+        d_lo, d_hi = d.min(), d.max()
+        named = (("distances", d_lo, d_hi), ("meas_noise_vars", v.min(), v.max()),
+                 ("signal_var", self.signal_var, self.signal_var),
+                 ("fc_noise_var", self.fc_noise_var, self.fc_noise_var))
+        for name, lo, hi in named:
+            if not 0.0 < lo <= hi < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and strictly positive")
+        alpha = self.path_loss_exp
+        if not 0.0 <= alpha < math.inf:
+            raise ValueError("path_loss_exp must be finite and nonnegative")
+        # 1/d**alpha leaves the float range, to 0 or inf, once alpha |ln d| reaches _MAX_LOG
+        if alpha * max(-math.log(d_lo), math.log(d_hi)) >= _MAX_LOG:
+            raise ValueError("path gains 1/distances**path_loss_exp must be finite and positive")
         object.__setattr__(self, "distances", _readonly(d))
         object.__setattr__(self, "meas_noise_vars", _readonly(v))
 
@@ -131,15 +138,13 @@ def sample_scenario(
 class ChannelRealization:
     """One draw of the M x N complex channel H, held as its triangular factor.
 
-    r is the k x N factor of a thin QR H = QR (k = min(M, N)), gram the N x N
-    Gram matrix H^H H = R^H R.  The statistics read the channel through the
-    noise law :class:`np_detector.NpTestContext` factors from r, and the
-    finite-M deflection reads gram; nothing forms an M x M or M x N
-    intermediate.
+    r is the k x N factor of a thin QR H = QR (k = min(M, N)).  Every
+    statistic, and the finite-M deflection, reads the channel through the
+    noise law :class:`np_detector.NpTestContext` factors from r; nothing forms
+    an M x M or M x N intermediate.
     """
 
     r: np.ndarray
-    gram: np.ndarray
     m_antennas: int
 
     def __post_init__(self):
@@ -148,7 +153,6 @@ class ChannelRealization:
         if m < 1 or r.ndim != 2 or r.shape[0] != min(m, r.shape[1]):
             raise ValueError("r must be a min(M, N) x N factor with M >= 1")
         object.__setattr__(self, "r", _readonly(r))
-        object.__setattr__(self, "gram", _readonly(np.asarray(self.gram, dtype=complex)))
         object.__setattr__(self, "m_antennas", m)
 
 
@@ -169,7 +173,7 @@ def sample_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> Chan
     r = np.triu(complex_normal(rng, 1.0, out=np.empty((k, n), complex)), 1)
     np.fill_diagonal(r, np.sqrt(rng.standard_gamma(np.arange(m, m - k, -1.0))))
     r *= np.sqrt(scenario.path_gains)
-    return ChannelRealization(r, r.conj().T @ r, m)
+    return ChannelRealization(r, m)
 
 
 @dataclass(frozen=True, eq=False)

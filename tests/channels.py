@@ -43,7 +43,12 @@ def explicit_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> Ex
     sampled the triangular factor directly."""
     h = complex_normal(rng, 1.0, (m, scenario.n_sensors)) * np.sqrt(scenario.path_gains)
     q, r = np.linalg.qr(h)
-    return ExplicitChannel(h, q, ChannelRealization(r, r.conj().T @ r, m))
+    return ExplicitChannel(h, q, ChannelRealization(r, m))
+
+
+def gram(channel: ChannelRealization) -> np.ndarray:
+    """The N x N Gram matrix H^H H = R^H R of a channel draw."""
+    return channel.r.conj().T @ channel.r
 
 
 def embedded_channel(channel: ChannelRealization) -> ExplicitChannel:

@@ -2,8 +2,9 @@
 
 None of these runs in the package: a direct sampler of the detector
 statistics under both hypotheses, the optimality residuals of the two gain
-solvers, the scalar receiver's best ratio and SNR cap, and a scenario
-serializer for config round trips.  The dense explicit-H receiver lives in
+solvers, the scalar receiver's best ratio and SNR cap, the variance of a
+complex Gaussian quadratic form, and a scenario serializer for config round
+trips.  The dense explicit-H receiver lives in
 ``channels.py``.
 """
 
@@ -131,3 +132,18 @@ def dump_scenario(scenario: Scenario) -> str:
         f"fc_noise_var = {scenario.fc_noise_var!r}",
         f"path_loss_exp = {scenario.path_loss_exp!r}",
     ]) + "\n"
+
+
+def quadratic_form_variance(a_matrix: np.ndarray) -> float:
+    """Variance of z^H A z for standard complex Gaussian z and Hermitian A: tr(A^2).
+
+    An independent oracle for the noise-only variance of the energy statistic.
+    """
+    a = np.asarray(a_matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("input must be a square matrix")
+    scale = max(float(np.max(np.abs(a))), 1.0)
+    if not np.allclose(a, a.conj().T, rtol=1e-10, atol=1e-12 * scale):
+        raise ValueError("input matrix must be Hermitian")
+    # for Hermitian A, tr(A^2) equals the squared Frobenius norm
+    return float(np.sum(np.abs(a) ** 2))

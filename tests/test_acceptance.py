@@ -19,7 +19,6 @@ from mimofusion.energy_detector import (
     deflection_exact,
     ed_threshold_for_pfa,
     eta_weights,
-    quadratic_form_variance,
     weighted_chi2_tail,
 )
 from mimofusion.harness import (
@@ -35,7 +34,7 @@ from mimofusion.np_gains import np_pd_bound, snr_floor_power, waterfill
 from mimofusion.scenario import complex_normal, derive_rng, sample_channel, sample_scenario
 
 from channels import dense_steering, explicit_channel, formed_blocks
-from oracles import simulate_statistics, waterfill_kkt_residual
+from oracles import quadratic_form_variance, simulate_statistics, waterfill_kkt_residual
 
 PFA_TARGET = 0.05
 SCENARIO_SEED = 73
@@ -381,7 +380,8 @@ def test_criterion_12_ed_deflection_laws_to_massive_m(scenario):
                 sample_channel(scenario, m, derive_rng(1212, m, c)) for c in range(LAW_CHANNELS)
             )
             deflections.append(
-                np.mean([deflection_exact(sol.gains, ch, scenario) for ch in channels])
+                np.mean([deflection_exact(NpTestContext.build(sol.gains, ch, scenario))
+                         for ch in channels])
             )
         limit = deflection_asymptotic(sol.x, scenario, MASSIVE_M[-1])
         # log-log slope in M over the last factor of four

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from mimofusion import np_gains
 from mimofusion.cli import main
-from mimofusion.config import load_scenario
+from mimofusion.config import load_scenario, packaged_experiment_text, parse_kv
 from mimofusion.energy_detector import ed_threshold_for_pfa, eta_weights
 from mimofusion.harness import resolve_gains
 
@@ -381,6 +382,24 @@ class TestExitCodes:
         assert replay_edited(experiment_cfg, tmp_path, capsys, edit) == (2, True)
         assert "master_seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("signal_var", "0"), ("fc_noise_var", "-1"), ("path_loss_exp", "-2"), ("seed", "-5"),
+        ("path_loss_exp", "1e6"),
+    ])
+    def test_rejected_scenario_value_is_config_error(self, tmp_path, capsys, key, value):
+        """Every value the scenario or its seed's stream rejects exits 2 and is
+        named, on the sampled-scenario branch every packaged recipe uses."""
+        out_dir = tmp_path / "out"
+        assert main(["run", "--experiment", "fig1", "--trials", "5", "--scenarios", "1",
+                     "--set", f"{key}={value}", "--output-dir", str(out_dir)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+        path = tmp_path / "net.cfg"
+        raw = {"n_sensors": "3", "seed": "1", key: value}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        assert main(["waterfill", "--config", str(path), "--power", "1", "--antennas", "8"]) == 2
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("detector", ["np", "ed"])
     @pytest.mark.parametrize("policy", ["no_such_policy", "single_antenna_optimal"])
     def test_threshold_policy_outside_multi_policies(self, scenario_cfg, capsys, detector,
@@ -399,3 +418,43 @@ class TestExitCodes:
             for power in ("nan", "inf"):
                 assert main([*command, "--config", scenario_cfg, "--power", power,
                              "--antennas", "8"]) == 2, (command, power)
+
+
+# empty, zero, negative, fractional, non-finite, subnormal and huge values
+MUTATIONS = ("", "0", "-1", "0.5", "nan", "inf", "-inf", "1e-320", "1e6", "1e308")
+
+
+def packaged_keys(*names):
+    return [(name, key) for name in names for key in parse_kv(packaged_experiment_text(name))]
+
+
+class TestConfigMutations:
+    """Each single-key mutation of the fig1 and fig6 recipes, run at 5 trials
+    on one channel draw, exits 0 or 2, and a run that exits 0 leaves a row
+    blank only at a sweep point that a warning names."""
+
+    @pytest.mark.parametrize("name, key", packaged_keys("fig1", "fig6"))
+    def test_exits_0_or_2(self, tmp_path, capsys, name, key):
+        raw = {**parse_kv(packaged_experiment_text(name)), "trials": "5", "scenarios": "1"}
+        bad = []
+        for i, value in enumerate(MUTATIONS):
+            mutated = {**raw, key: value}
+            path = tmp_path / f"{i}.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in mutated.items()))
+            out_dir = tmp_path / f"out{i}"
+            rc = main(["run", "--config", str(path), "--output-dir", str(out_dir)])
+            err = capsys.readouterr().err
+            if rc not in (0, 2):
+                bad.append((value, rc, err))
+            if rc != 0:
+                continue
+            eid = mutated["experiment"]
+            with open(out_dir / f"{eid}.manifest.json") as fh:
+                points = len(json.load(fh)["sweep"])
+            with open(out_dir / f"{eid}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            per_point = len(rows) // points
+            for j, row in enumerate(rows):
+                if row["pd_emp"] == "" and f"sweep point {j // per_point} failed" not in err:
+                    bad.append((value, "blank row without a warning", row))
+        assert not bad, bad

@@ -13,7 +13,6 @@ from mimofusion.energy_detector import (
     ed_statistic,
     ed_threshold_for_pfa,
     eta_weights,
-    quadratic_form_variance,
     single_antenna_deflection,
     weighted_chi2_tail,
 )
@@ -29,7 +28,7 @@ from mimofusion.scenario import (
 )
 
 from channels import explicit_channel, sample_observation
-from oracles import simulate_statistics
+from oracles import quadratic_form_variance, simulate_statistics
 
 
 def oracle_tail(weights, excess) -> float:
@@ -114,11 +113,54 @@ class TestStatistic:
         assert np.mean(t1) == pytest.approx(mean_large_m, rel=0.1)
 
 
+def mpmath_deflection(sc, ch, gv) -> float:
+    """(signal_var a^H G a)^2 / (tr((E G)^2) + 2 s tr(E G) + M s^2) with
+    G = R^H R and E = diag(|a_i|^2 v_i), in 40-digit arithmetic from the float
+    R, gains and noise levels."""
+    with mpmath.workdps(40):
+        r = mpmath.matrix(ch.r.tolist())
+        k, n = r.rows, r.cols
+        g = [[mpmath.fsum(mpmath.conj(r[t, i]) * r[t, j] for t in range(k)) for j in range(n)]
+             for i in range(n)]
+        a = [mpmath.mpc(x) for x in gv.gains]
+        e = [abs(x) ** 2 * mpmath.mpf(float(v)) for x, v in zip(a, sc.meas_noise_vars)]
+        s = mpmath.mpf(sc.fc_noise_var)
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        quad = mpmath.re(mpmath.fsum(mpmath.conj(a[i]) * g[i][j] * a[j] for i, j in pairs))
+        tr_eg2 = mpmath.re(mpmath.fsum(e[i] * g[i][j] * e[j] * g[j][i] for i, j in pairs))
+        tr_eg = mpmath.re(mpmath.fsum(e[i] * g[i][i] for i in range(n)))
+        den = tr_eg2 + 2 * s * tr_eg + ch.m_antennas * s**2
+        return float((mpmath.mpf(sc.signal_var) * quad) ** 2 / den)
+
+
 class TestDeflectionExact:
+    def test_matches_mpmath_oracle(self):
+        """On 300 networks (N 1 to 12, M 1 to 1e5, P 1e-4 to 1e4, four gain
+        policies, distances 2 to 10 or 1 to 1000) the deflection read from the
+        context is within 1e-13 relative of the Gram traces in 40 digits."""
+        policies = ("waterfill", "equal", "qclp", "closed_form_low")
+        rng = derive_rng(415)
+        misses = []
+        for i in range(300):
+            n = int(rng.integers(1, 13))
+            m = int(round(10.0 ** rng.uniform(0.0, 5.0)))
+            p = 10.0 ** rng.uniform(-4.0, 4.0)
+            policy = policies[i % len(policies)]
+            distances = ((2.0, 10.0), (1.0, 1000.0))[i // len(policies) % 2]
+            sc = sample_scenario(n, derive_rng(415, i, 0), distance_range=distances)
+            ch = sample_channel(sc, m, derive_rng(415, i, 1))
+            gv = resolve_gains(policy, sc, m, p)
+            got = deflection_exact(NpTestContext.build(gv, ch, sc))
+            ref = mpmath_deflection(sc, ch, gv)
+            if not abs(got - ref) <= 1e-13 * ref:
+                misses.append((n, m, p, policy, abs(got - ref) / ref))
+        assert not misses, misses
+
     def test_zero_gains(self):
         sc = sample_scenario(2, derive_rng(410))
         ch = sample_channel(sc, 8, derive_rng(411))
-        assert deflection_exact(GainVector.from_gains(np.zeros(2, complex)), ch, sc) == 0.0
+        zero = GainVector.from_gains(np.zeros(2, complex))
+        assert deflection_exact(NpTestContext.build(zero, ch, sc)) == 0.0
 
     def test_matches_dense_traces(self):
         sc = Scenario(np.array([2.0, 3.5]), np.array([0.3, 0.45]), 1.2, 0.3, 2.0)
@@ -129,7 +171,8 @@ class TestDeflectionExact:
         cw += sc.fc_noise_var * np.eye(8)
         cs = sc.signal_var * np.outer(h @ a, (h @ a).conj())
         dense = np.trace(cs).real ** 2 / np.trace(cw @ cw).real
-        assert deflection_exact(gv, ex.channel, sc) == pytest.approx(dense, rel=1e-10)
+        ctx = NpTestContext.build(gv, ex.channel, sc)
+        assert deflection_exact(ctx) == pytest.approx(dense, rel=1e-10)
 
     def test_converges_to_asymptotic_on_sqrt_m_schedule(self):
         sc = sample_scenario(3, derive_rng(413))
@@ -140,11 +183,11 @@ class TestDeflectionExact:
             target = deflection_asymptotic(x, sc, m)
             draws = [
                 abs(
-                    deflection_exact(
+                    deflection_exact(NpTestContext.build(
                         GainVector.from_magnitudes_sq(x),
                         sample_channel(sc, m, derive_rng(414, m, k)),
                         sc,
-                    )
+                    ))
                     - target
                 )
                 / target
@@ -451,4 +494,5 @@ def test_empirical_deflection_matches_exact():
     gv = GainVector.equal_power(30.0, 4)
     t0, t1 = simulate_statistics("ed", gv, ch, sc, 100_000, 462)
     empirical = (np.mean(t1) - np.mean(t0)) ** 2 / np.var(t0)
-    assert empirical == pytest.approx(deflection_exact(gv, ch, sc), rel=0.05)
+    ctx = NpTestContext.build(gv, ch, sc)
+    assert empirical == pytest.approx(deflection_exact(ctx), rel=0.05)

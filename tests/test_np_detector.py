@@ -25,7 +25,7 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
-from channels import dense_steering, embedded_channel, explicit_channel, sample_observation
+from channels import dense_steering, embedded_channel, explicit_channel, gram, sample_observation
 from oracles import simulate_statistics
 
 
@@ -137,7 +137,7 @@ class TestStatistic:
 def two_solve_snr(sc, ch, gv):
     """g = (a^H G a - u^H K^{-1} u) / s with u = (G a)_s: the SNR by its own solve."""
     s = sc.fc_noise_var
-    a, g = gv.gains, ch.gram
+    a, g = gv.gains, gram(ch)
     e = gv.magnitudes_sq * sc.meas_noise_vars
     sup = e > 0
     quad = float(np.real(np.vdot(a, g @ a)))

@@ -52,7 +52,7 @@ def test_general_path_matches_scalar_forms(n, log_p, seed, policy):
     snr = ref.sigma_s_sq / (sv * ref.sigma_w_sq)
     assert ctx.snr == pytest.approx(snr, rel=REL)
     assert pd_closed_form(ctx.snr, sv, PFA) == pytest.approx(single_antenna_pd(ref), rel=REL)
-    assert deflection_exact(gv, ex.channel, sc) == pytest.approx(
+    assert deflection_exact(ctx) == pytest.approx(
         single_antenna_deflection(gv, h, sc), rel=REL
     )
 

@@ -13,7 +13,7 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
-from channels import explicit_channel, sample_observation
+from channels import explicit_channel, gram, sample_observation
 
 
 def make_scenario(d, v, signal_var=1.0, fc_noise_var=0.3, alpha=2.0):
@@ -45,6 +45,12 @@ class TestScenarioValidation:
             kwargs[field] = bad
         with pytest.raises(ValueError):
             make_scenario(**kwargs)
+
+    @pytest.mark.parametrize("d", [2.0, 0.5])
+    def test_rejects_path_gains_that_vanish_or_overflow(self, d):
+        # 2**1e6 overflows to inf (gain 0), 0.5**1e6 underflows to 0 (gain inf)
+        with pytest.raises(ValueError, match="path gains"):
+            make_scenario([3.0, d], [0.3, 0.3], alpha=1e6)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -78,49 +84,48 @@ class TestSampleChannel:
 
     def test_unit_distance_unit_variance(self):
         sc = make_scenario([1.0, 1.0], [0.3, 0.3], alpha=7.0)
-        g = sample_channel(sc, 40000, derive_rng(3)).gram
+        g = gram(sample_channel(sc, 40000, derive_rng(3)))
         assert_allclose(np.diag(g).real / 40000, [1.0, 1.0], atol=0.02)
 
     def test_zero_exponent_ignores_distance(self):
         sc = make_scenario([2.0, 10.0], [0.3, 0.3], alpha=0.0)
-        g = sample_channel(sc, 40000, derive_rng(4)).gram
+        g = gram(sample_channel(sc, 40000, derive_rng(4)))
         assert_allclose(np.diag(g).real / 40000, [1.0, 1.0], atol=0.02)
 
     def test_column_power_follows_path_loss(self):
         # d=2, alpha=2: per-entry power 1/4
         sc = make_scenario([2.0], [0.3])
         m = 100_000
-        power = sample_channel(sc, m, derive_rng(5)).gram[0, 0].real / m
+        power = gram(sample_channel(sc, m, derive_rng(5)))[0, 0].real / m
         # 3 sigma of the mean: sd of G_00 / M is 0.25 / sqrt(M)
         tol = 3 * 0.25 / np.sqrt(m)
         assert abs(power - 0.25) < tol
         # over draws, G_00 / M has the Gamma(M) variance 0.25^2 / M: 400 draws
         # give the sample variance a relative sd of sqrt(2/399), so allow 4 of it
         draws = np.array([
-            sample_channel(sc, m, derive_rng(5, k)).gram[0, 0].real / m for k in range(400)
+            gram(sample_channel(sc, m, derive_rng(5, k)))[0, 0].real / m for k in range(400)
         ])
         assert abs(np.mean(draws) - 0.25) < 3 * 0.25 / np.sqrt(m * 400)
         assert abs(np.var(draws, ddof=1) / (0.25**2 / m) - 1.0) < 4 * np.sqrt(2 / 399)
 
-    def test_factor_shape_and_gram(self):
+    def test_factor_shape(self):
         sc = make_scenario([2.0, 3.0, 4.0], [0.3, 0.4, 0.5])
         for m, k in ((1, 1), (2, 2), (3, 3), (16, 3)):
             ch = sample_channel(sc, m, derive_rng(6, m))
             assert ch.r.shape == (k, 3) and ch.m_antennas == m
             assert np.array_equal(ch.r, np.triu(ch.r))
             assert np.all(np.diag(ch.r).real > 0) and np.all(np.diag(ch.r).imag == 0)
-            assert_allclose(ch.gram, ch.r.conj().T @ ch.r, rtol=1e-12)
 
-    def test_gram_cached(self):
+    def test_explicit_factor_gram(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.4])
         explicit = explicit_channel(sc, 16, derive_rng(6))
         ch, h = explicit.channel, explicit.h
-        assert_allclose(ch.gram, h.conj().T @ h, rtol=1e-12)
+        assert_allclose(gram(ch), h.conj().T @ h, rtol=1e-12)
         assert ch.r.shape == (2, 2) and ch.m_antennas == 16
 
     def test_rejects_inconsistent_factor(self):
         with pytest.raises(ValueError):
-            ChannelRealization(np.eye(2), np.eye(2), 1)  # k must be min(M, N) = 1
+            ChannelRealization(np.eye(2), 1)  # k must be min(M, N) = 1
 
     def test_rejects_zero_antennas(self):
         sc = make_scenario([2.0], [0.3])
@@ -147,7 +152,7 @@ class TestBartlettSampler:
         ]
 
         def features(channels):
-            g = np.array([ch.gram for ch in channels])
+            g = np.array([gram(ch) for ch in channels])
             r = np.abs(np.array([ch.r for ch in channels]))
             out = {"top eig": np.linalg.eigvalsh(g)[:, -1]}
             for i in range(n):
@@ -187,7 +192,7 @@ class TestAsymptoticGram:
         for m in (256, 1024, 4096):
             errs = [
                 np.linalg.norm(
-                    sample_channel(sc, m, derive_rng(12, m, k)).gram / m - target
+                    gram(sample_channel(sc, m, derive_rng(12, m, k))) / m - target
                 )
                 for k in range(20)
             ]
