@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -217,8 +218,14 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -142,16 +142,23 @@ def load_scenario(path) -> Scenario:
     return build_scenario(raw)
 
 
+def _check_antennas(key: str, ms: list[int]) -> list[int]:
+    """Antenna counts under key, rejected below 1 before a power schedule reads them."""
+    if min(ms) < 1:
+        raise ConfigError(f"key {key!r}: antenna counts must be >= 1, got {min(ms)}")
+    return ms
+
+
 def _build_sweep(raw: dict[str, str], scenario: Scenario) -> tuple[tuple[float, int], ...]:
     if "sweep_p" in raw:
         if "sweep_m" in raw:
             raise ConfigError("give either sweep_p or sweep_m, not both")
         if "fixed_m" not in raw:
             raise ConfigError("sweep_p needs fixed_m")
-        m = _as_int(raw, "fixed_m")
+        (m,) = _check_antennas("fixed_m", [_as_int(raw, "fixed_m")])
         return tuple((p, m) for p in _as_float_list(raw, "sweep_p"))
     if "sweep_m" in raw:
-        ms = _as_int_list(raw, "sweep_m")
+        ms = _check_antennas("sweep_m", _as_int_list(raw, "sweep_m"))
         schedule = raw.get("power_schedule", "fixed")
         if schedule == "snr_floor":
             return tuple((np_gains.snr_floor_power(scenario, m), m) for m in ms)
@@ -167,7 +174,8 @@ def _build_sweep(raw: dict[str, str], scenario: Scenario) -> tuple[tuple[float, 
             return tuple((p, m) for m in ms)
         raise ConfigError(f"unknown power_schedule {schedule!r}")
     if "fixed_p" in raw and "fixed_m" in raw:
-        return ((_as_float(raw, "fixed_p"), _as_int(raw, "fixed_m")),)
+        (m,) = _check_antennas("fixed_m", [_as_int(raw, "fixed_m")])
+        return ((_as_float(raw, "fixed_p"), m),)
     raise ConfigError("config needs sweep_p+fixed_m, sweep_m+schedule, or fixed_p+fixed_m")
 
 

@@ -11,6 +11,7 @@ allocation that fails the optimality certificate raises SolverError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,13 @@ class EdAllocationProblem:
         if m < 1:
             raise ValueError("antenna count must be >= 1")
         d_vec, b_diag, b_vec = _deflection_vectors(scenario, variant)
-        coeff = scenario.fc_noise_var**2 / (m * p**2)
+        try:
+            p_sq = p**2
+        except OverflowError:  # a Python float's power raises past the float range
+            p_sq = math.inf
+        if not math.isfinite(p_sq):
+            raise ValueError(f"sum power P = {p!r} is too large: P**2 overflows")
+        coeff = scenario.fc_noise_var**2 / (m * p_sq)
         return cls(
             d_vec, b_diag, b_vec, coeff, float(p), variant, m,
             scenario.signal_var, scenario.fc_noise_var,

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .np_detector import NpTestContext
+from .np_detector import NpTestContext, _dotc, _float_if_scalar, _per_trial
 from .scenario import GainVector, Scenario
 
 # survival table cap, 32 MiB: at N = 100 it serves a weight spread max w / min w
@@ -38,22 +38,24 @@ def ed_statistic(
     z = U Lambda^{1/2} xi + (R a) theta, |z|^2 = lambda . |xi|^2 +
     2 Re(conj(theta) (Lambda^{1/2} beta)^H xi) + |beta|^2 |theta|^2: two
     k-vector contractions shared by every row of theta.  xi and theta are
-    shaped as for :func:`np_detector.steering_response`; outside, the energy
-    outside range(H), is a float or (T,), and so is the result, with one row
-    per hypothesis for a (H, T) theta.
+    shaped as for :func:`np_detector.steering_response`, stacked contexts
+    included; outside, the energy outside range(H), is a float or shaped as
+    theta without its hypothesis rows, and the result is shaped as the
+    steering response.
     """
-    beta = ctx.signal
+    beta, lam = ctx.signal, ctx.eigenvalues
     energy = (
-        ctx.eigenvalues @ (xi.real**2 + xi.imag**2)
-        + 2.0 * (np.conj(theta) * ((beta * np.sqrt(ctx.eigenvalues)).conj() @ xi)).real
-        + np.vdot(beta, beta).real * np.abs(theta) ** 2
+        lam @ (xi.real**2 + xi.imag**2)
+        + 2.0 * (np.conj(theta) * ((beta * np.sqrt(lam)).conj() @ xi)).real
+        + _per_trial(_dotc(beta, beta).real, xi) * np.abs(theta) ** 2
         + outside
     ) / ctx.m_antennas
-    return float(energy) if np.ndim(energy) == 0 else energy
+    return _float_if_scalar(energy)
 
 
-def deflection_exact(ctx: NpTestContext) -> float:
-    """Finite-M deflection (tr C_s)^2 / tr(C_w^2) for one unit's channel draw.
+def deflection_exact(ctx: NpTestContext) -> float | np.ndarray:
+    """Finite-M deflection (tr C_s)^2 / tr(C_w^2) for one unit's channel draw,
+    or one per unit of a stacked context.
 
     Both traces are read from the unit's H0 law C0 = U Lambda U^H:
     tr C_s = signal_var |R a|^2 = signal_var |beta|^2, and C_w has C0's k
@@ -61,10 +63,10 @@ def deflection_exact(ctx: NpTestContext) -> float:
     tr(C_w^2) = sum Lambda^2 + (M - k) s^2, a sum of positive terms.
     """
     sc = ctx.scenario
-    tr_cs = sc.signal_var * float(np.vdot(ctx.signal, ctx.signal).real)
+    tr_cs = sc.signal_var * _dotc(ctx.signal, ctx.signal).real
     lam = ctx.eigenvalues
-    tr_cw2 = float(lam @ lam) + (ctx.m_antennas - lam.size) * sc.fc_noise_var**2
-    return tr_cs**2 / tr_cw2
+    tr_cw2 = _dotc(lam, lam) + (ctx.m_antennas - lam.shape[-1]) * sc.fc_noise_var**2
+    return _float_if_scalar(tr_cs**2 / tr_cw2)
 
 
 def _deflection_vectors(scenario: Scenario, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

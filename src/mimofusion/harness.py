@@ -21,18 +21,24 @@ channel draw grows with M.  A trial draws k + 1 complex normals,
 k = min(M, N): the signal and a whitened k-vector (:class:`TrialStream`).
 
 What the harness tallies is a unit: one antenna group with one gain policy.
-Each unit's noise law is factored once per channel draw
-(:class:`np_detector.NpTestContext`), and every decision rule (likelihood
-ratio, energy, LMMSE estimate) scores each chunk of draws from it in O(k)
-contractions per trial; the likelihood-ratio decision and the estimate share
-one steering response.  Every curve's row is read from its unit's tally, so
-curves on one unit, such as ``np_single`` and ``ed_single``, share their
-decisions rather than repeat them.
+A point scores each antenna group over its scenarios in stacked blocks: the
+block's channel factors and draws are stacked along a scenario axis, one
+:class:`np_detector.NpTestContext` holds every (scenario, unit) pair of the
+block, factored by one stacked ``eigh``, and every decision rule (likelihood
+ratio, energy, LMMSE estimate) scores a chunk of the whole block in one call,
+O(k) contractions per trial and unit; the likelihood-ratio decision and the
+estimate share one steering response.  Counts are summed over the block and
+closed forms and squared errors over scenarios in index order, so neither the
+block size nor the chunk size moves a count or closed-form cell.  Every
+curve's row is read from its unit's tally, so curves on one unit, such as
+``np_single`` and ``ed_single``, share their decisions rather than repeat
+them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -40,6 +46,7 @@ import numpy as np
 
 from . import ed_gains, energy_detector, lmmse, np_detector, np_gains
 from .scenario import (
+    ChannelRealization,
     GainVector,
     Scenario,
     complex_normal,
@@ -63,6 +70,11 @@ CSV_COLUMNS = (
 _TAG_CHANNEL = 0
 _TAG_TRIALS = 1
 _CHUNK = 2048
+# trial columns scored at once: scenarios are stacked in blocks of
+# max(1, _BLOCK_TRIALS // chunk), so memory does not grow with the scenario
+# count (full-scale fig3 peaks about 1 MiB above a one-scenario loop; 4096
+# columns cost 5 MiB)
+_BLOCK_TRIALS = 2048
 STREAM_VERSION = 5
 
 
@@ -150,7 +162,7 @@ _row_cells = attrgetter(*(f.name for f in fields(ResultRow)))
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return "" if np.isnan(value) else repr(float(value))
+        return "" if math.isnan(value) else repr(float(value))
     return str(value)
 
 
@@ -238,29 +250,33 @@ class TrialStream:
             yield self.draw(min(_CHUNK, trials - start))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Tally:
-    """One unit's counts and closed-form sums: likelihood-ratio (lr) and
-    energy (ed) decisions, squared LMMSE errors, and per-scenario closed
-    forms summed over scenarios."""
+    """One unit's totals at a point: likelihood-ratio (lr) and energy (ed)
+    decision counts and squared LMMSE errors over all its trials, and the
+    per-scenario closed forms summed over scenarios."""
 
-    lr_fa: int = 0
-    lr_det: int = 0
-    ed_fa: int = 0
-    ed_det: int = 0
-    err_sq: float = 0.0
-    trials: int = 0
-    pd_theory: float = 0.0
-    mse_theory: float = 0.0
-    deflection: float = 0.0
-
-    def merge(self, other: "_Tally") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+    lr_fa: int
+    lr_det: int
+    ed_fa: int
+    ed_det: int
+    err_sq: float
+    pd_theory: float
+    mse_theory: float
+    deflection: float
+    trials: int
 
 
-def _count_above(statistics: np.ndarray, threshold: float) -> int:
-    return int(np.count_nonzero(statistics > threshold))
+def _stacked(arrays) -> np.ndarray:
+    """The block's per-scenario arrays stacked on a new first axis; a block of
+    one scenario is a view of its array, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _count_above(statistics: np.ndarray, thresholds) -> np.ndarray:
+    """Decisions above threshold per hypothesis and unit, summed over the
+    stacked scenarios: (hypothesis, scenario, unit, trial) to (hypothesis, unit)."""
+    return (statistics > thresholds).sum(axis=(1, 3))
 
 
 def _unit(detector: str, policy: str, m: int) -> tuple[int, str]:
@@ -269,17 +285,19 @@ def _unit(detector: str, policy: str, m: int) -> tuple[int, str]:
 
 
 def _prepare_point(config: ExperimentConfig, p: float, m: int):
-    """Units, gains per policy and ED thresholds per policy at one point.
+    """Units by antenna group, gains per policy and ED thresholds per policy.
 
-    Units map (antenna group, policy) to the detectors scored on it.  Gains
-    are None for ``single_antenna_optimal``, which is resolved per channel
-    draw; an ED threshold exists for each policy with an ``ed`` curve.
+    Groups map each antenna group to its units, {policy: detectors scored on
+    the unit}.  Gains are None for ``single_antenna_optimal``, which is
+    resolved per channel draw; an ED threshold exists for each policy with an
+    ``ed`` curve.
     """
-    units: dict[tuple[int, str], list[str]] = {}
+    groups: dict[int, dict[str, list[str]]] = {}
     gains: dict[str, GainVector | None] = {}
     ed_thresholds: dict[str, float] = {}
     for det, pol in config.curves():
-        units.setdefault(_unit(det, pol, m), []).append(det)
+        group, _ = _unit(det, pol, m)
+        groups.setdefault(group, {}).setdefault(pol, []).append(det)
         if pol not in gains:
             needs_csi = pol == "single_antenna_optimal"
             gains[pol] = None if needs_csi else resolve_gains(pol, config.scenario, m, p)
@@ -288,70 +306,98 @@ def _prepare_point(config: ExperimentConfig, p: float, m: int):
             ed_thresholds[pol] = energy_detector.ed_threshold_for_pfa(
                 eta, config.scenario, m, config.target_pfa
             ).gamma_hat
-    return units, gains, ed_thresholds
+    return groups, gains, ed_thresholds
 
 
-def _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds):
-    """Tally every unit on one scenario, one antenna group at a time.
+def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
+    """Tally one antenna group's units, {policy: detectors}, over every
+    scenario of a point.
 
-    Each group draws one channel and one trial stream, and each unit scores
-    the draws from its context once per decision rule: the likelihood-ratio (LR)
-    decision if any of its detectors is not ``ed``, the energy decision if
-    ``ed`` is among them, and the LMMSE estimate for ``np``/``np_single``.
-    ``ed_single`` reads the LR decision: at M = 1 that decision is
+    Each scenario draws its channel and its trial stream on its own path, as
+    it would alone.  A block of scenarios stacks them: the channel factors as
+    (S, 1, k, N), the gains as (U, N), or (S, U, N) when
+    ``single_antenna_optimal`` is resolved per draw, so one context holds the
+    block's S x U units, and each chunk's draws as (S, k, T).  Every
+    decision rule then scores the whole block in one call: the
+    likelihood-ratio (LR) decision if a detector other than ``ed`` is on the
+    group, the energy decision if ``ed`` is, and the LMMSE estimate for
+    ``np``/``np_single``.  A unit's row reads only the decisions of its own
+    detectors.  ``ed_single`` reads the LR decision: at M = 1 that decision is
     |y|^2 > sigma_w^2 ln(1/target_pfa), the one-antenna receiver's test.
 
     The one-antenna gains read R's one row, e^{-i phi} h for h = H's row: a
     common phase that moves no statistic's distribution.
     """
     scenario = config.scenario
-    sv = scenario.signal_var
-    pfa = config.target_pfa
-    tallies = {key: _Tally() for key in units}
-    for m in dict.fromkeys(group for group, _ in units):
-        channel = sample_channel(
-            scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
+    seed, trials = config.master_seed, config.trials_per_scenario
+    sv, pfa = scenario.signal_var, config.target_pfa
+    policies = list(units)
+    detectors = {det for dets in units.values() for det in dets}
+    lr = bool(detectors - {"ed"})
+    ed = "ed" in detectors
+    estimates = bool(detectors & {"np", "np_single"})
+    deflects = bool(detectors & {"ed", "ed_single"})
+    ed_thr = np.array([[ed_thresholds.get(pol, np.inf)] for pol in policies]) if ed else None
+    per_draw = None in (gains[pol] for pol in policies)
+    fixed = None if per_draw else np.array([gains[pol].gains for pol in policies])
+    counts = np.zeros((4, len(policies)), np.int64)  # lr_fa, lr_det, ed_fa, ed_det
+    # per unit: squared errors and closed forms, added one scenario at a time
+    # in index order, as Python floats, so no block size moves their bits
+    sums = [[0.0] * len(policies) for _ in range(4)]  # err_sq, pd, mse, deflection
+    block = max(1, _BLOCK_TRIALS // min(trials, _CHUNK))
+    for first in range(0, config.n_scenarios, block):
+        scenarios = range(first, min(first + block, config.n_scenarios))
+        r = _stacked([
+            sample_channel(scenario, m, derive_rng(seed, point_idx, s, m, _TAG_CHANNEL)).r
+            for s in scenarios
+        ])
+        a = fixed
+        if per_draw:
+            a = np.array([[
+                np_gains.single_antenna_optimal_gains(scenario, r_s[0], p).gains
+                if gains[pol] is None else gains[pol].gains
+                for pol in policies
+            ] for r_s in r])
+        ctx = np_detector.NpTestContext.build(
+            a, ChannelRealization(r[:, None], m), scenario, target_pfa=pfa
         )
-        scored = []
-        for (group, pol), dets in units.items():
-            if group != m:
-                continue
-            tally = tallies[group, pol]
-            a = gains[pol]
-            if a is None:
-                a = np_gains.single_antenna_optimal_gains(scenario, channel.r[0], p)
-            ctx = np_detector.NpTestContext.build(a, channel, scenario, target_pfa=pfa)
-            lr = any(det != "ed" for det in dets)
-            if lr:
-                tally.pd_theory = np_detector.pd_closed_form(ctx.snr, sv, pfa)
-                tally.mse_theory = lmmse.mse_closed_form(ctx.snr, sv)
-            if "ed" in dets or "ed_single" in dets:
-                tally.deflection = energy_detector.deflection_exact(ctx)
-            ed_thr = ed_thresholds[pol] if "ed" in dets else None
-            estimates = "np" in dets or "np_single" in dets
-            scored.append((tally, ctx, lr, ed_thr, estimates))
-        stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
-        for theta, xi, outside in stream.chunks(config.trials_per_scenario):
+        err_sq = np.zeros(ctx.snr.shape)
+        streams = [TrialStream(scenario, m, seed, (point_idx, s, m, _TAG_TRIALS))
+                   for s in scenarios]
+        for draws in zip(*(stream.chunks(trials) for stream in streams)):
+            theta, xi, outside = map(_stacked, zip(*draws))
+            theta, outside = theta[:, None], outside[:, None]  # shared by a scenario's units
             # the two hypotheses share each trial's draws: signal rows 0 and theta
-            hypotheses = np.stack((np.zeros_like(theta), theta))
-            for tally, ctx, lr, ed_thr, estimates in scored:
-                tally.trials += theta.size
-                if lr:
-                    w = np_detector.steering_response(ctx, xi, hypotheses)
-                    lr0, lr1 = np_detector.np_statistic(ctx, w)
-                    tally.lr_fa += _count_above(lr0, ctx.threshold)
-                    tally.lr_det += _count_above(lr1, ctx.threshold)
-                if ed_thr is not None:
-                    ed0, ed1 = energy_detector.ed_statistic(ctx, xi, hypotheses, outside)
-                    tally.ed_fa += _count_above(ed0, ed_thr)
-                    tally.ed_det += _count_above(ed1, ed_thr)
-                if estimates:
-                    est = lmmse.lmmse_estimate(ctx, w[1])
-                    tally.err_sq += float(np.sum(np.abs(theta - est) ** 2))
-    return tallies
+            hypotheses = np.array((np.zeros_like(theta), theta))
+            if lr:
+                w = np_detector.steering_response(ctx, xi, hypotheses)
+                counts[:2] += _count_above(np_detector.np_statistic(ctx, w),
+                                           ctx.threshold[..., None])
+            if ed:
+                stat = energy_detector.ed_statistic(ctx, xi, hypotheses, outside)
+                counts[2:] += _count_above(stat, ed_thr)
+            if estimates:
+                est = lmmse.lmmse_estimate(ctx, w[1])
+                err_sq += np.sum(np.abs(theta - est) ** 2, axis=-1)
+        snr = ctx.snr.tolist()  # the scalar closed forms, one call per (scenario, unit)
+        rows = (
+            err_sq.tolist(),
+            [[np_detector.pd_closed_form(g, sv, pfa) for g in row] for row in snr] if lr else (),
+            [[lmmse.mse_closed_form(g, sv) for g in row] for row in snr] if lr else (),
+            energy_detector.deflection_exact(ctx).tolist() if deflects else (),
+        )
+        for total, per_scenario in zip(sums, rows):
+            for row in per_scenario:
+                for u, value in enumerate(row):
+                    total[u] += value
+    return {
+        (m, pol): _Tally(*unit_counts, *(total[u] for total in sums),
+                         trials=config.n_scenarios * trials)
+        for u, (pol, unit_counts) in enumerate(zip(policies, counts.T.tolist()))
+    }
 
 
-def _point_rows(config, p, m, merged) -> list[ResultRow]:
+def _point_rows(config, p, m, tallies) -> list[ResultRow]:
     """One row per curve, read from its unit's tally: ``ed`` reads the energy
     decisions, every other detector the likelihood-ratio ones."""
     scenario = config.scenario
@@ -361,7 +407,7 @@ def _point_rows(config, p, m, merged) -> list[ResultRow]:
     nan = float("nan")
     n = config.n_scenarios
     for det, pol in config.curves():
-        tally = merged[_unit(det, pol, m)]
+        tally = tallies[_unit(det, pol, m)]
         total = tally.trials
         is_ed = det == "ed"
         pd_emp = (tally.ed_det if is_ed else tally.lr_det) / total
@@ -390,21 +436,22 @@ def _point_rows(config, p, m, merged) -> list[ResultRow]:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured sweep and tabulate one row per curve and point.
 
-    Scenarios run one after another and their tallies are merged in index
-    order.  A failing operating point is recorded and its rows emitted as NaN
-    instead of aborting the sweep.
+    Each antenna group of a point is scored over all scenarios in stacked
+    blocks, and sums over scenarios are taken in scenario index order.  A
+    failing operating point is recorded and its rows emitted as NaN instead
+    of aborting the sweep.
     """
     rows: list[ResultRow] = []
     errors: list[tuple[int, str]] = []
     for point_idx, (p, m) in enumerate(config.sweep):
         try:
-            units, gains, ed_thresholds = _prepare_point(config, p, m)
-            merged = {key: _Tally() for key in units}
-            for s_idx in range(config.n_scenarios):
-                tallies = _run_scenario(config, point_idx, p, s_idx, units, gains, ed_thresholds)
-                for key, tally in tallies.items():
-                    merged[key].merge(tally)
-            rows.extend(_point_rows(config, p, m, merged))
+            groups, gains, ed_thresholds = _prepare_point(config, p, m)
+            tallies = {}
+            for group, units in groups.items():
+                tallies.update(
+                    _score_group(config, point_idx, p, group, units, gains, ed_thresholds)
+                )
+            rows.extend(_point_rows(config, p, m, tallies))
         except Exception as exc:  # record, continue sweep
             errors.append((point_idx, f"{type(exc).__name__}: {exc}"))
             nan = float("nan")

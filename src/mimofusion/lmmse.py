@@ -27,10 +27,15 @@ def lmmse_estimate(ctx: NpTestContext, response: complex | np.ndarray) -> comple
     :func:`np_detector.steering_response`: w^H y / (1/signal_var + g).
 
     One received vector gives a complex estimate; a block gives one estimate
-    per column.  At M = 1 this is the scalar receiver's estimator.  Its error
-    variance is ``mse_closed_form(ctx.snr, signal_var)``, the same for every y.
+    per column, and a stacked context's response, shaped (..., *B, T), one per
+    unit and column.  At M = 1 this is the scalar receiver's estimator.  Its
+    error variance is ``mse_closed_form(ctx.snr, signal_var)``, the same for
+    every y.
     """
-    return response / (1.0 / ctx.scenario.signal_var + ctx.snr)
+    scale = 1.0 / ctx.scenario.signal_var + ctx.snr
+    if np.ndim(response) > np.ndim(scale):  # one trial axis after the units'
+        scale = np.asarray(scale)[..., None]
+    return response / scale
 
 
 def lmmse_mse_bound(scenario: Scenario, regime: str) -> float:

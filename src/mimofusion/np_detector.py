@@ -52,17 +52,18 @@ def _power_limit_snr(scenario: Scenario, regime: str) -> float:
     raise ValueError("regime must be 'low_power' or 'high_power'")
 
 
-def threshold_for_pfa(snr: float, signal_var: float, target_pfa: float) -> float:
+def threshold_for_pfa(snr, signal_var: float, target_pfa: float):
     """Threshold achieving the requested false-alarm probability.
 
     Under H0 the statistic is exponential with mean signal_var * snr, so the
-    threshold is -signal_var * snr * ln(target_pfa).
+    threshold is -signal_var * snr * ln(target_pfa).  An array of SNRs gives
+    one threshold each.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
-    if snr < 0:
+    if (np.asarray(snr) < 0).any():
         raise ValueError("snr must be nonnegative")
-    return float(-signal_var * snr * np.log(target_pfa))
+    return _float_if_scalar(-signal_var * snr * np.log(target_pfa))
 
 
 def pd_closed_form(snr: float, signal_var: float, target_pfa: float) -> float:
@@ -78,9 +79,24 @@ def pd_closed_form(snr: float, signal_var: float, target_pfa: float) -> float:
     return float(np.exp(np.log(target_pfa) / (1.0 + signal_var * snr)))
 
 
+def _float_if_scalar(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _dotc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^H v over the last axis, for leading axes that broadcast."""
+    return (u.conj()[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _per_trial(value, xi: np.ndarray):
+    """A per-unit context value shaped to broadcast over the trials of xi,
+    which are (k,) for one trial or (..., k, T) for T of them."""
+    return value if xi.ndim == 1 else np.asarray(value)[..., None]
+
+
 @dataclass(frozen=True, eq=False)
 class NpTestContext:
-    """One unit's H0 law of the reduced observation, read by every statistic.
+    """The H0 law of the reduced observation, read by every statistic.
 
     z = Q^H y (H = QR, thin) has the H0 covariance C0 = R E R^H + s I_k,
     E = diag(|a_i|^2 v_i), factored once as C0 = U Lambda U^H: ``basis`` U,
@@ -91,6 +107,14 @@ class NpTestContext:
     the plain sum beta^H Lambda^{-1} beta passes on to g (2e-12 relative at
     P = 3500, M = 173), the stationary form only squared.  threshold is None
     until a false-alarm target is supplied.
+
+    One context may hold a stack of units, for instance (scenario, policy):
+    the channel factor R and the gains carry leading axes that broadcast to
+    the stack's shape B, every field gains B as leading axes (``snr`` and
+    ``threshold`` become B-shaped arrays) and one ``eigh`` factors every
+    C0 of the stack.  The statistics contract the draws with ``@``, so the
+    units along B's last axis read the same draws.  A single unit is the case
+    B = (): ``snr`` is a float.
     """
 
     scenario: Scenario
@@ -98,28 +122,35 @@ class NpTestContext:
     basis: np.ndarray
     eigenvalues: np.ndarray
     signal: np.ndarray
-    snr: float
-    threshold: float | None = None
+    snr: float | np.ndarray
+    threshold: float | np.ndarray | None = None
 
     @classmethod
     def build(
         cls,
-        gains: GainVector,
+        gains: GainVector | np.ndarray,
         channel: ChannelRealization,
         scenario: Scenario,
         target_pfa: float | None = None,
     ) -> "NpTestContext":
+        """The law of one unit, or of a stack of units: ``gains`` is a
+        :class:`GainVector` or complex gains (..., N), and ``channel.r`` is
+        (..., k, N); their leading axes broadcast to the stack's shape."""
+        a = gains.gains if isinstance(gains, GainVector) else np.asarray(gains, complex)
+        s = scenario.fc_noise_var
         # C0's eigenvalues are those of F F^H, F = R E^{1/2}, on the s-level bulk
         r = channel.r
-        f = r * np.sqrt(gains.magnitudes_sq * scenario.meas_noise_vars)
-        lam, u = np.linalg.eigh(f @ f.conj().T)
-        lam = np.maximum(lam, 0.0) + scenario.fc_noise_var
-        b = r @ gains.gains
-        beta = u.conj().T @ b
-        x = u @ (beta / lam)
-        fx = f.conj().T @ x
-        g = float(2.0 * np.vdot(b, x).real - np.vdot(fx, fx).real
-                  - scenario.fc_noise_var * np.vdot(x, x).real)
+        f = r * np.sqrt(np.abs(a) ** 2 * scenario.meas_noise_vars)[..., None, :]
+        f_h = np.swapaxes(f.conj(), -1, -2)
+        lam, u = np.linalg.eigh(f @ f_h)
+        lam = np.maximum(lam, 0.0) + s
+        # b = R a, beta = U^H b, x and F^H x, formed as (..., k, 1) columns
+        b = r @ a[..., None]
+        beta = np.swapaxes(u.conj(), -1, -2) @ b
+        x = u @ (beta / lam[..., None])
+        fx = f_h @ x
+        b, beta, x, fx = b[..., 0], beta[..., 0], x[..., 0], fx[..., 0]
+        g = _float_if_scalar(2.0 * _dotc(b, x).real - _dotc(fx, fx).real - s * _dotc(x, x).real)
         thr = None
         if target_pfa is not None:
             thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)
@@ -133,11 +164,15 @@ def steering_response(
 
     For z = U Lambda^{1/2} xi + (R a) theta it is beta^H Lambda^{-1} U^H z =
     (Lambda^{-1/2} beta)^H xi + g theta: one k-vector contraction of the draws
-    shared by every row of theta.  xi is (k,) or (k, T) and theta a number,
-    (T,) or (H, T) for H hypotheses sharing the draws; the result is a complex
-    number, one value per column, or one row per hypothesis.
+    shared by every row of theta.  For a single unit xi is (k,) or (k, T) and
+    theta a number, (T,) or (H, T) for H hypotheses sharing the draws; the
+    result is a complex number, one value per column, or one row per
+    hypothesis.  For a stack of units of shape (*A, U), the U units of each
+    index of A share the draws: xi is (*A, k, T), theta broadcasts against
+    (*A, U, T), such as (H, *A, 1, T), and so does the result.
     """
-    out = (ctx.signal / np.sqrt(ctx.eigenvalues)).conj() @ xi + ctx.snr * theta
+    coef = (ctx.signal / np.sqrt(ctx.eigenvalues)).conj()
+    out = coef @ xi + _per_trial(ctx.snr, xi) * theta
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -147,8 +182,7 @@ def np_statistic(ctx: NpTestContext, response: complex | np.ndarray) -> float | 
 
     One received vector gives a float; a block gives one value per column.
     """
-    stat = ctx.scenario.signal_var * np.abs(response) ** 2
-    return float(stat) if np.ndim(stat) == 0 else stat
+    return _float_if_scalar(ctx.scenario.signal_var * np.abs(response) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,7 +141,8 @@ class ChannelRealization:
     r is the k x N factor of a thin QR H = QR (k = min(M, N)).  Every
     statistic, and the finite-M deflection, reads the channel through the
     noise law :class:`np_detector.NpTestContext` factors from r; nothing forms
-    an M x M or M x N intermediate.
+    an M x M or M x N intermediate.  Draws with one M can be stacked: r is
+    then (..., k, N), one factor per leading index.
     """
 
     r: np.ndarray
@@ -150,7 +151,7 @@ class ChannelRealization:
     def __post_init__(self):
         r = np.asarray(self.r, dtype=complex)
         m = int(self.m_antennas)
-        if m < 1 or r.ndim != 2 or r.shape[0] != min(m, r.shape[1]):
+        if m < 1 or r.ndim < 2 or r.shape[-2] != min(m, r.shape[-1]):
             raise ValueError("r must be a min(M, N) x N factor with M >= 1")
         object.__setattr__(self, "r", _readonly(r))
         object.__setattr__(self, "m_antennas", m)

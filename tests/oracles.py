@@ -1,20 +1,32 @@
 """Independent references the tests hold the package to.
 
 None of these runs in the package: a direct sampler of the detector
-statistics under both hypotheses, the optimality residuals of the two gain
-solvers, the scalar receiver's best ratio and SNR cap, the variance of a
-complex Gaussian quadratic form, and a scenario serializer for config round
-trips.  The dense explicit-H receiver lives in
-``channels.py``.
+statistics under both hypotheses, a one-unit-at-a-time scorer of the
+harness's tallies, the optimality residuals of the two gain solvers, the
+scalar receiver's best ratio and SNR cap, the variance of a complex Gaussian
+quadratic form, and a scenario serializer for config round trips.  The dense
+explicit-H receiver lives in ``channels.py``.
 """
 
 import numpy as np
 
-from mimofusion import energy_detector, np_detector
+from mimofusion import energy_detector, lmmse, np_detector, np_gains
 from mimofusion.ed_gains import EdAllocationProblem
-from mimofusion.harness import DETECTORS, SINGLE_DETECTORS, TrialStream
+from mimofusion.harness import (
+    _TAG_CHANNEL,
+    _TAG_TRIALS,
+    DETECTORS,
+    SINGLE_DETECTORS,
+    TrialStream,
+)
 from mimofusion.np_gains import WaterfillSolution
-from mimofusion.scenario import ChannelRealization, GainVector, Scenario
+from mimofusion.scenario import (
+    ChannelRealization,
+    GainVector,
+    Scenario,
+    derive_rng,
+    sample_channel,
+)
 
 
 def simulate_statistics(
@@ -55,6 +67,65 @@ def simulate_statistics(
         t0.append(h0)
         t1.append(h1)
     return np.concatenate(t0), np.concatenate(t1)
+
+
+def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds) -> dict:
+    """The tallies of one antenna group's units, {policy: detectors}, scored
+    one scenario and one unit at a time on single-unit contexts.
+
+    This is the scorer the harness ran before it stacked scenarios and units:
+    the same channel and trial-stream paths, and per unit and scenario the
+    decisions and closed forms of its detectors, merged over scenarios in
+    index order.  Returns {(m, policy): {tally field: total}} with the fields
+    of the harness's per-unit tally.
+    """
+    scenario = config.scenario
+    sv, pfa = scenario.signal_var, config.target_pfa
+    names = ("lr_fa", "lr_det", "ed_fa", "ed_det", "err_sq", "pd_theory", "mse_theory",
+             "deflection", "trials")
+    merged = {(m, pol): dict.fromkeys(names, 0) for pol in units}
+    for s_idx in range(config.n_scenarios):
+        channel = sample_channel(
+            scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
+        )
+        tallies = {key: dict.fromkeys(names, 0) for key in merged}
+        scored = []
+        for pol, dets in units.items():
+            tally = tallies[m, pol]
+            a = gains[pol]
+            if a is None:
+                a = np_gains.single_antenna_optimal_gains(scenario, channel.r[0], p)
+            ctx = np_detector.NpTestContext.build(a, channel, scenario, target_pfa=pfa)
+            lr = any(det != "ed" for det in dets)
+            if lr:
+                tally["pd_theory"] = np_detector.pd_closed_form(ctx.snr, sv, pfa)
+                tally["mse_theory"] = lmmse.mse_closed_form(ctx.snr, sv)
+            if "ed" in dets or "ed_single" in dets:
+                tally["deflection"] = energy_detector.deflection_exact(ctx)
+            ed_thr = ed_thresholds[pol] if "ed" in dets else None
+            estimates = "np" in dets or "np_single" in dets
+            scored.append((tally, ctx, lr, ed_thr, estimates))
+        stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
+        for theta, xi, outside in stream.chunks(config.trials_per_scenario):
+            hypotheses = np.stack((np.zeros_like(theta), theta))
+            for tally, ctx, lr, ed_thr, estimates in scored:
+                tally["trials"] += theta.size
+                if lr:
+                    w = np_detector.steering_response(ctx, xi, hypotheses)
+                    lr0, lr1 = np_detector.np_statistic(ctx, w)
+                    tally["lr_fa"] += int(np.count_nonzero(lr0 > ctx.threshold))
+                    tally["lr_det"] += int(np.count_nonzero(lr1 > ctx.threshold))
+                if ed_thr is not None:
+                    ed0, ed1 = energy_detector.ed_statistic(ctx, xi, hypotheses, outside)
+                    tally["ed_fa"] += int(np.count_nonzero(ed0 > ed_thr))
+                    tally["ed_det"] += int(np.count_nonzero(ed1 > ed_thr))
+                if estimates:
+                    est = lmmse.lmmse_estimate(ctx, w[1])
+                    tally["err_sq"] += float(np.sum(np.abs(theta - est) ** 2))
+        for key, tally in tallies.items():
+            for name in names:
+                merged[key][name] += tally[name]
+    return merged
 
 
 def waterfill_kkt_residual(sol: WaterfillSolution, scenario: Scenario, m: int) -> float:

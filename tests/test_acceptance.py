@@ -303,10 +303,14 @@ def test_criterion_10_chunk_size_and_replay_determinism(scenario, monkeypatch, t
     )
     mse_col = CSV_COLUMNS.index("mse_emp")
     tables = {}
+    # scenario blocks of one scenario and of all three, at every chunk size
     for chunk in (2048, 64, 7):
-        monkeypatch.setattr(harness, "_CHUNK", chunk)
-        tables[chunk] = [line.split(",") for line in run_experiment(config).to_csv().splitlines()]
-    base = tables[2048]
+        for block_trials in (1, 3 * chunk):
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            monkeypatch.setattr(harness, "_BLOCK_TRIALS", block_trials)
+            csv_text = run_experiment(config).to_csv()
+            tables[chunk, block_trials] = [line.split(",") for line in csv_text.splitlines()]
+    base = tables[2048, 1]
 
     def others(row):  # every cell, with mse_emp reduced to whether it is blank
         return row[:mse_col] + [not row[mse_col]] + row[mse_col + 1:]
@@ -336,8 +340,9 @@ def test_criterion_10_chunk_size_and_replay_determinism(scenario, monkeypatch, t
     report(
         "criterion 10",
         ok,
-        f"chunk sizes 2048/64/7 on {len(base) - 1} rows: every cell but mse_emp "
-        f"byte-identical: {cells_ok}, mse_emp within {mse_gap:.1e} relative (<=1e-12); "
+        f"chunk sizes 2048/64/7 and scenario blocks 1/3 on {len(base) - 1} rows: every "
+        f"cell but mse_emp byte-identical: {cells_ok}, mse_emp within {mse_gap:.1e} "
+        f"relative (<=1e-12); "
         f"run then --replay gives byte-identical CSVs: {replay_ok}",
     )
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,27 @@ class TestRun:
         # 2 sweep points x 4 curves (np x waterfill/equal, np_single x optimal/equal)
         assert len(lines) == 1 + 8
 
+    def test_second_run_sees_none_of_the_first_runs_overrides(self, experiment_cfg, tmp_path):
+        # the parser is built once per process; its append default must not collect --set
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        assert main(["run", "--config", experiment_cfg, "--output-dir", first,
+                     "--set", "trials=50", "--set", "scenarios=3"]) == 0
+        assert main(["run", "--config", experiment_cfg, "--output-dir", second,
+                     "--set", "master_seed=5"]) == 0
+        with open(os.path.join(second, "unit_cli.manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert (manifest["trials"], manifest["scenarios"], manifest["master_seed"]) == (100, 2, 5)
+
+    def test_huge_qclp_power_fails_its_points_naming_the_power(self, tmp_path, capsys):
+        # P = 1e308 / sqrt(M): P**2 leaves the float range in the qclp problem
+        rc = main(["run", "--experiment", "fig6", "--trials", "5", "--scenarios", "1",
+                   "--set", "schedule_coeff=1e308", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 0
+        for point in range(3):
+            assert f"sweep point {point} failed: ValueError: sum power P = " in err
+        assert "OverflowError" not in err
+
     def test_env_var_output_dir(self, experiment_cfg, tmp_path, monkeypatch):
         env_dir = str(tmp_path / "envout")
         monkeypatch.setenv("MIMOFUSION_OUTPUT_DIR", env_dir)
@@ -241,6 +263,20 @@ class TestExitCodes:
                      "--threads", "2"]) == 2
         assert not (out_dir / "unit_cli.csv").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("fig6", "sweep_m", "-1"), ("fig6", "sweep_m", "64, 0"), ("fig3", "sweep_m", "-4"),
+        ("fig1", "fixed_m", "0"),
+    ])
+    def test_antenna_count_below_one_is_rejected_first(self, tmp_path, capsys, name, key,
+                                                       value):
+        # rejected before a power schedule such as 15 / sqrt(M) reads the count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["run", "--experiment", name, "--set", f"{key}={value}",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"key {key!r}: antenna counts must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep_p", ["nan, 1.0", "1.0, inf", "nan, inf, 1.0"])
     def test_nonfinite_sweep_power_is_config_error(self, tmp_path, capsys, sweep_p):

@@ -1,13 +1,18 @@
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from mimofusion import np_gains
+from mimofusion import harness, np_gains
 from mimofusion.energy_detector import ed_statistic
 from mimofusion.harness import (
     CSV_COLUMNS,
+    DETECTORS,
+    POLICIES,
     STREAM_VERSION,
     ExperimentConfig,
     ResultRow,
@@ -28,7 +33,7 @@ from mimofusion.scenario import (
 )
 
 from channels import dense_steering, embedded_channel, explicit_channel, formed_blocks
-from oracles import simulate_statistics
+from oracles import score_units_one_by_one, simulate_statistics
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +215,68 @@ class TestReducedSampler:
                 np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
 
 
+def _fields_read(detectors) -> tuple[str, ...]:
+    """The tally fields a unit's rows read, given the detectors scored on it."""
+    read = ("trials",)
+    if set(detectors) - {"ed"}:
+        read += ("lr_fa", "lr_det", "pd_theory", "mse_theory")
+    if "ed" in detectors:
+        read += ("ed_fa", "ed_det")
+    if {"np", "np_single"} & set(detectors):
+        read += ("err_sq",)
+    if {"ed", "ed_single"} & set(detectors):
+        read += ("deflection",)
+    return read
+
+
+class TestStackedScorer:
+    """The stacked scorer against the one-unit-at-a-time reference: every
+    count exact, squared errors to 1e-12 and closed forms to 1e-14 relative,
+    over scenario counts, antenna counts, chunk and block sizes and mixed
+    detectors and policies."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        scenarios=st.sampled_from((1, 2, 5)),
+        m_kind=st.sampled_from(("one", "three", "n", "massive")),
+        chunk=st.sampled_from((7, 16)),
+        chunks=st.integers(0, 3),
+        rest=st.integers(1, 6),
+        block_trials=st.sampled_from((1, 32, 1 << 20)),
+        p=st.sampled_from((0.5, 4.0, 40.0)),
+        detectors=st.sets(st.sampled_from(DETECTORS), min_size=1),
+        policies=st.sets(st.sampled_from(POLICIES), min_size=1),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_one_unit_at_a_time(self, n, scenarios, m_kind, chunk, chunks, rest,
+                                        block_trials, p, detectors, policies, seed):
+        m = {"one": 1, "three": 3, "n": n, "massive": 4096}[m_kind]
+        trials = chunks * chunk + rest  # never a multiple of the chunk size
+        curves = [(d, q) for d in DETECTORS for q in POLICIES
+                  if d in detectors and q in policies and harness.compatible(d, q)]
+        assume(curves)
+        config = ExperimentConfig(
+            "stacked", sample_scenario(n, derive_rng(seed)), ((p, m),), trials, scenarios,
+            0.05, seed, tuple(d for d in DETECTORS if d in detectors),
+            tuple(q for q in POLICIES if q in policies),
+        )
+        with mock.patch.object(harness, "_CHUNK", chunk), \
+                mock.patch.object(harness, "_BLOCK_TRIALS", block_trials):
+            groups, gains, ed_thresholds = harness._prepare_point(config, p, m)
+            for group, units in groups.items():
+                got = harness._score_group(config, 0, p, group, units, gains, ed_thresholds)
+                want = score_units_one_by_one(config, 0, p, group, units, gains, ed_thresholds)
+                for pol, dets in units.items():
+                    tally, ref = got[group, pol], want[group, pol]
+                    for name in _fields_read(dets):
+                        value, expected = getattr(tally, name), ref[name]
+                        rel = {"err_sq": 1e-12}.get(name, 0 if name in (
+                            "lr_fa", "lr_det", "ed_fa", "ed_det", "trials") else 1e-14)
+                        assert abs(value - expected) <= rel * abs(expected), (
+                            group, pol, name, value, expected)
+
+
 class TestConfigValidation:
     def test_rejects_bad_values(self, scenario):
         with pytest.raises(ValueError):
@@ -332,6 +399,13 @@ class TestRunExperiment:
         first = lines[1].split(",")
         assert len(first) == len(CSV_COLUMNS)
         assert "np.float64" not in result.to_csv()
+
+    def test_cells_format_as_before(self):
+        # NaN is blank and every other float its repr, for Python and numpy floats alike
+        for value, cell in ((float("nan"), ""), (np.float64("nan"), ""), (np.inf, "inf"),
+                            (0.1, "0.1"), (np.float64(1) / 3, repr(1 / 3)), (-0.0, "-0.0"),
+                            (7, "7"), ("np", "np")):
+            assert harness._fmt(value) == cell, value
 
     def test_csv_columns_are_result_row_fields(self):
         # rows are written field by field, so the header must name the fields in order
