@@ -185,9 +185,6 @@ def build_experiment(raw: dict[str, str]) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
     scenario = build_scenario(raw)
-    target_pfa = _as_float(raw, "target_pfa") if "target_pfa" in raw else 0.05
-    if not 0.0 < target_pfa < 1.0:
-        raise ConfigError("target_pfa must lie in (0, 1)")
     try:
         return ExperimentConfig(
             experiment_id=raw["experiment"],
@@ -195,7 +192,7 @@ def build_experiment(raw: dict[str, str]) -> ExperimentConfig:
             sweep=_build_sweep(raw, scenario),
             trials_per_scenario=_as_int(raw, "trials") if "trials" in raw else 1000,
             n_scenarios=_as_int(raw, "scenarios") if "scenarios" in raw else 30,
-            target_pfa=target_pfa,
+            target_pfa=_as_float(raw, "target_pfa") if "target_pfa" in raw else 0.05,
             master_seed=_as_int(raw, "master_seed"),
             detectors=_as_str_list(raw, "detectors"),
             gain_policies=_as_str_list(raw, "policies"),

@@ -22,15 +22,17 @@ k = min(M, N): the signal and a whitened k-vector (:class:`TrialStream`).
 
 What the harness tallies is a unit: one antenna group with one gain policy.
 A point scores each antenna group over its scenarios in stacked blocks: the
-block's channel factors and draws are stacked along a scenario axis, one
-:class:`np_detector.NpTestContext` holds every (scenario, unit) pair of the
-block, factored by one stacked ``eigh``, and every decision rule (likelihood
-ratio, energy, LMMSE estimate) scores a chunk of the whole block in one call,
-O(k) contractions per trial and unit; the likelihood-ratio decision and the
-estimate share one steering response.  Counts are summed over the block and
-closed forms and squared errors over scenarios in index order, so neither the
+block's channel factors, gains and draws are stacked along a scenario axis,
+one :class:`np_detector.NpTestContext` holds every (scenario, unit) pair of
+the block, factored by one stacked ``eigh``, and every decision rule
+(likelihood ratio, energy, LMMSE estimate) scores a chunk of the whole block
+in one call, O(k) contractions per trial and unit; the likelihood-ratio
+decision and the estimate share one steering response.  The closed forms
+take the block's SNR array, one call each.  A unit's tally is a slot of two
+arrays: decision counts, summed over the block, and squared errors and
+closed forms, added one scenario at a time in index order, so neither the
 block size nor the chunk size moves a count or closed-form cell.  Every
-curve's row is read from its unit's tally, so curves on one unit, such as
+curve's row is read from its unit's slots, so curves on one unit, such as
 ``np_single`` and ``ed_single``, share their decisions rather than repeat
 them.
 """
@@ -250,33 +252,10 @@ class TrialStream:
             yield self.draw(min(_CHUNK, trials - start))
 
 
-@dataclass(frozen=True)
-class _Tally:
-    """One unit's totals at a point: likelihood-ratio (lr) and energy (ed)
-    decision counts and squared LMMSE errors over all its trials, and the
-    per-scenario closed forms summed over scenarios."""
-
-    lr_fa: int
-    lr_det: int
-    ed_fa: int
-    ed_det: int
-    err_sq: float
-    pd_theory: float
-    mse_theory: float
-    deflection: float
-    trials: int
-
-
 def _stacked(arrays) -> np.ndarray:
     """The block's per-scenario arrays stacked on a new first axis; a block of
     one scenario is a view of its array, not a copy."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _count_above(statistics: np.ndarray, thresholds) -> np.ndarray:
-    """Decisions above threshold per hypothesis and unit, summed over the
-    stacked scenarios: (hypothesis, scenario, unit, trial) to (hypothesis, unit)."""
-    return (statistics > thresholds).sum(axis=(1, 3))
 
 
 def _unit(detector: str, policy: str, m: int) -> tuple[int, str]:
@@ -311,19 +290,20 @@ def _prepare_point(config: ExperimentConfig, p: float, m: int):
 
 def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
     """Tally one antenna group's units, {policy: detectors}, over every
-    scenario of a point.
+    scenario of a point: {(m, policy): (counts, sums)}, the unit's slot of
+    counts (lr_fa, lr_det, ed_fa, ed_det) and sums (err_sq, pd, mse, deflection).
 
     Each scenario draws its channel and its trial stream on its own path, as
     it would alone.  A block of scenarios stacks them: the channel factors as
-    (S, 1, k, N), the gains as (U, N), or (S, U, N) when
-    ``single_antenna_optimal`` is resolved per draw, so one context holds the
-    block's S x U units, and each chunk's draws as (S, k, T).  Every
-    decision rule then scores the whole block in one call: the
-    likelihood-ratio (LR) decision if a detector other than ``ed`` is on the
-    group, the energy decision if ``ed`` is, and the LMMSE estimate for
-    ``np``/``np_single``.  A unit's row reads only the decisions of its own
-    detectors.  ``ed_single`` reads the LR decision: at M = 1 that decision is
-    |y|^2 > sigma_w^2 ln(1/target_pfa), the one-antenna receiver's test.
+    (S, 1, k, N) and the gains as (S, U, N), ``single_antenna_optimal`` solved
+    on each draw, so one context holds the block's S x U units, and each
+    chunk's draws as (S, k, T).  Every decision rule then scores the whole
+    block in one call: the likelihood-ratio (LR) decision and the LMMSE
+    estimate on its response if a detector other than ``ed`` is on the group,
+    the energy decision if ``ed`` is.  A unit's row reads only the slots of
+    its own detectors.  ``ed_single`` reads the LR decision: at M = 1 that
+    decision is |y|^2 > sigma_w^2 ln(1/target_pfa), the one-antenna
+    receiver's test.
 
     The one-antenna gains read R's one row, e^{-i phi} h for h = H's row: a
     common phase that moves no statistic's distribution.
@@ -335,15 +315,9 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
     detectors = {det for dets in units.values() for det in dets}
     lr = bool(detectors - {"ed"})
     ed = "ed" in detectors
-    estimates = bool(detectors & {"np", "np_single"})
-    deflects = bool(detectors & {"ed", "ed_single"})
     ed_thr = np.array([[ed_thresholds.get(pol, np.inf)] for pol in policies]) if ed else None
-    per_draw = None in (gains[pol] for pol in policies)
-    fixed = None if per_draw else np.array([gains[pol].gains for pol in policies])
-    counts = np.zeros((4, len(policies)), np.int64)  # lr_fa, lr_det, ed_fa, ed_det
-    # per unit: squared errors and closed forms, added one scenario at a time
-    # in index order, as Python floats, so no block size moves their bits
-    sums = [[0.0] * len(policies) for _ in range(4)]  # err_sq, pd, mse, deflection
+    counts = np.zeros((4, len(policies)), np.int64)
+    sums = np.zeros((4, len(policies)))
     block = max(1, _BLOCK_TRIALS // min(trials, _CHUNK))
     for first in range(0, config.n_scenarios, block):
         scenarios = range(first, min(first + block, config.n_scenarios))
@@ -351,13 +325,11 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
             sample_channel(scenario, m, derive_rng(seed, point_idx, s, m, _TAG_CHANNEL)).r
             for s in scenarios
         ])
-        a = fixed
-        if per_draw:
-            a = np.array([[
-                np_gains.single_antenna_optimal_gains(scenario, r_s[0], p).gains
-                if gains[pol] is None else gains[pol].gains
-                for pol in policies
-            ] for r_s in r])
+        a = np.array([[
+            np_gains.single_antenna_optimal_gains(scenario, r_s[0], p).gains
+            if gains[pol] is None else gains[pol].gains
+            for pol in policies
+        ] for r_s in r])
         ctx = np_detector.NpTestContext.build(
             a, ChannelRealization(r[:, None], m), scenario, target_pfa=pfa
         )
@@ -367,38 +339,28 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
         for draws in zip(*(stream.chunks(trials) for stream in streams)):
             theta, xi, outside = map(_stacked, zip(*draws))
             theta, outside = theta[:, None], outside[:, None]  # shared by a scenario's units
-            # the two hypotheses share each trial's draws: signal rows 0 and theta
+            # the two hypotheses share each trial's draws: signal rows 0 and theta;
+            # decisions (hypothesis, scenario, unit, trial) are counted per (hypothesis, unit)
             hypotheses = np.array((np.zeros_like(theta), theta))
             if lr:
                 w = np_detector.steering_response(ctx, xi, hypotheses)
-                counts[:2] += _count_above(np_detector.np_statistic(ctx, w),
-                                           ctx.threshold[..., None])
+                stat = np_detector.np_statistic(ctx, w)
+                counts[:2] += (stat > ctx.threshold[..., None]).sum(axis=(1, 3))
+                err_sq += np.sum(np.abs(theta - lmmse.lmmse_estimate(ctx, w[1])) ** 2, axis=-1)
             if ed:
                 stat = energy_detector.ed_statistic(ctx, xi, hypotheses, outside)
-                counts[2:] += _count_above(stat, ed_thr)
-            if estimates:
-                est = lmmse.lmmse_estimate(ctx, w[1])
-                err_sq += np.sum(np.abs(theta - est) ** 2, axis=-1)
-        snr = ctx.snr.tolist()  # the scalar closed forms, one call per (scenario, unit)
-        rows = (
-            err_sq.tolist(),
-            [[np_detector.pd_closed_form(g, sv, pfa) for g in row] for row in snr] if lr else (),
-            [[lmmse.mse_closed_form(g, sv) for g in row] for row in snr] if lr else (),
-            energy_detector.deflection_exact(ctx).tolist() if deflects else (),
-        )
-        for total, per_scenario in zip(sums, rows):
-            for row in per_scenario:
-                for u, value in enumerate(row):
-                    total[u] += value
-    return {
-        (m, pol): _Tally(*unit_counts, *(total[u] for total in sums),
-                         trials=config.n_scenarios * trials)
-        for u, (pol, unit_counts) in enumerate(zip(policies, counts.T.tolist()))
-    }
+                counts[2:] += (stat > ed_thr).sum(axis=(1, 3))
+        block_sums = np.array((
+            err_sq, np_detector.pd_closed_form(ctx.snr, sv, pfa),
+            lmmse.mse_closed_form(ctx.snr, sv), energy_detector.deflection_exact(ctx),
+        ))
+        for s in range(len(scenarios)):  # in index order, so no block size moves a sum's bits
+            sums += block_sums[:, s]
+    return {(m, pol): (counts[:, u], sums[:, u]) for u, pol in enumerate(policies)}
 
 
 def _point_rows(config, p, m, tallies) -> list[ResultRow]:
-    """One row per curve, read from its unit's tally: ``ed`` reads the energy
+    """One row per curve, read from its unit's slots: ``ed`` reads the energy
     decisions, every other detector the likelihood-ratio ones."""
     scenario = config.scenario
     bound_lo = np_gains.np_pd_bound(scenario, "low_power", config.target_pfa)
@@ -406,12 +368,12 @@ def _point_rows(config, p, m, tallies) -> list[ResultRow]:
     rows = []
     nan = float("nan")
     n = config.n_scenarios
+    total = n * config.trials_per_scenario
     for det, pol in config.curves():
-        tally = tallies[_unit(det, pol, m)]
-        total = tally.trials
-        is_ed = det == "ed"
-        pd_emp = (tally.ed_det if is_ed else tally.lr_det) / total
-        pfa_emp = (tally.ed_fa if is_ed else tally.lr_fa) / total
+        counts, sums = tallies[_unit(det, pol, m)]
+        false_alarms, detections = (counts[2:] if det == "ed" else counts[:2]).tolist()
+        err_sq, pd_theory, mse_theory, deflection = sums.tolist()
+        pd_emp = detections / total
         is_np = det in ("np", "np_single")
         rows.append(ResultRow(
             experiment=config.experiment_id,
@@ -420,11 +382,11 @@ def _point_rows(config, p, m, tallies) -> list[ResultRow]:
             m=m,
             p=p,
             pd_emp=pd_emp,
-            pd_theory=nan if is_ed else tally.pd_theory / n,
-            pfa_emp=pfa_emp,
-            mse_emp=tally.err_sq / total if is_np else nan,
-            mse_theory=tally.mse_theory / n if is_np else nan,
-            deflection=tally.deflection / n if det in ("ed", "ed_single") else nan,
+            pd_theory=nan if det == "ed" else pd_theory / n,
+            pfa_emp=false_alarms / total,
+            mse_emp=err_sq / total if is_np else nan,
+            mse_theory=mse_theory / n if is_np else nan,
+            deflection=deflection / n if det in ("ed", "ed_single") else nan,
             bound_lo=bound_lo if is_np else nan,
             bound_hi=bound_hi if is_np else nan,
             stderr=float(np.sqrt(pd_emp * (1.0 - pd_emp) / total)),

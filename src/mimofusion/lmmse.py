@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .np_detector import NpTestContext, _power_limit_snr
+from .np_detector import NpTestContext, _float_if_scalar, _power_limit_snr
 from .scenario import Scenario
 
 
-def mse_closed_form(snr: float, signal_var: float) -> float:
-    """Error variance 1 / (1/signal_var + snr); equals the prior variance at snr 0."""
-    if snr < 0:
+def mse_closed_form(snr, signal_var: float):
+    """Error variance 1 / (1/signal_var + snr), the prior variance at snr 0: a
+    float for a number, for an array one each, bit for bit the elements' own
+    calls.  A negative SNR anywhere raises ValueError."""
+    if (np.asarray(snr) < 0).any():
         raise ValueError("snr must be nonnegative")
-    return 1.0 / (1.0 / signal_var + snr)
+    return _float_if_scalar(1.0 / (1.0 / signal_var + snr))
 
 
 def lmmse_estimate(ctx: NpTestContext, response: complex | np.ndarray) -> complex | np.ndarray:

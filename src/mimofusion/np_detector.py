@@ -31,14 +31,16 @@ def snr_asymptotic(gains: GainVector, scenario: Scenario, m: int) -> float:
 
 
 def asymptotic_snr_from_power(x: np.ndarray, scenario: Scenario, m: int) -> float:
-    """Large-M SNR sum_i M x_i / (s d_i^alpha + v_i M x_i) for powers x_i = |a_i|^2."""
+    """Large-M SNR sum_i M x_i / (s d_i^alpha + v_i M x_i) for powers x_i = |a_i|^2,
+    each term taken as 1 / (s d_i^alpha / (M x_i) + v_i) so no power overflows it."""
     if m < 1:
         raise ValueError("antenna count must be >= 1")
     x = np.asarray(x, dtype=float)
-    d_alpha = scenario.distances**scenario.path_loss_exp
-    num = m * x
-    den = scenario.fc_noise_var * d_alpha + scenario.meas_noise_vars * num
-    return float(np.sum(np.divide(num, den, out=np.zeros_like(num), where=den > 0)))
+    noise_per_antenna = scenario.fc_noise_var * scenario.distances**scenario.path_loss_exp / m
+    # a term is 0 where x_i = 0 or so small that its ratio would pass the float range
+    ratio = np.divide(noise_per_antenna, x, out=np.full_like(x, np.inf),
+                      where=x > noise_per_antenna / np.finfo(float).max)
+    return float(np.sum(1.0 / (ratio + scenario.meas_noise_vars)))
 
 
 def _power_limit_snr(scenario: Scenario, regime: str) -> float:
@@ -66,17 +68,19 @@ def threshold_for_pfa(snr, signal_var: float, target_pfa: float):
     return _float_if_scalar(-signal_var * snr * np.log(target_pfa))
 
 
-def pd_closed_form(snr: float, signal_var: float, target_pfa: float) -> float:
+def pd_closed_form(snr, signal_var: float, target_pfa: float):
     """Detection probability at the false-alarm-calibrated threshold.
 
     Equal to target_pfa ** (1 / (1 + signal_var * snr)), evaluated in log space
-    so extreme targets or SNRs do not underflow.
+    so extreme targets or SNRs do not underflow: a float for a number, for an
+    array one each, bit for bit the elements' own calls.  A negative SNR
+    anywhere raises ValueError.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
-    if snr < 0:
+    if (np.asarray(snr) < 0).any():
         raise ValueError("snr must be nonnegative")
-    return float(np.exp(np.log(target_pfa) / (1.0 + signal_var * snr)))
+    return _float_if_scalar(np.exp(np.log(target_pfa) / (1.0 + signal_var * snr)))
 
 
 def _float_if_scalar(value):

@@ -66,7 +66,7 @@ def waterfill(scenario: Scenario, m: int, p: float) -> WaterfillSolution:
     x = np.zeros_like(r)
     active = order[:k]
     x[active] = w[active] * (level + (r_top - r[active]))
-    lam = 1.0 / (r_top + level) ** 2
+    lam = (1.0 / (r_top + level)) ** 2  # squared after the division, so it cannot overflow
     return WaterfillSolution(x, float(lam), asymptotic_snr_from_power(x, scenario, m), 1)
 
 

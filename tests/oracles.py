@@ -76,8 +76,9 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
     This is the scorer the harness ran before it stacked scenarios and units:
     the same channel and trial-stream paths, and per unit and scenario the
     decisions and closed forms of its detectors, merged over scenarios in
-    index order.  Returns {(m, policy): {tally field: total}} with the fields
-    of the harness's per-unit tally.
+    index order.  Returns {(m, policy): {field: total}}: the four decision
+    counts (lr_fa, lr_det, ed_fa, ed_det) and four sums (err_sq, pd_theory,
+    mse_theory, deflection) of the harness's two per-unit arrays, and trials.
     """
     scenario = config.scenario
     sv, pfa = scenario.signal_var, config.target_pfa

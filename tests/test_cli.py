@@ -123,6 +123,43 @@ class TestCalculators:
         assert f"pd_high_power_bound = {np_gains.np_pd_bound(sc, 'high_power', 0.05)!r}" in out
         assert "mse_low_power_bound = " in out
 
+    def test_threshold_np_at_huge_power_is_finite(self, tmp_path, capsys):
+        # M |a_i|^2 overflows above about 1e306; the asymptotic SNR must not
+        path = tmp_path / "s73.cfg"
+        path.write_text("n_sensors = 10\nseed = 73\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["threshold", "--detector", "np", "--config", str(path),
+                       "--pfa", "0.05", "--power", "1e308", "--antennas", "50"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert np.isfinite(float(out.split("threshold = ")[1].split()[0])), out
+
+
+# the cells each detector's rows leave blank by design
+UNFILLED = {
+    "np": {"deflection"},
+    "np_single": {"deflection"},
+    "ed": {"pd_theory", "mse_emp", "mse_theory", "bound_lo", "bound_hi"},
+    "ed_single": {"mse_emp", "mse_theory", "bound_lo", "bound_hi"},
+}
+
+
+@pytest.mark.parametrize("name", [f"fig{k}" for k in range(1, 7)])
+def test_packaged_recipe_runs_warning_free(tmp_path, capsys, name):
+    """Each packaged recipe, cut to 20 trials on two channel draws, runs with
+    every warning raised as an error and fills every cell its detector fills."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", "--experiment", name, "--trials", "20", "--scenarios", "2",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    with open(tmp_path / f"{name}.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        assert {col for col, cell in row.items() if cell == ""} == UNFILLED[row["detector"]], row
+
 
 class TestRun:
     def test_custom_config_writes_outputs(self, experiment_cfg, tmp_path, capsys):
@@ -263,6 +300,13 @@ class TestExitCodes:
                      "--threads", "2"]) == 2
         assert not (out_dir / "unit_cli.csv").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["1", "0", "-0.5"])
+    def test_target_pfa_outside_unit_interval(self, tmp_path, capsys, value):
+        assert main(["run", "--experiment", "fig1", "--set", f"target_pfa={value}",
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "target_pfa must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "fig1.csv").exists()
 
     @pytest.mark.parametrize("name, key, value", [
         ("fig6", "sweep_m", "-1"), ("fig6", "sweep_m", "64, 0"), ("fig3", "sweep_m", "-4"),

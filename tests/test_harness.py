@@ -215,6 +215,14 @@ class TestReducedSampler:
                 np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
 
 
+def _tally_fields(tally, trials: int) -> dict:
+    """A unit's tally, its (counts, sums) slots, by the reference's field names."""
+    counts, sums = tally
+    return {**dict(zip(("lr_fa", "lr_det", "ed_fa", "ed_det"), counts.tolist())),
+            **dict(zip(("err_sq", "pd_theory", "mse_theory", "deflection"), sums.tolist())),
+            "trials": trials}
+
+
 def _fields_read(detectors) -> tuple[str, ...]:
     """The tally fields a unit's rows read, given the detectors scored on it."""
     read = ("trials",)
@@ -268,9 +276,10 @@ class TestStackedScorer:
                 got = harness._score_group(config, 0, p, group, units, gains, ed_thresholds)
                 want = score_units_one_by_one(config, 0, p, group, units, gains, ed_thresholds)
                 for pol, dets in units.items():
-                    tally, ref = got[group, pol], want[group, pol]
+                    tally = _tally_fields(got[group, pol], scenarios * trials)
+                    ref = want[group, pol]
                     for name in _fields_read(dets):
-                        value, expected = getattr(tally, name), ref[name]
+                        value, expected = tally[name], ref[name]
                         rel = {"err_sq": 1e-12}.get(name, 0 if name in (
                             "lr_fa", "lr_det", "ed_fa", "ed_det", "trials") else 1e-14)
                         assert abs(value - expected) <= rel * abs(expected), (

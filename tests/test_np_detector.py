@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from mimofusion.harness import MULTI_POLICIES, resolve_gains
+from mimofusion.lmmse import mse_closed_form
 from mimofusion.np_detector import (
     DegenerateDetectorError,
     NpTestContext,
@@ -255,6 +256,21 @@ class TestClosedForms:
         assert pd_closed_form(0.0, 1.0, 0.05) == pytest.approx(0.05, rel=1e-12)
         assert pd_closed_form(1.0, 1.0, np.exp(-1.0)) == pytest.approx(np.exp(-0.5), rel=1e-12)
         assert pd_closed_form(1e15, 1.0, 0.05) == pytest.approx(1.0, abs=1e-10)
+
+    def test_array_closed_forms_match_scalar_calls(self):
+        # an (S, U) grid gives each element's own scalar call, bit for bit
+        grid = np.exp(derive_rng(58).uniform(-30.0, 30.0, (5, 3)))
+        grid[0, 0], grid[4, 2] = 0.0, 1e12
+        for fn, args in ((pd_closed_form, (1.3, 0.05)), (mse_closed_form, (1.3,))):
+            got = fn(grid, *args)
+            want = [[fn(float(g), *args) for g in row] for row in grid]
+            assert all(type(v) is float for row in want for v in row)
+            assert got.shape == grid.shape
+            assert got.tobytes() == np.array(want).tobytes(), fn.__name__
+            bad = grid.copy()
+            bad[3, 1] = -1e-300
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(bad, *args)
 
     def test_pd_monotone_in_snr(self):
         values = [pd_closed_form(g, 1.0, 0.05) for g in (0.0, 0.5, 2.0, 10.0, 100.0)]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,17 @@ def grid_search_best(scenario, m, p, resolution=1e-3):
 
 
 class TestWaterfill:
+    def test_extreme_power_is_finite_and_warning_free(self):
+        # M x_i and (r + level)^2 overflow near 1e308, and s d^alpha / (M x_i)
+        # at subnormal powers; neither extreme may warn
+        sc = sample_scenario(10, derive_rng(73))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge, tiny = waterfill(sc, 50, 1e308), waterfill(sc, 50, 1e-320)
+        assert np.isfinite(huge.achieved_snr)
+        assert huge.achieved_snr == pytest.approx(np.sum(1.0 / sc.meas_noise_vars), rel=1e-12)
+        assert 0.0 <= tiny.achieved_snr < 1e-300
+
     def test_single_sensor_takes_all_power(self):
         sc = Scenario(np.array([3.0]), np.array([0.4]), 1.0, 0.3, 2.0)
         sol = waterfill(sc, 64, 7.5)
