@@ -4,7 +4,6 @@ MMSE estimator, their optimal transmit-gain allocations, and a reproducible
 Monte Carlo harness for the power-scaling experiments."""
 
 from .scenario import (
-    ChannelRealization,
     GainVector,
     Scenario,
     complex_normal,
@@ -19,9 +18,6 @@ from .np_detector import (
     np_statistic,
     pd_closed_form,
     single_antenna_pd,
-    single_antenna_pfa,
-    single_antenna_statistic,
-    single_antenna_threshold_for_pfa,
     snr_asymptotic,
     steering_response,
     threshold_for_pfa,

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .np_detector import NpTestContext, _dotc, _float_if_scalar, _per_trial
+from .np_detector import NpTestContext, SingleAntennaContext, _dotc, _float_if_scalar
 from .scenario import GainVector, Scenario
 
 # survival table cap, 32 MiB: at N = 100 it serves a weight spread max w / min w
@@ -30,7 +30,7 @@ _MAX_TABLE_ENTRIES = 1 << 22
 
 def ed_statistic(
     ctx: NpTestContext, xi: np.ndarray, theta: complex | np.ndarray, outside
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Average received energy per antenna, y^H y / M = (|z|^2 + outside) / M.
 
     The decision uses no channel state: its threshold depends only on the eta
@@ -44,13 +44,12 @@ def ed_statistic(
     steering response.
     """
     beta, lam = ctx.signal, ctx.eigenvalues
-    energy = (
+    return (
         lam @ (xi.real**2 + xi.imag**2)
         + 2.0 * (np.conj(theta) * ((beta * np.sqrt(lam)).conj() @ xi)).real
-        + _per_trial(_dotc(beta, beta).real, xi) * np.abs(theta) ** 2
+        + _dotc(beta, beta).real[..., None] * np.abs(theta) ** 2
         + outside
     ) / ctx.m_antennas
-    return _float_if_scalar(energy)
 
 
 def deflection_exact(ctx: NpTestContext) -> float | np.ndarray:
@@ -60,13 +59,17 @@ def deflection_exact(ctx: NpTestContext) -> float | np.ndarray:
     Both traces are read from the unit's H0 law C0 = U Lambda U^H:
     tr C_s = signal_var |R a|^2 = signal_var |beta|^2, and C_w has C0's k
     eigenvalues plus M - k more at the noise level s, so
-    tr(C_w^2) = sum Lambda^2 + (M - k) s^2, a sum of positive terms.
+    tr(C_w^2) = sum Lambda^2 + (M - k) s^2, a sum of positive terms.  Both
+    are taken in units of the largest eigenvalue, so neither |beta|^4 nor
+    sum Lambda^2 overflows at large power.
     """
     sc = ctx.scenario
-    tr_cs = sc.signal_var * _dotc(ctx.signal, ctx.signal).real
-    lam = ctx.eigenvalues
-    tr_cw2 = _dotc(lam, lam) + (ctx.m_antennas - lam.shape[-1]) * sc.fc_noise_var**2
-    return _float_if_scalar(tr_cs**2 / tr_cw2)
+    top = ctx.eigenvalues[..., -1:]  # eigh sorts ascending
+    beta = ctx.signal / np.sqrt(top)
+    lam = ctx.eigenvalues / top
+    tr_cs = sc.signal_var * _dotc(beta, beta).real
+    bulk = (ctx.m_antennas - lam.shape[-1]) * (sc.fc_noise_var / top[..., 0]) ** 2
+    return _float_if_scalar(tr_cs**2 / (_dotc(lam, lam) + bulk))
 
 
 def _deflection_vectors(scenario: Scenario, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,13 +132,8 @@ def deflection_asymptotic(
 
 def single_antenna_deflection(gains: GainVector, h: np.ndarray, scenario: Scenario) -> float:
     """Deflection of |y|^2 at a scalar receiver: the squared signal-to-noise ratio."""
-    h = np.asarray(h, dtype=complex)
-    sig = scenario.signal_var * abs(np.sum(gains.gains * h)) ** 2
-    noise = float(
-        np.sum(gains.magnitudes_sq * np.abs(h) ** 2 * scenario.meas_noise_vars)
-        + scenario.fc_noise_var
-    )
-    return (sig / noise) ** 2
+    ctx = SingleAntennaContext.build(gains, h, scenario)
+    return (ctx.sigma_s_sq / ctx.sigma_w_sq) ** 2
 
 
 def eta_weights(gains: GainVector, scenario: Scenario) -> np.ndarray:

@@ -47,14 +47,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import ed_gains, energy_detector, lmmse, np_detector, np_gains
-from .scenario import (
-    ChannelRealization,
-    GainVector,
-    Scenario,
-    complex_normal,
-    derive_rng,
-    sample_channel,
-)
+from .scenario import GainVector, Scenario, complex_normal, derive_rng, sample_channel
 
 MULTI_DETECTORS = ("np", "ed")
 SINGLE_DETECTORS = ("np_single", "ed_single")
@@ -239,8 +232,8 @@ class TrialStream:
         and the receiver-noise energy outside range(H) (count,), zero when
         k = M."""
         sc = self._scenario
-        theta = complex_normal(self._theta, sc.signal_var, out=np.empty(count, complex))
-        xi = complex_normal(self._xi, 1.0, out=np.empty((count, self._k), complex))
+        theta = complex_normal(self._theta, sc.signal_var, count)
+        xi = complex_normal(self._xi, 1.0, (count, self._k))
         outside = np.zeros(count)
         if self._m > self._k:
             outside = sc.fc_noise_var * self._outside.standard_gamma(self._m - self._k, count)
@@ -322,7 +315,7 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
     for first in range(0, config.n_scenarios, block):
         scenarios = range(first, min(first + block, config.n_scenarios))
         r = _stacked([
-            sample_channel(scenario, m, derive_rng(seed, point_idx, s, m, _TAG_CHANNEL)).r
+            sample_channel(scenario, m, derive_rng(seed, point_idx, s, m, _TAG_CHANNEL))
             for s in scenarios
         ])
         a = np.array([[
@@ -330,9 +323,7 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
             if gains[pol] is None else gains[pol].gains
             for pol in policies
         ] for r_s in r])
-        ctx = np_detector.NpTestContext.build(
-            a, ChannelRealization(r[:, None], m), scenario, target_pfa=pfa
-        )
+        ctx = np_detector.NpTestContext.build(a, r[:, None], m, scenario, target_pfa=pfa)
         err_sq = np.zeros(ctx.snr.shape)
         streams = [TrialStream(scenario, m, seed, (point_idx, s, m, _TAG_TRIALS))
                    for s in scenarios]

@@ -2,7 +2,8 @@
 
 The estimator reads the same noise law (:class:`NpTestContext`) and steering
 response w^H y, w = C_w^{-1} H a, as the likelihood-ratio detector, so the
-noise covariance is factored once per (channel, gains) pair.
+noise covariance is factored once per (channel draw R, gains) pair, and
+estimates a block of trials, one per column, at once.
 Its error variance is 1 / (1/signal_var + g), with g the same detection SNR
 the detector maximizes: the two optimization problems coincide.
 """
@@ -24,20 +25,17 @@ def mse_closed_form(snr, signal_var: float):
     return _float_if_scalar(1.0 / (1.0 / signal_var + snr))
 
 
-def lmmse_estimate(ctx: NpTestContext, response: complex | np.ndarray) -> complex | np.ndarray:
+def lmmse_estimate(ctx: NpTestContext, response: np.ndarray) -> np.ndarray:
     """Estimate the signal from the steering response w^H y of
     :func:`np_detector.steering_response`: w^H y / (1/signal_var + g).
 
-    One received vector gives a complex estimate; a block gives one estimate
-    per column, and a stacked context's response, shaped (..., *B, T), one per
-    unit and column.  At M = 1 this is the scalar receiver's estimator.  Its
+    The response has one trial per entry of its last axis, after the units'
+    axes of a stacked context, (..., *B, T); the result has one estimate per
+    unit and trial.  At M = 1 this is the scalar receiver's estimator.  Its
     error variance is ``mse_closed_form(ctx.snr, signal_var)``, the same for
     every y.
     """
-    scale = 1.0 / ctx.scenario.signal_var + ctx.snr
-    if np.ndim(response) > np.ndim(scale):  # one trial axis after the units'
-        scale = np.asarray(scale)[..., None]
-    return response / scale
+    return response / np.asarray(1.0 / ctx.scenario.signal_var + ctx.snr)[..., None]
 
 
 def lmmse_mse_bound(scenario: Scenario, regime: str) -> float:

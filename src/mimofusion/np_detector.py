@@ -5,9 +5,10 @@ C_w = H D V D^H H^H + sigma_n^2 I is the noise covariance at the receiver.
 The steering vector w = C_w^{-1} H a lies in range(H), so for a thin QR
 H = QR the statistic reads y only through z = Q^H y, whose noise covariance
 is C0 = R E R^H + s I_k (k = min(M, N)).  :class:`NpTestContext` factors C0
-once, C0 = U Lambda U^H, and every statistic of the package reads that
-context plus a trial's whitened draws xi = Lambda^{-1/2} U^H (z - R a theta);
-the M x M covariance is never formed.  Closed-form detection and
+once from a channel draw's factor R and antenna count M, C0 = U Lambda U^H,
+and every statistic of the package reads that context plus the whitened
+draws xi = Lambda^{-1/2} U^H (z - R a theta) of a block of trials, one per
+column; the M x M covariance is never formed.  Closed-form detection and
 false-alarm probabilities follow from the statistic being a scaled
 chi-square variable with two degrees of freedom under both hypotheses.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ChannelRealization, GainVector, Scenario
+from .scenario import GainVector, Scenario
 
 
 class DegenerateDetectorError(ValueError):
@@ -92,12 +93,6 @@ def _dotc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u.conj()[..., None, :] @ v[..., None])[..., 0, 0]
 
 
-def _per_trial(value, xi: np.ndarray):
-    """A per-unit context value shaped to broadcast over the trials of xi,
-    which are (k,) for one trial or (..., k, T) for T of them."""
-    return value if xi.ndim == 1 else np.asarray(value)[..., None]
-
-
 @dataclass(frozen=True, eq=False)
 class NpTestContext:
     """The H0 law of the reduced observation, read by every statistic.
@@ -118,7 +113,8 @@ class NpTestContext:
     ``threshold`` become B-shaped arrays) and one ``eigh`` factors every
     C0 of the stack.  The statistics contract the draws with ``@``, so the
     units along B's last axis read the same draws.  A single unit is the case
-    B = (): ``snr`` is a float.
+    B = (): ``snr`` is a float.  The statistics read trials as columns, draws
+    xi shaped (*A, k, T); one received vector is the case T = 1.
     """
 
     scenario: Scenario
@@ -133,17 +129,21 @@ class NpTestContext:
     def build(
         cls,
         gains: GainVector | np.ndarray,
-        channel: ChannelRealization,
+        r: np.ndarray,
+        m: int,
         scenario: Scenario,
         target_pfa: float | None = None,
     ) -> "NpTestContext":
-        """The law of one unit, or of a stack of units: ``gains`` is a
-        :class:`GainVector` or complex gains (..., N), and ``channel.r`` is
-        (..., k, N); their leading axes broadcast to the stack's shape."""
+        """The law of one unit, or of a stack of units, on M = m antennas:
+        ``gains`` is a :class:`GainVector` or complex gains (..., N), and the
+        channel factor r (:func:`scenario.sample_channel`) is (..., k, N),
+        k = min(M, N); their leading axes broadcast to the stack's shape."""
         a = gains.gains if isinstance(gains, GainVector) else np.asarray(gains, complex)
+        r = np.asarray(r, complex)
+        if m < 1 or r.ndim < 2 or r.shape[-2] != min(m, r.shape[-1]):
+            raise ValueError("r must be a min(M, N) x N factor with M >= 1")
         s = scenario.fc_noise_var
         # C0's eigenvalues are those of F F^H, F = R E^{1/2}, on the s-level bulk
-        r = channel.r
         f = r * np.sqrt(np.abs(a) ** 2 * scenario.meas_noise_vars)[..., None, :]
         f_h = np.swapaxes(f.conj(), -1, -2)
         lam, u = np.linalg.eigh(f @ f_h)
@@ -158,35 +158,31 @@ class NpTestContext:
         thr = None
         if target_pfa is not None:
             thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)
-        return cls(scenario, channel.m_antennas, u, lam, beta, g, thr)
+        return cls(scenario, m, u, lam, beta, g, thr)
 
 
 def steering_response(
     ctx: NpTestContext, xi: np.ndarray, theta: complex | np.ndarray
-) -> complex | np.ndarray:
+) -> np.ndarray:
     """w^H y, the one inner product the statistic and the LMMSE estimate read.
 
     For z = U Lambda^{1/2} xi + (R a) theta it is beta^H Lambda^{-1} U^H z =
     (Lambda^{-1/2} beta)^H xi + g theta: one k-vector contraction of the draws
-    shared by every row of theta.  For a single unit xi is (k,) or (k, T) and
-    theta a number, (T,) or (H, T) for H hypotheses sharing the draws; the
-    result is a complex number, one value per column, or one row per
+    shared by every row of theta.  For a single unit xi is (k, T), one trial
+    per column, and theta a number, (T,) or (H, T) for H hypotheses sharing
+    the draws; the result has one value per column, or one row per
     hypothesis.  For a stack of units of shape (*A, U), the U units of each
     index of A share the draws: xi is (*A, k, T), theta broadcasts against
     (*A, U, T), such as (H, *A, 1, T), and so does the result.
     """
     coef = (ctx.signal / np.sqrt(ctx.eigenvalues)).conj()
-    out = coef @ xi + _per_trial(ctx.snr, xi) * theta
-    return complex(out) if np.ndim(out) == 0 else out
+    return coef @ xi + np.asarray(ctx.snr)[..., None] * theta
 
 
-def np_statistic(ctx: NpTestContext, response: complex | np.ndarray) -> float | np.ndarray:
+def np_statistic(ctx: NpTestContext, response: np.ndarray) -> np.ndarray:
     """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2 from the steering response
-    w^H y of :func:`steering_response`.
-
-    One received vector gives a float; a block gives one value per column.
-    """
-    return _float_if_scalar(ctx.scenario.signal_var * np.abs(response) ** 2)
+    w^H y of :func:`steering_response`, one value per entry."""
+    return ctx.scenario.signal_var * np.abs(response) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,24 +219,11 @@ class SingleAntennaContext:
         )
         thr = None
         if target_pfa is not None:
-            thr = single_antenna_threshold_for_pfa(noise, target_pfa)
+            # |y|^2 is exponential with mean sigma_w_sq under H0; invert its tail
+            if not 0.0 < target_pfa < 1.0:
+                raise ValueError("target_pfa must lie in (0, 1)")
+            thr = float(-noise * np.log(target_pfa))
         return cls(gains, h, sig, noise, thr)
-
-
-def single_antenna_threshold_for_pfa(sigma_w_sq: float, target_pfa: float) -> float:
-    """|y|^2 is exponential with mean sigma_w_sq under H0; invert its tail."""
-    if not 0.0 < target_pfa < 1.0:
-        raise ValueError("target_pfa must lie in (0, 1)")
-    return float(-sigma_w_sq * np.log(target_pfa))
-
-
-def single_antenna_statistic(ctx: SingleAntennaContext, y: complex) -> bool:
-    """Decide the signal-present hypothesis from a scalar received sample."""
-    if ctx.sigma_s_sq <= 0:
-        raise DegenerateDetectorError("zero coherent signal power: decisions are uninformative")
-    if ctx.threshold is None:
-        raise ValueError("context has no threshold; build it with a target_pfa")
-    return bool(abs(y) ** 2 > ctx.threshold)
 
 
 def single_antenna_pd(ctx: SingleAntennaContext) -> float:
@@ -248,10 +231,3 @@ def single_antenna_pd(ctx: SingleAntennaContext) -> float:
     if ctx.threshold is None:
         raise ValueError("context has no threshold; build it with a target_pfa")
     return float(np.exp(-ctx.threshold / (ctx.sigma_s_sq + ctx.sigma_w_sq)))
-
-
-def single_antenna_pfa(ctx: SingleAntennaContext) -> float:
-    """Closed-form false-alarm probability exp(-thr / sigma_w_sq)."""
-    if ctx.threshold is None:
-        raise ValueError("context has no threshold; build it with a target_pfa")
-    return float(np.exp(-ctx.threshold / ctx.sigma_w_sq))

@@ -93,16 +93,19 @@ def single_antenna_optimal_gains(scenario: Scenario, h: np.ndarray, p: float) ->
     """Gains maximizing the scalar receiver's signal-to-noise ratio at sum power p.
 
     Matched-filter solution a_i = c * conj(h_i) / r_i with
-    r_i = |h_i|^2 v_i + s / p, normalized so the powers sum to p.
+    r_i = |h_i|^2 v_i + s / p, normalized so the powers sum to p.  r is taken
+    times q = min(p, 1), which keeps the direction and keeps r and the
+    normalizing sum in range from subnormal powers to 1e308.
     """
     if p <= 0:
         raise ValueError("sum power must be positive")
     h = np.asarray(h, dtype=complex)
     if not np.any(h):
         raise DegenerateDetectorError("all-zero channel: no gain choice carries signal")
-    r = np.abs(h) ** 2 * scenario.meas_noise_vars + scenario.fc_noise_var / p
+    q = min(p, 1.0)
+    r = np.abs(h) ** 2 * scenario.meas_noise_vars * q + scenario.fc_noise_var * (q / p)
     direction = np.conj(h) / r
-    scale = np.sqrt(p / np.sum(np.abs(h) ** 2 / r**2))
+    scale = np.sqrt(p) / np.sqrt(np.sum(np.abs(h) ** 2 / r**2))
     return GainVector.from_gains(scale * direction)
 
 

@@ -1,12 +1,13 @@
-"""Static network description, fading channel draws, and received observations.
+"""Static network description, fading channel draws and the random streams.
 
 The sensor network is described by a :class:`Scenario` (geometry and noise
-levels), from which random channels are drawn.  A channel draw is held as the
-triangular factor R of H = QR (:class:`ChannelRealization`), drawn directly by
-the Bartlett decomposition, so it costs the same at M = 16 and at M = 1e6.  A
-received vector is never formed: the statistics read a trial through its
-whitened draws and the noise law of :class:`np_detector.NpTestContext`.  All
-sampling takes an explicit :class:`numpy.random.Generator`, and
+levels), from which random channels are drawn.  A channel draw is the
+read-only k x N triangular factor R of a thin QR H = QR, k = min(M, N)
+(:func:`sample_channel`), drawn directly by the Bartlett decomposition, so it
+costs the same at M = 16 and at M = 1e6; the antenna count M travels beside
+it.  A received vector is never formed: the statistics read a trial through
+its whitened draws and the noise law of :class:`np_detector.NpTestContext`.
+All sampling takes an explicit :class:`numpy.random.Generator`, and
 :func:`derive_rng` maps a master seed plus an index path to an independent
 stream, so results are reproducible regardless of execution order.
 """
@@ -37,24 +38,16 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def complex_normal(
-    rng: np.random.Generator, var: float, size=None, *, out: np.ndarray | None = None
-) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, var: float, shape=()) -> np.ndarray:
     """Draw circular complex Gaussians: real/imag parts each with variance var/2.
 
-    With ``out`` (a C-contiguous complex128 array, ``size`` left unset) the
-    block is filled in place and returned: one draw of interleaved real and
-    imaginary parts, scaled without temporaries.  The fill reads the stream
-    entry by entry in C order, so filling a block in consecutive pieces gives
-    the same values as filling it at once; they differ from a ``size=`` draw.
+    One draw of interleaved real and imaginary parts, scaled in place.  The
+    fill reads the stream entry by entry in C order, so drawing a block in
+    consecutive pieces gives the same values as drawing it at once.
     """
-    scale = np.sqrt(var / 2.0)
-    if out is None:
-        return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    if size is not None or out.dtype != np.complex128:
-        raise ValueError("out must be a complex128 array and excludes size")
-    rng.standard_normal(out=out.view(np.float64))
-    out *= scale
+    out = np.empty(shape, complex)
+    rng.standard_normal(out=out.reshape(-1).view(np.float64))
+    out *= np.sqrt(var / 2.0)
     return out
 
 
@@ -134,31 +127,9 @@ def sample_scenario(
     return Scenario(d, v, signal_var, fc_noise_var, path_loss_exp)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of the M x N complex channel H, held as its triangular factor.
-
-    r is the k x N factor of a thin QR H = QR (k = min(M, N)).  Every
-    statistic, and the finite-M deflection, reads the channel through the
-    noise law :class:`np_detector.NpTestContext` factors from r; nothing forms
-    an M x M or M x N intermediate.  Draws with one M can be stacked: r is
-    then (..., k, N), one factor per leading index.
-    """
-
-    r: np.ndarray
-    m_antennas: int
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=complex)
-        m = int(self.m_antennas)
-        if m < 1 or r.ndim < 2 or r.shape[-2] != min(m, r.shape[-1]):
-            raise ValueError("r must be a min(M, N) x N factor with M >= 1")
-        object.__setattr__(self, "r", _readonly(r))
-        object.__setattr__(self, "m_antennas", m)
-
-
-def sample_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw an M x N Rayleigh-fading channel with distance-based path loss.
+def sample_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw an M x N Rayleigh-fading channel with distance-based path loss, held
+    as the read-only k x N triangular factor R of a thin QR H = QR, k = min(M, N).
 
     H has independent columns CN(0, I_M / d_i**alpha).  Only its triangular
     factor R is drawn, by the complex Bartlett decomposition: for H = H0 B
@@ -171,10 +142,11 @@ def sample_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> Chan
         raise ValueError("antenna count must be >= 1")
     n = scenario.n_sensors
     k = min(m, n)
-    r = np.triu(complex_normal(rng, 1.0, out=np.empty((k, n), complex)), 1)
+    r = np.triu(complex_normal(rng, 1.0, (k, n)), 1)
     np.fill_diagonal(r, np.sqrt(rng.standard_gamma(np.arange(m, m - k, -1.0))))
     r *= np.sqrt(scenario.path_gains)
-    return ChannelRealization(r, m)
+    r.setflags(write=False)
+    return r
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
 """Independent references the tests hold the package to.
 
 None of these runs in the package: a direct sampler of the detector
-statistics under both hypotheses, a one-unit-at-a-time scorer of the
-harness's tallies, the optimality residuals of the two gain solvers, the
+statistics under both hypotheses on one channel draw (its factor R and
+antenna count M, as the package holds it), a one-unit-at-a-time scorer of
+the harness's tallies, the optimality residuals of the two gain solvers, the
 scalar receiver's best ratio and SNR cap, the variance of a complex Gaussian
 quadratic form, and a scenario serializer for config round trips.  The dense
 explicit-H receiver lives in ``channels.py``.
@@ -20,25 +21,21 @@ from mimofusion.harness import (
     TrialStream,
 )
 from mimofusion.np_gains import WaterfillSolution
-from mimofusion.scenario import (
-    ChannelRealization,
-    GainVector,
-    Scenario,
-    derive_rng,
-    sample_channel,
-)
+from mimofusion.scenario import GainVector, Scenario, derive_rng, sample_channel
 
 
 def simulate_statistics(
     detector: str,
     gains: GainVector,
-    channel: ChannelRealization,
+    r: np.ndarray,
+    m: int,
     scenario: Scenario,
     trials: int,
     master_seed: int,
     path: tuple[int, ...] = (0,),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the detector statistic under both hypotheses from one trial stream.
+    """Sample the detector statistic under both hypotheses from one trial
+    stream, on the channel draw r with M = m antennas.
 
     Returns (noise-only statistics, signal-present statistics); thresholding is
     left to the caller, so one sampled set serves a whole ROC sweep or any
@@ -51,16 +48,16 @@ def simulate_statistics(
         raise ValueError("trials must be >= 1")
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
-    if detector in SINGLE_DETECTORS and channel.m_antennas != 1:
+    if detector in SINGLE_DETECTORS and m != 1:
         raise ValueError("single-antenna detectors need a one-antenna channel")
-    ctx = np_detector.NpTestContext.build(gains, channel, scenario)
+    ctx = np_detector.NpTestContext.build(gains, r, m, scenario)
 
     def statistic(xi, theta, outside):
         if detector == "np":
             return np_detector.np_statistic(ctx, np_detector.steering_response(ctx, xi, theta))
         return energy_detector.ed_statistic(ctx, xi, theta, outside)
 
-    stream = TrialStream(scenario, channel.m_antennas, master_seed, path)
+    stream = TrialStream(scenario, m, master_seed, path)
     t0, t1 = [], []
     for theta, xi, outside in stream.chunks(trials):
         h0, h1 = statistic(xi, np.stack((np.zeros_like(theta), theta)), outside)
@@ -86,7 +83,7 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
              "deflection", "trials")
     merged = {(m, pol): dict.fromkeys(names, 0) for pol in units}
     for s_idx in range(config.n_scenarios):
-        channel = sample_channel(
+        r = sample_channel(
             scenario, m, derive_rng(config.master_seed, point_idx, s_idx, m, _TAG_CHANNEL)
         )
         tallies = {key: dict.fromkeys(names, 0) for key in merged}
@@ -95,8 +92,8 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
             tally = tallies[m, pol]
             a = gains[pol]
             if a is None:
-                a = np_gains.single_antenna_optimal_gains(scenario, channel.r[0], p)
-            ctx = np_detector.NpTestContext.build(a, channel, scenario, target_pfa=pfa)
+                a = np_gains.single_antenna_optimal_gains(scenario, r[0], p)
+            ctx = np_detector.NpTestContext.build(a, r, m, scenario, target_pfa=pfa)
             lr = any(det != "ed" for det in dets)
             if lr:
                 tally["pd_theory"] = np_detector.pd_closed_form(ctx.snr, sv, pfa)

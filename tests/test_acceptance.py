@@ -55,8 +55,8 @@ def test_criterion_1_np_calibration(scenario):
     m, p, trials = 50, 10.0, 100_000
     channel = sample_channel(scenario, m, derive_rng(SCENARIO_SEED, 1))
     gains = waterfill(scenario, m, p).gains
-    ctx = NpTestContext.build(gains, channel, scenario, target_pfa=PFA_TARGET)
-    t0, t1 = simulate_statistics("np", gains, channel, scenario, trials, 1001)
+    ctx = NpTestContext.build(gains, channel, m, scenario, target_pfa=PFA_TARGET)
+    t0, t1 = simulate_statistics("np", gains, channel, m, scenario, trials, 1001)
     pfa_emp = float(np.mean(t0 > ctx.threshold))
     pd_emp = float(np.mean(t1 > ctx.threshold))
     pd_theory = pd_closed_form(ctx.snr, scenario.signal_var, PFA_TARGET)
@@ -151,7 +151,7 @@ def test_criterion_5_lmmse_identity_and_floor(scenario):
         n_channels, trials_per = 10, 10_000
         for c in range(n_channels):
             explicit = explicit_channel(scenario, m, derive_rng(SCENARIO_SEED, 5, c))
-            ctx = NpTestContext.build(gains, explicit.channel, scenario)
+            ctx = NpTestContext.build(gains, explicit.r, m, scenario)
             theory_total += mse_closed_form(ctx.snr, scenario.signal_var)
             # reduced draws formed into z1 = Q^H y1 for a thin QR H = QR,
             # w^H y1 = (Q^H w)^H z1
@@ -216,7 +216,7 @@ def test_criterion_7_ed_threshold_calibration():
         false_alarms = 0
         for c in range(n_channels):
             channel = sample_channel(sc, m, derive_rng(707, n, c))
-            t0, _ = simulate_statistics("ed", gains, channel, sc, trials_per, 708, (n, c))
+            t0, _ = simulate_statistics("ed", gains, channel, m, sc, trials_per, 708, (n, c))
             false_alarms += int(np.count_nonzero(t0 > thr.gamma_hat))
         pfa_emp = false_alarms / (n_channels * trials_per)
         ok = ok and abs(pfa_emp - PFA_TARGET) <= 0.01
@@ -359,7 +359,7 @@ def test_criterion_11_np_pd_flat_to_massive_m(scenario):
         channels = (
             sample_channel(scenario, m, derive_rng(1111, m, c)) for c in range(LAW_CHANNELS)
         )
-        snrs = [NpTestContext.build(gains, ch, scenario).snr for ch in channels]
+        snrs = [NpTestContext.build(gains, ch, m, scenario).snr for ch in channels]
         pds.append(np.mean([pd_closed_form(g, scenario.signal_var, PFA_TARGET) for g in snrs]))
     spread = max(pds) - min(pds)
     lower = np_pd_bound(scenario, "low_power", PFA_TARGET)
@@ -385,7 +385,7 @@ def test_criterion_12_ed_deflection_laws_to_massive_m(scenario):
                 sample_channel(scenario, m, derive_rng(1212, m, c)) for c in range(LAW_CHANNELS)
             )
             deflections.append(
-                np.mean([deflection_exact(NpTestContext.build(sol.gains, ch, scenario))
+                np.mean([deflection_exact(NpTestContext.build(sol.gains, ch, m, scenario))
                          for ch in channels])
             )
         limit = deflection_asymptotic(sol.x, scenario, MASSIVE_M[-1])

@@ -161,6 +161,23 @@ def test_packaged_recipe_runs_warning_free(tmp_path, capsys, name):
         assert {col for col, cell in row.items() if cell == ""} == UNFILLED[row["detector"]], row
 
 
+def test_large_power_deflection_is_finite(tmp_path, capsys):
+    """|beta|^4 and the eigenvalues' sum of squares leave the float range near
+    P = 1e154; the deflection, read in units of the largest eigenvalue, does
+    not, so every energy-detector row fills it without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["run", "--experiment", "fig5", "--trials", "5", "--scenarios", "1",
+                   "--set", "sweep_p=1e160", "--set", "policies=equal,closed_form_high",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    with open(tmp_path / "fig5.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3  # ed on both policies, ed_single on equal only
+    for row in rows:
+        assert row["deflection"] != "" and np.isfinite(float(row["deflection"])), row
+
+
 class TestRun:
     def test_custom_config_writes_outputs(self, experiment_cfg, tmp_path, capsys):
         out_dir = str(tmp_path / "out")
@@ -501,7 +518,8 @@ class TestExitCodes:
 
 
 # empty, zero, negative, fractional, non-finite, subnormal and huge values
-MUTATIONS = ("", "0", "-1", "0.5", "nan", "inf", "-inf", "1e-320", "1e6", "1e308")
+MUTATIONS = ("", "0", "-1", "0.5", "nan", "inf", "-inf", "1e-320", "1e-200", "1e6", "1e200",
+             "1e308")
 
 
 def packaged_keys(*names):
@@ -509,11 +527,12 @@ def packaged_keys(*names):
 
 
 class TestConfigMutations:
-    """Each single-key mutation of the fig1 and fig6 recipes, run at 5 trials
-    on one channel draw, exits 0 or 2, and a run that exits 0 leaves a row
-    blank only at a sweep point that a warning names."""
+    """Each single-key mutation of the fig1, fig5 and fig6 recipes, run at 5
+    trials on one channel draw, exits 0 or 2, and a run that exits 0 leaves a
+    cell that its row's detector fills blank only at a sweep point that a
+    warning names."""
 
-    @pytest.mark.parametrize("name, key", packaged_keys("fig1", "fig6"))
+    @pytest.mark.parametrize("name, key", packaged_keys("fig1", "fig5", "fig6"))
     def test_exits_0_or_2(self, tmp_path, capsys, name, key):
         raw = {**parse_kv(packaged_experiment_text(name)), "trials": "5", "scenarios": "1"}
         bad = []
@@ -535,6 +554,8 @@ class TestConfigMutations:
                 rows = list(csv.DictReader(fh))
             per_point = len(rows) // points
             for j, row in enumerate(rows):
-                if row["pd_emp"] == "" and f"sweep point {j // per_point} failed" not in err:
-                    bad.append((value, "blank row without a warning", row))
+                blank = {col for col, cell in row.items() if cell == ""}
+                blank -= UNFILLED[row["detector"]]
+                if blank and f"sweep point {j // per_point} failed" not in err:
+                    bad.append((value, f"blank {sorted(blank)} without a warning", row))
         assert not bad, bad

@@ -69,21 +69,21 @@ class TestStatistic:
     def test_zero_vector(self):
         sc = sample_scenario(3, derive_rng(400))
         ex = explicit_channel(sc, 8, derive_rng(400, 1))
-        ctx = NpTestContext.build(GainVector.equal_power(1.0, 3), ex.channel, sc)
-        assert ed_statistic(ctx, *ex.reduce(np.zeros(8, complex), ctx)) == 0.0
+        ctx = NpTestContext.build(GainVector.equal_power(1.0, 3), ex.r, ex.m, sc)
+        assert ed_statistic(ctx, *ex.reduce(np.zeros((8, 1), complex), ctx)) == 0.0
 
     def test_block_matches_per_column_calls(self):
         sc = sample_scenario(3, derive_rng(407))
         ex = explicit_channel(sc, 16, derive_rng(408))
         gv = GainVector.equal_power(2.0, 3)
-        ctx = NpTestContext.build(gv, ex.channel, sc)
-        block = np.stack(
-            [sample_observation(ex, gv, sc, "H1", derive_rng(409, k)) for k in range(5)], axis=1
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
+        block = np.hstack(
+            [sample_observation(ex, gv, sc, "H1", derive_rng(409, k)) for k in range(5)]
         )
         stats = ed_statistic(ctx, *ex.reduce(block, ctx))
         assert stats.shape == (5,)
         for k in range(5):
-            one = ed_statistic(ctx, *ex.reduce(block[:, k], ctx))
+            one = ed_statistic(ctx, *ex.reduce(block[:, k:k + 1], ctx))[0]
             assert stats[k] == pytest.approx(one, rel=1e-12)
             assert one == pytest.approx(np.vdot(block[:, k], block[:, k]).real / 16, rel=1e-12)
 
@@ -91,7 +91,7 @@ class TestStatistic:
         sc = sample_scenario(3, derive_rng(401))
         ex = explicit_channel(sc, 16, derive_rng(402))
         gv = GainVector.from_gains(np.zeros(3, complex))
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         rng = derive_rng(403)
         stats = [
             ed_statistic(ctx, *ex.reduce(sample_observation(ex, gv, sc, "H0", rng), ctx))
@@ -109,16 +109,16 @@ class TestStatistic:
         mean_large_m = float(
             np.sum((sc.signal_var + sc.meas_noise_vars) * x / d_alpha) + sc.fc_noise_var
         )
-        _, t1 = simulate_statistics("ed", gv, ch, sc, 4000, 406)
+        _, t1 = simulate_statistics("ed", gv, ch, m, sc, 4000, 406)
         assert np.mean(t1) == pytest.approx(mean_large_m, rel=0.1)
 
 
-def mpmath_deflection(sc, ch, gv) -> float:
+def mpmath_deflection(sc, ch, m, gv) -> float:
     """(signal_var a^H G a)^2 / (tr((E G)^2) + 2 s tr(E G) + M s^2) with
     G = R^H R and E = diag(|a_i|^2 v_i), in 40-digit arithmetic from the float
     R, gains and noise levels."""
     with mpmath.workdps(40):
-        r = mpmath.matrix(ch.r.tolist())
+        r = mpmath.matrix(ch.tolist())
         k, n = r.rows, r.cols
         g = [[mpmath.fsum(mpmath.conj(r[t, i]) * r[t, j] for t in range(k)) for j in range(n)]
              for i in range(n)]
@@ -129,29 +129,34 @@ def mpmath_deflection(sc, ch, gv) -> float:
         quad = mpmath.re(mpmath.fsum(mpmath.conj(a[i]) * g[i][j] * a[j] for i, j in pairs))
         tr_eg2 = mpmath.re(mpmath.fsum(e[i] * g[i][j] * e[j] * g[j][i] for i, j in pairs))
         tr_eg = mpmath.re(mpmath.fsum(e[i] * g[i][i] for i in range(n)))
-        den = tr_eg2 + 2 * s * tr_eg + ch.m_antennas * s**2
+        den = tr_eg2 + 2 * s * tr_eg + m * s**2
         return float((mpmath.mpf(sc.signal_var) * quad) ** 2 / den)
 
 
 class TestDeflectionExact:
     def test_matches_mpmath_oracle(self):
         """On 300 networks (N 1 to 12, M 1 to 1e5, P 1e-4 to 1e4, four gain
-        policies, distances 2 to 10 or 1 to 1000) the deflection read from the
-        context is within 1e-13 relative of the Gram traces in 40 digits."""
+        policies, distances 2 to 10 or 1 to 1000), and 16 more at P = 1e160,
+        1e200, 1e300 and 1e-300, where |beta|^4 and sum Lambda^2 leave the
+        float range, the deflection read from the context is within 1e-13
+        relative of the Gram traces in 40 digits."""
         policies = ("waterfill", "equal", "qclp", "closed_form_low")
+        # qclp raises above P ~ 1e154, so the extreme powers take the closed forms
+        extreme = (1e160, 1e200, 1e300, 1e-300)
+        extreme_policies = ("waterfill", "equal", "closed_form_low", "closed_form_high")
         rng = derive_rng(415)
         misses = []
-        for i in range(300):
+        for i in range(300 + 4 * len(extreme)):
             n = int(rng.integers(1, 13))
             m = int(round(10.0 ** rng.uniform(0.0, 5.0)))
-            p = 10.0 ** rng.uniform(-4.0, 4.0)
-            policy = policies[i % len(policies)]
+            p = 10.0 ** rng.uniform(-4.0, 4.0) if i < 300 else extreme[(i - 300) // 4]
+            policy = (policies if i < 300 else extreme_policies)[i % 4]
             distances = ((2.0, 10.0), (1.0, 1000.0))[i // len(policies) % 2]
             sc = sample_scenario(n, derive_rng(415, i, 0), distance_range=distances)
             ch = sample_channel(sc, m, derive_rng(415, i, 1))
             gv = resolve_gains(policy, sc, m, p)
-            got = deflection_exact(NpTestContext.build(gv, ch, sc))
-            ref = mpmath_deflection(sc, ch, gv)
+            got = deflection_exact(NpTestContext.build(gv, ch, m, sc))
+            ref = mpmath_deflection(sc, ch, m, gv)
             if not abs(got - ref) <= 1e-13 * ref:
                 misses.append((n, m, p, policy, abs(got - ref) / ref))
         assert not misses, misses
@@ -160,7 +165,7 @@ class TestDeflectionExact:
         sc = sample_scenario(2, derive_rng(410))
         ch = sample_channel(sc, 8, derive_rng(411))
         zero = GainVector.from_gains(np.zeros(2, complex))
-        assert deflection_exact(NpTestContext.build(zero, ch, sc)) == 0.0
+        assert deflection_exact(NpTestContext.build(zero, ch, 8, sc)) == 0.0
 
     def test_matches_dense_traces(self):
         sc = Scenario(np.array([2.0, 3.5]), np.array([0.3, 0.45]), 1.2, 0.3, 2.0)
@@ -171,7 +176,7 @@ class TestDeflectionExact:
         cw += sc.fc_noise_var * np.eye(8)
         cs = sc.signal_var * np.outer(h @ a, (h @ a).conj())
         dense = np.trace(cs).real ** 2 / np.trace(cw @ cw).real
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         assert deflection_exact(ctx) == pytest.approx(dense, rel=1e-10)
 
     def test_converges_to_asymptotic_on_sqrt_m_schedule(self):
@@ -186,6 +191,7 @@ class TestDeflectionExact:
                     deflection_exact(NpTestContext.build(
                         GainVector.from_magnitudes_sq(x),
                         sample_channel(sc, m, derive_rng(414, m, k)),
+                        m,
                         sc,
                     ))
                     - target
@@ -264,6 +270,20 @@ class TestSingleAntennaDeflection:
         assert single_antenna_deflection(gv, h, sc) == pytest.approx(
             (ctx.sigma_s_sq / ctx.sigma_w_sq) ** 2, rel=1e-12
         )
+
+    def test_reads_the_scalar_context_bit_for_bit(self):
+        # the squared ratio of SingleAntennaContext's two powers, each written out
+        rng = derive_rng(436)
+        for i in range(200):
+            sc = sample_scenario(1 + i % 10, derive_rng(437, i))
+            h = explicit_channel(sc, 1, derive_rng(438, i)).h[0]
+            raw = rng.standard_normal(sc.n_sensors) + 1j * rng.standard_normal(sc.n_sensors)
+            gv = GainVector.from_gains(raw * 10.0 ** rng.uniform(-3.0, 3.0))
+            sig = sc.signal_var * abs(np.sum(gv.gains * h)) ** 2
+            noise = float(
+                np.sum(gv.magnitudes_sq * np.abs(h) ** 2 * sc.meas_noise_vars) + sc.fc_noise_var
+            )
+            assert single_antenna_deflection(gv, h, sc) == (sig / noise) ** 2, i
 
     def test_strictly_decreases_when_shrunk(self):
         sc = sample_scenario(4, derive_rng(434))
@@ -414,7 +434,7 @@ class TestEdThreshold:
         n_ch, per = 10, 2000
         for c in range(n_ch):
             ch = sample_channel(sc, m, derive_rng(444, c))
-            t0, _ = simulate_statistics("ed", gv, ch, sc, per, 445, (c,))
+            t0, _ = simulate_statistics("ed", gv, ch, m, sc, per, 445, (c,))
             fa += int(np.count_nonzero(t0 > thr.gamma_hat))
         assert fa / (n_ch * per) == pytest.approx(0.05, abs=0.02)
 
@@ -492,7 +512,7 @@ def test_empirical_deflection_matches_exact():
     sc = sample_scenario(4, derive_rng(460))
     ch = sample_channel(sc, 48, derive_rng(461))
     gv = GainVector.equal_power(30.0, 4)
-    t0, t1 = simulate_statistics("ed", gv, ch, sc, 100_000, 462)
+    t0, t1 = simulate_statistics("ed", gv, ch, 48, sc, 100_000, 462)
     empirical = (np.mean(t1) - np.mean(t0)) ** 2 / np.var(t0)
-    ctx = NpTestContext.build(gv, ch, sc)
+    ctx = NpTestContext.build(gv, ch, 48, sc)
     assert empirical == pytest.approx(deflection_exact(ctx), rel=0.05)

@@ -61,19 +61,19 @@ class TestEstimatePdPfa:
     def test_threshold_extremes(self, scenario):
         ch = sample_channel(scenario, 8, derive_rng(603))
         gv = GainVector.equal_power(2.0, 5)
-        t0, t1 = simulate_statistics("np", gv, ch, scenario, 500, 604)
+        t0, t1 = simulate_statistics("np", gv, ch, 8, scenario, 500, 604)
         for threshold, rate in ((0.0, 1.0), (np.inf, 0.0)):
             assert np.mean(t1 > threshold) == rate and np.mean(t0 > threshold) == rate
 
     def test_requires_minimum_trials(self, scenario):
         ch = sample_channel(scenario, 8, derive_rng(605))
         with pytest.raises(ValueError):
-            simulate_statistics("np", GainVector.equal_power(1.0, 5), ch, scenario, 0, 606)
+            simulate_statistics("np", GainVector.equal_power(1.0, 5), ch, 8, scenario, 0, 606)
 
     def test_statistics_reusable_across_thresholds(self, scenario):
         ch = sample_channel(scenario, 8, derive_rng(607))
         gv = GainVector.equal_power(2.0, 5)
-        t0, t1 = simulate_statistics("np", gv, ch, scenario, 1000, 608)
+        t0, t1 = simulate_statistics("np", gv, ch, 8, scenario, 1000, 608)
         # one sampled set yields a whole operating curve
         pfas = [np.mean(t0 > thr) for thr in np.quantile(t0, [0.5, 0.9, 0.99])]
         assert pfas[0] > pfas[1] > pfas[2]
@@ -81,7 +81,8 @@ class TestEstimatePdPfa:
     def test_single_antenna_requires_one_antenna_channel(self, scenario):
         ch = sample_channel(scenario, 4, derive_rng(609))
         with pytest.raises(ValueError):
-            simulate_statistics("np_single", GainVector.equal_power(1.0, 5), ch, scenario, 10, 610)
+            simulate_statistics("np_single", GainVector.equal_power(1.0, 5), ch, 4, scenario, 10,
+                                610)
 
 
 class TestTrialStream:
@@ -136,9 +137,8 @@ class TestReducedSampler:
     def test_statistics_match_full_synthesis(self, network, m):
         sc, trials = network, self.TRIALS
         ex = explicit_channel(sc, m, derive_rng(621, m))
-        ch = ex.channel
         gv = GainVector.equal_power(5.0, sc.n_sensors)
-        ctx = NpTestContext.build(gv, ch, sc)
+        ctx = NpTestContext.build(gv, ex.r, m, sc)
         theta, y0, y1 = full_synthesis(ex, gv, sc, trials, derive_rng(622, m))
 
         def lr_statistic(ctx, xi, theta, outside):
@@ -146,7 +146,7 @@ class TestReducedSampler:
 
         pvalues = {}
         for det, statistic in (("np", lr_statistic), ("ed", ed_statistic)):
-            t0, t1 = simulate_statistics(det, gv, ch, sc, trials, 623, (m,))
+            t0, t1 = simulate_statistics(det, gv, ex.r, m, sc, trials, 623, (m,))
             pvalues[f"{det} H0"] = ks_2samp(t0, statistic(ctx, *ex.reduce(y0, ctx))).pvalue
             pvalues[f"{det} H1"] = ks_2samp(t1, statistic(ctx, *ex.reduce(y1, ctx))).pvalue
         # LMMSE errors on the reduced draws of a trial stream
@@ -165,18 +165,18 @@ class TestReducedSampler:
         ch = sample_channel(sc, m, derive_rng(627, m))
         gv = GainVector.from_gains(GainVector.equal_power(5.0, sc.n_sensors).gains
                                    * np.exp(1j * np.arange(sc.n_sensors)))
-        ctx = NpTestContext.build(gv, ch, sc)
+        ctx = NpTestContext.build(gv, ch, m, sc)
         theta, xi, outside = TrialStream(sc, m, 628, (m,)).draw(64)
         u, lam = ctx.basis, ctx.eigenvalues
         e = gv.magnitudes_sq * sc.meas_noise_vars
-        c0 = (ch.r * e) @ ch.r.conj().T + sc.fc_noise_var * np.eye(ch.r.shape[0])
+        c0 = (ch * e) @ ch.conj().T + sc.fc_noise_var * np.eye(ch.shape[0])
         np.testing.assert_allclose((u * lam) @ u.conj().T, c0, rtol=0,
                                    atol=1e-12 * np.abs(c0).max())
-        b = ch.r @ gv.gains
+        b = ch @ gv.gains
         np.testing.assert_allclose(u @ ctx.signal, b, rtol=0, atol=1e-12 * np.abs(b).max())
         z = np.stack(formed_blocks(ctx, theta, xi))  # (H0, H1) x k x T
         # Q^H w for w = C_w^{-1} H a, with Q = the first k columns of I_M
-        ex = embedded_channel(ch)
+        ex = embedded_channel(ch, m)
         w = ex.q.conj().T @ dense_steering(ex, gv, sc)
         response = np.einsum("k,hkt->ht", w.conj(), z)
         hypotheses = np.stack((np.zeros_like(theta), theta))
@@ -198,10 +198,10 @@ class TestReducedSampler:
         sc = network
         ex = explicit_channel(sc, m, derive_rng(625, m))
         gv = GainVector.equal_power(5.0, sc.n_sensors)
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, m, sc)
         _, y0, y1 = full_synthesis(ex, gv, sc, 16, derive_rng(626, m))
         w = dense_steering(ex, gv, sc)
-        for y in (y0, y1, y1[:, 0]):
+        for y in (y0, y1, y1[:, :1]):
             xi, theta, outside = ex.reduce(y, ctx)
             response = w.conj() @ y
             for name, got, want in (

@@ -21,12 +21,12 @@ def estimation_errors(sc, ex, gv, trials, seed):
     Trials are the harness's reduced draws, formed into z1 = Q^H y1 for a thin
     QR H = QR, and the estimate reads w^H y1 = (Q^H w)^H z1.
     """
-    ctx = NpTestContext.build(gv, ex.channel, sc)
+    ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
     err_sq = np.empty(trials)
     est_minus_truth = np.empty(trials, dtype=complex)
     chunk = 4096
     w = ex.q.conj().T @ dense_steering(ex, gv, sc)  # Q^H w for w = C_w^{-1} H a
-    stream = TrialStream(sc, ex.channel.m_antennas, seed, (0,))
+    stream = TrialStream(sc, ex.m, seed, (0,))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         theta, xi, _ = stream.draw(stop - start)
@@ -58,7 +58,7 @@ class TestEstimator:
         sc = sample_scenario(4, derive_rng(301))
         ex = explicit_channel(sc, 8, derive_rng(302))
         gv = GainVector.from_gains(np.zeros(4, complex))
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
         assert lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
         assert mse_closed_form(ctx.snr, sc.signal_var) == pytest.approx(sc.signal_var, rel=1e-12)
@@ -83,8 +83,8 @@ class TestEstimator:
     def test_bigger_snr_means_smaller_mse(self):
         sc = sample_scenario(6, derive_rng(310))
         ch = sample_channel(sc, 32, derive_rng(311))
-        weak = NpTestContext.build(GainVector.equal_power(0.5, 6), ch, sc)
-        strong = NpTestContext.build(GainVector.equal_power(50.0, 6), ch, sc)
+        weak = NpTestContext.build(GainVector.equal_power(0.5, 6), ch, 32, sc)
+        strong = NpTestContext.build(GainVector.equal_power(50.0, 6), ch, 32, sc)
         assert strong.snr > weak.snr
         assert mse_closed_form(strong.snr, 1.0) < mse_closed_form(weak.snr, 1.0)
 
@@ -92,21 +92,21 @@ class TestEstimator:
         sc = sample_scenario(4, derive_rng(312))
         ex = explicit_channel(sc, 8, derive_rng(313))
         gv = GainVector.equal_power(2.0, 4)
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(314))
         result = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
         w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         manual = np.vdot(w, y) / (1.0 / sc.signal_var + ctx.snr)
-        assert result == pytest.approx(complex(manual), rel=1e-12)
+        assert result[0] == pytest.approx(complex(manual), rel=1e-12)
         # an (M, T) block gives the per-column estimates
-        block = np.stack(
-            [sample_observation(ex, gv, sc, "H1", derive_rng(314, k)) for k in range(6)], axis=1
+        block = np.hstack(
+            [sample_observation(ex, gv, sc, "H1", derive_rng(314, k)) for k in range(6)]
         )
         batched = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(block, ctx)[:2]))
         assert batched.shape == (6,)
         for k in range(6):
-            xi, theta, _ = ex.reduce(block[:, k], ctx)
-            one = lmmse_estimate(ctx, steering_response(ctx, xi, theta))
+            xi, theta, _ = ex.reduce(block[:, k:k + 1], ctx)
+            one = lmmse_estimate(ctx, steering_response(ctx, xi, theta))[0]
             assert batched[k] == pytest.approx(one, rel=1e-12)
 
 
@@ -117,7 +117,7 @@ class TestSingleAntennaEstimator:
         ex = explicit_channel(sc, 1, derive_rng(321))
         h = ex.h[0]
         gv = GainVector.equal_power(4.0, 5)
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         theta, xi, _ = TrialStream(sc, 1, 322, (0,)).draw(50_000)
         # the harness's whitened draws; formed, z1 = q^H y1 with q the
         # 1 x 1 factor of a QR of H

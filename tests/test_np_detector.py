@@ -5,14 +5,11 @@ import pytest
 from mimofusion.harness import MULTI_POLICIES, resolve_gains
 from mimofusion.lmmse import mse_closed_form
 from mimofusion.np_detector import (
-    DegenerateDetectorError,
     NpTestContext,
     SingleAntennaContext,
     np_statistic,
     pd_closed_form,
     single_antenna_pd,
-    single_antenna_pfa,
-    single_antenna_statistic,
     snr_asymptotic,
     steering_response,
     threshold_for_pfa,
@@ -56,7 +53,7 @@ class TestStatistic:
         sc = small_scenario()
         ex = explicit_channel(sc, 6, derive_rng(101))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         for k in range(5):
             y = sample_observation(ex, gv, sc, "H1", derive_rng(102, k))
             ref = dense_statistic(sc, ex, gv, y)
@@ -72,7 +69,7 @@ class TestStatistic:
             gv = GainVector.from_gains(
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
-            ctx = NpTestContext.build(gv, ex.channel, sc)
+            ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
             y = sample_observation(ex, gv, sc, "H0", derive_rng(106, m))
             ref = dense_statistic(sc, ex, gv, y)
             stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
@@ -83,21 +80,21 @@ class TestStatistic:
         sc = small_scenario()
         ex = explicit_channel(sc, 6, derive_rng(114))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
-        ctx = NpTestContext.build(gv, ex.channel, sc)
-        block = np.stack(
-            [sample_observation(ex, gv, sc, "H1", derive_rng(115, k)) for k in range(5)], axis=1
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
+        block = np.hstack(
+            [sample_observation(ex, gv, sc, "H1", derive_rng(115, k)) for k in range(5)]
         )
         stats = np_statistic(ctx, steering_response(ctx, *ex.reduce(block, ctx)[:2]))
         assert stats.shape == (5,)
         for k in range(5):
-            one = np_statistic(ctx, steering_response(ctx, *ex.reduce(block[:, k], ctx)[:2]))
-            assert stats[k] == pytest.approx(one, rel=1e-12)
+            one = np_statistic(ctx, steering_response(ctx, *ex.reduce(block[:, k:k + 1], ctx)[:2]))
+            assert stats[k] == pytest.approx(one[0], rel=1e-12)
 
     def test_zero_gains_zero_statistic(self):
         sc = small_scenario()
         ex = explicit_channel(sc, 6, derive_rng(107))
         gv = GainVector.from_gains(np.zeros(2, complex))
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
         assert np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
         assert ctx.snr == 0.0
@@ -106,10 +103,10 @@ class TestStatistic:
         sc = small_scenario()
         ex = explicit_channel(sc, 6, derive_rng(109))
         gv = GainVector.from_gains(np.array([0.5, 0.3 + 0.2j]))
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         z = derive_rng(110).standard_normal(6) + 1j * derive_rng(111).standard_normal(6)
-        y = z - (np.vdot(w, z) / np.vdot(w, w)) * w
+        y = (z - (np.vdot(w, z) / np.vdot(w, w)) * w)[:, None]
         assert np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) < 1e-20
 
     def test_partial_support_matches_dense(self):
@@ -117,7 +114,7 @@ class TestStatistic:
         sc = small_scenario()
         ex = explicit_channel(sc, 8, derive_rng(112))
         gv = GainVector.from_gains(np.array([0.0, 0.9 - 0.4j]))
-        ctx = NpTestContext.build(gv, ex.channel, sc)
+        ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(113))
         ref = dense_statistic(sc, ex, gv, y)
         stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
@@ -127,8 +124,8 @@ class TestStatistic:
         sc = small_scenario()
         ch = sample_channel(sc, 6, derive_rng(116))
         gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
-        ctx = NpTestContext.build(gv, ch, sc)
-        ex = embedded_channel(ch)
+        ctx = NpTestContext.build(gv, ch, 6, sc)
+        ex = embedded_channel(ch, 6)
         y = ex.q @ np.ones((2, 3), complex)
         expected = sc.signal_var * np.abs(dense_steering(ex, gv, sc).conj() @ y) ** 2
         stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
@@ -151,7 +148,7 @@ def mpmath_snr(sc, ch, gv) -> float:
     """b^H C0^{-1} b with b = R a and C0 = R E R^H + s I_k, E = diag(|a_i|^2 v_i),
     solved in 50-digit arithmetic from the float R, gains and noise levels."""
     with mpmath.workdps(50):
-        r = mpmath.matrix(ch.r.tolist())
+        r = mpmath.matrix(ch.tolist())
         a = mpmath.matrix(gv.gains.tolist())
         e = [abs(x) ** 2 * mpmath.mpf(float(v)) for x, v in zip(a, sc.meas_noise_vars)]
         k, n = r.rows, r.cols
@@ -181,7 +178,7 @@ class TestSnr:
             sc = sample_scenario(n, derive_rng(129, i, 0), distance_range=distances)
             ch = sample_channel(sc, m, derive_rng(129, i, 1))
             gv = resolve_gains(policy, sc, m, p)
-            g = NpTestContext.build(gv, ch, sc).snr
+            g = NpTestContext.build(gv, ch, m, sc).snr
             ref = mpmath_snr(sc, ch, gv)
             if not abs(g - ref) <= 1e-12 * ref:
                 misses.append((n, m, p, policy, abs(g - ref) / ref))
@@ -196,14 +193,14 @@ class TestSnr:
             mags = derive_rng(127, i).uniform(0.0, 3.0, n)
             for keep in (np.ones(n, bool), np.arange(n) % 2 == 1, np.zeros(n, bool)):
                 gv = GainVector.from_gains(np.where(keep, mags, 0.0) * np.exp(0.3j * np.arange(n)))
-                g = NpTestContext.build(gv, ch, sc).snr
+                g = NpTestContext.build(gv, ch, m, sc).snr
                 assert g == pytest.approx(two_solve_snr(sc, ch, gv), rel=1e-12, abs=1e-300)
 
     def test_single_sensor_matches_dense(self):
         sc = Scenario(np.array([2.5]), np.array([0.4]), 1.0, 0.3, 2.0)
         ex = explicit_channel(sc, 8, derive_rng(120))
         gv = GainVector.from_gains(np.array([1.3 + 0.1j]))
-        snr = NpTestContext.build(gv, ex.channel, sc).snr
+        snr = NpTestContext.build(gv, ex.r, ex.m, sc).snr
         assert snr == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
     def test_exact_converges_to_asymptotic(self):
@@ -214,7 +211,7 @@ class TestSnr:
             gv = GainVector.from_magnitudes_sq(z / m)
             target = snr_asymptotic(gv, sc, m)
             draws = [
-                abs(NpTestContext.build(gv, sample_channel(sc, m, derive_rng(122, m, k)), sc).snr
+                abs(NpTestContext.build(gv, sample_channel(sc, m, derive_rng(122, m, k)), m, sc).snr
                     - target)
                 for k in range(10)
             ]
@@ -283,8 +280,8 @@ class TestEmpiricalCalibration:
         sc = sample_scenario(6, derive_rng(130))
         ch = sample_channel(sc, 24, derive_rng(131))
         gv = GainVector.equal_power(4.0, 6)
-        ctx = NpTestContext.build(gv, ch, sc, target_pfa=0.05)
-        t0, t1 = simulate_statistics("np", gv, ch, sc, 20_000, 132)
+        ctx = NpTestContext.build(gv, ch, 24, sc, target_pfa=0.05)
+        t0, t1 = simulate_statistics("np", gv, ch, 24, sc, 20_000, 132)
         assert np.mean(t0 > ctx.threshold) == pytest.approx(0.05, abs=0.006)
         assert np.mean(t1 > ctx.threshold) == pytest.approx(
             pd_closed_form(ctx.snr, sc.signal_var, 0.05), abs=0.012
@@ -296,8 +293,8 @@ class TestEmpiricalCalibration:
         ch = sample_channel(sc, 24, derive_rng(134))
         for scale in (1.0, 3.0):
             gv = GainVector.from_gains(scale * GainVector.equal_power(2.0, 6).gains)
-            ctx = NpTestContext.build(gv, ch, sc, target_pfa=0.05)
-            _, t1 = simulate_statistics("np", gv, ch, sc, 20_000, 135)
+            ctx = NpTestContext.build(gv, ch, 24, sc, target_pfa=0.05)
+            _, t1 = simulate_statistics("np", gv, ch, 24, sc, 20_000, 135)
             assert np.mean(t1 > ctx.threshold) == pytest.approx(
                 pd_closed_form(ctx.snr, sc.signal_var, 0.05), abs=0.012
             )
@@ -313,31 +310,16 @@ class TestSingleAntenna:
         assert ctx.sigma_s_sq == pytest.approx(abs(coherent) ** 2, rel=1e-12)
         expected_noise = np.sum(np.abs(gv.gains * h) ** 2 * sc.meas_noise_vars) + 0.3
         assert ctx.sigma_w_sq == pytest.approx(expected_noise, rel=1e-12)
-        assert single_antenna_pfa(ctx) == pytest.approx(0.1, rel=1e-12)
+        assert np.exp(-ctx.threshold / ctx.sigma_w_sq) == pytest.approx(0.1, rel=1e-12)
 
     def test_empirical_calibration(self):
         sc = sample_scenario(5, derive_rng(140))
         ex = explicit_channel(sc, 1, derive_rng(141))
         gv = GainVector.equal_power(6.0, 5)
         ctx = SingleAntennaContext.build(gv, ex.h[0], sc, target_pfa=0.05)
-        t0, t1 = simulate_statistics("np_single", gv, ex.channel, sc, 100_000, 142)
+        t0, t1 = simulate_statistics("np_single", gv, ex.r, ex.m, sc, 100_000, 142)
         assert np.mean(t0 > ctx.threshold) == pytest.approx(0.05, abs=0.01)
         assert np.mean(t1 > ctx.threshold) == pytest.approx(single_antenna_pd(ctx), abs=0.01)
-
-    def test_decision_uses_threshold(self):
-        sc = small_scenario()
-        gv = GainVector.from_gains(np.array([1.0, 1.0]))
-        ctx = SingleAntennaContext.build(gv, np.array([1.0, 1.0]), sc, target_pfa=0.05)
-        assert single_antenna_statistic(ctx, 10.0 + 0.0j)
-        assert not single_antenna_statistic(ctx, 0.01 + 0.0j)
-
-    def test_degenerate_detector_rejected(self):
-        sc = small_scenario()
-        gv = GainVector.from_gains(np.array([1.0, -1.0]))  # gains cancel the channel sum
-        ctx = SingleAntennaContext.build(gv, np.array([1.0, 1.0]), sc, target_pfa=0.05)
-        assert ctx.sigma_s_sq == pytest.approx(0.0, abs=1e-15)
-        with pytest.raises(DegenerateDetectorError):
-            single_antenna_statistic(ctx, 1.0 + 0.0j)
 
     def test_pd_limit_with_dominant_signal(self):
         # vanishing measurement noise sends sigma_s/sigma_w, and hence PD, to 1

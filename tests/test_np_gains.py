@@ -215,6 +215,23 @@ class TestSingleAntennaOptimalGains:
         with pytest.raises(DegenerateDetectorError):
             single_antenna_optimal_gains(sc, np.zeros(3, complex), 1.0)
 
+    def test_extreme_power_is_finite_and_warning_free(self):
+        # the plain r = |h|^2 v + s / p squares to 0 below p ~ 1e-154, and
+        # p / sum |h|^2 / r^2 overflows at p = 1e308 on a strong channel
+        sc = sample_scenario(10, derive_rng(73))
+        h = explicit_channel(sc, 1, derive_rng(238)).h[0]
+        strong = Scenario(np.array([0.5, 0.6]), np.array([0.3, 0.3]), 1.0, 0.3, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p in (1e-160, 1e-4, 1.0, 1e4, 1e300, 1e308):
+                assert single_antenna_optimal_gains(sc, h, p).sum_power == pytest.approx(
+                    p, rel=1e-12
+                ), p
+            for p in (1e-300, 1e-320):
+                assert np.all(single_antenna_optimal_gains(sc, h, p).gains != 0), p
+            gv = single_antenna_optimal_gains(strong, np.array([10.0, 8.0j]), 1e308)
+        assert gv.sum_power == pytest.approx(1e308, rel=1e-12)
+
 
 class TestPdBounds:
     def test_noisy_sensors_give_no_information(self):

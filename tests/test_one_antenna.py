@@ -45,7 +45,7 @@ def test_general_path_matches_scalar_forms(n, log_p, seed, policy):
         gv = GainVector.equal_power(p, n)
     else:
         gv = single_antenna_optimal_gains(sc, h, p)
-    ctx = NpTestContext.build(gv, ex.channel, sc)
+    ctx = NpTestContext.build(gv, ex.r, 1, sc)
     ref = SingleAntennaContext.build(gv, h, sc, target_pfa=PFA)
     sv = sc.signal_var
 
@@ -59,5 +59,5 @@ def test_general_path_matches_scalar_forms(n, log_p, seed, policy):
     y = derive_rng(seed, 2).standard_normal(2) @ np.array([1.0, 1.0j])
     coherent = np.sum(gv.gains * h)
     scalar = (np.conj(coherent) / ref.sigma_w_sq) * y / (1.0 / sv + snr)
-    estimate = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(np.array([y]), ctx)[:2]))
-    assert estimate == pytest.approx(scalar, rel=REL)
+    estimate = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(np.array([[y]]), ctx)[:2]))
+    assert estimate[0] == pytest.approx(scalar, rel=REL)

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
+from mimofusion.np_detector import NpTestContext
 from mimofusion.scenario import (
-    ChannelRealization,
     GainVector,
     Scenario,
     complex_normal,
@@ -111,21 +111,24 @@ class TestSampleChannel:
     def test_factor_shape(self):
         sc = make_scenario([2.0, 3.0, 4.0], [0.3, 0.4, 0.5])
         for m, k in ((1, 1), (2, 2), (3, 3), (16, 3)):
-            ch = sample_channel(sc, m, derive_rng(6, m))
-            assert ch.r.shape == (k, 3) and ch.m_antennas == m
-            assert np.array_equal(ch.r, np.triu(ch.r))
-            assert np.all(np.diag(ch.r).real > 0) and np.all(np.diag(ch.r).imag == 0)
+            r = sample_channel(sc, m, derive_rng(6, m))
+            assert r.shape == (k, 3) and not r.flags.writeable
+            assert np.array_equal(r, np.triu(r))
+            assert np.all(np.diag(r).real > 0) and np.all(np.diag(r).imag == 0)
 
     def test_explicit_factor_gram(self):
         sc = make_scenario([2.0, 3.0], [0.3, 0.4])
         explicit = explicit_channel(sc, 16, derive_rng(6))
-        ch, h = explicit.channel, explicit.h
-        assert_allclose(gram(ch), h.conj().T @ h, rtol=1e-12)
-        assert ch.r.shape == (2, 2) and ch.m_antennas == 16
+        r, h = explicit.r, explicit.h
+        assert_allclose(gram(r), h.conj().T @ h, rtol=1e-12)
+        assert r.shape == (2, 2) and explicit.m == 16
 
     def test_rejects_inconsistent_factor(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(np.eye(2), 1)  # k must be min(M, N) = 1
+        sc = make_scenario([2.0, 3.0], [0.3, 0.4])
+        gv = GainVector.equal_power(1.0, 2)
+        for r, m in ((np.eye(2), 1), (np.eye(2)[:1], 4), (np.eye(2), 0), (np.ones(2), 2)):
+            with pytest.raises(ValueError, match="min"):
+                NpTestContext.build(gv, r, m, sc)  # k must be min(M, N), M >= 1
 
     def test_rejects_zero_antennas(self):
         sc = make_scenario([2.0], [0.3])
@@ -148,12 +151,12 @@ class TestBartlettSampler:
         n, k = sc.n_sensors, min(m, sc.n_sensors)
         bartlett = [sample_channel(sc, m, derive_rng(50, m, i)) for i in range(self.DRAWS)]
         explicit = [
-            explicit_channel(sc, m, derive_rng(51, m, i)).channel for i in range(self.DRAWS)
+            explicit_channel(sc, m, derive_rng(51, m, i)).r for i in range(self.DRAWS)
         ]
 
         def features(channels):
             g = np.array([gram(ch) for ch in channels])
-            r = np.abs(np.array([ch.r for ch in channels]))
+            r = np.abs(np.array(channels))
             out = {"top eig": np.linalg.eigvalsh(g)[:, -1]}
             for i in range(n):
                 out[f"G{i}{i}"] = g[:, i, i].real
@@ -288,17 +291,10 @@ def test_complex_normal_moments():
 
 def test_complex_normal_in_place_fill_is_circular():
     n, var = 1_000_000, 2.5
-    x = complex_normal(derive_rng(42), var, out=np.empty(n, complex))
+    x = complex_normal(derive_rng(42), var, n)
     power = np.abs(x) ** 2
     assert abs(power.mean() - var) <= 5 * power.std() / np.sqrt(n)
     # circularity: the pseudo-variance E x^2 vanishes
     x2 = x**2
     assert abs(x2.mean()) <= 5 * np.sqrt(np.mean(np.abs(x2) ** 2) / n)
     assert abs(np.corrcoef(x.real, x.imag)[0, 1]) <= 5 / np.sqrt(n)
-
-
-def test_complex_normal_in_place_fill_rejects_bad_out():
-    with pytest.raises(ValueError):
-        complex_normal(derive_rng(43), 1.0, out=np.empty(4, np.complex64))
-    with pytest.raises(ValueError):
-        complex_normal(derive_rng(43), 1.0, 4, out=np.empty(4, complex))
