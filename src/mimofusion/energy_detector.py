@@ -64,7 +64,7 @@ def deflection_exact(ctx: NpTestContext) -> float | np.ndarray:
     sum Lambda^2 overflows at large power.
     """
     sc = ctx.scenario
-    top = ctx.eigenvalues[..., -1:]  # eigh sorts ascending
+    top = ctx.eigenvalues[..., :1]  # the SVD sorts descending
     beta = ctx.signal / np.sqrt(top)
     lam = ctx.eigenvalues / top
     tr_cs = sc.signal_var * _dotc(beta, beta).real

@@ -24,7 +24,7 @@ What the harness tallies is a unit: one antenna group with one gain policy.
 A point scores each antenna group over its scenarios in stacked blocks: the
 block's channel factors, gains and draws are stacked along a scenario axis,
 one :class:`np_detector.NpTestContext` holds every (scenario, unit) pair of
-the block, factored by one stacked ``eigh``, and every decision rule
+the block, factored by one stacked SVD, and every decision rule
 (likelihood ratio, energy, LMMSE estimate) scores a chunk of the whole block
 in one call, O(k) contractions per trial and unit; the likelihood-ratio
 decision and the estimate share one steering response.  The closed forms
@@ -70,7 +70,7 @@ _CHUNK = 2048
 # count (full-scale fig3 peaks about 1 MiB above a one-scenario loop; 4096
 # columns cost 5 MiB)
 _BLOCK_TRIALS = 2048
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 
 def compatible(detector: str, policy: str) -> bool:
@@ -211,7 +211,7 @@ class TrialStream:
     and E = diag(|a_i|^2 v_i); for C0 = U Lambda U^H, z has the law of
     U Lambda^{1/2} xi with xi ~ CN(0, I_k).  So a trial draws theta, xi and
     the outside energy, k + 1 complex normals, and every antenna group's
-    units read the same xi in the eigenbasis of their own C0
+    units read the same xi in the basis U of their own C0
     (:class:`np_detector.NpTestContext`): the reduced trial is exact in
     distribution.
 

@@ -98,20 +98,21 @@ class NpTestContext:
     """The H0 law of the reduced observation, read by every statistic.
 
     z = Q^H y (H = QR, thin) has the H0 covariance C0 = R E R^H + s I_k,
-    E = diag(|a_i|^2 v_i), factored once as C0 = U Lambda U^H: ``basis`` U,
-    ``eigenvalues`` Lambda (all >= s) and ``signal`` beta = U^H R a.  The SNR
-    g = a^H H^H C_w^{-1} H a = b^H C0^{-1} b (b = R a) is taken in the
-    stationary form 2 Re(b^H x) - x^H C0 x at x = U Lambda^{-1} beta, C0 x
-    applied through F = R E^{1/2}: U is off by about eps |F|^2 / gap, which
-    the plain sum beta^H Lambda^{-1} beta passes on to g (2e-12 relative at
-    P = 3500, M = 173), the stationary form only squared.  threshold is None
-    until a false-alarm target is supplied.
+    E = diag(|a_i|^2 v_i), factored once by the SVD F = R E^{1/2} = U Sigma V^H
+    as C0 = U Lambda U^H: ``basis`` U, ``eigenvalues`` Lambda = Sigma^2 + s
+    (descending) and ``signal`` beta = U^H R a = Sigma V^H c, with R a = F c for
+    c_i = sign(a_i) / sqrt(v_i), exactly 0 off F's nonzero columns: F's null
+    singular values come out near eps |F|, not 0, and weight on them would
+    carry an O(1) error into the SNR at large power.  The SNR
+    g = a^H H^H C_w^{-1} H a = sum |V^H c|^2 Sigma^2 / Lambda is a sum of
+    nonnegative terms, accurate at any power; F F^H is never formed.
+    threshold is None until a false-alarm target is supplied.
 
     One context may hold a stack of units, for instance (scenario, policy):
     the channel factor R and the gains carry leading axes that broadcast to
     the stack's shape B, every field gains B as leading axes (``snr`` and
-    ``threshold`` become B-shaped arrays) and one ``eigh`` factors every
-    C0 of the stack.  The statistics contract the draws with ``@``, so the
+    ``threshold`` become B-shaped arrays) and one ``svd`` factors every
+    F of the stack.  The statistics contract the draws with ``@``, so the
     units along B's last axis read the same draws.  A single unit is the case
     B = (): ``snr`` is a float.  The statistics read trials as columns, draws
     xi shaped (*A, k, T); one received vector is the case T = 1.
@@ -142,19 +143,14 @@ class NpTestContext:
         r = np.asarray(r, complex)
         if m < 1 or r.ndim < 2 or r.shape[-2] != min(m, r.shape[-1]):
             raise ValueError("r must be a min(M, N) x N factor with M >= 1")
-        s = scenario.fc_noise_var
-        # C0's eigenvalues are those of F F^H, F = R E^{1/2}, on the s-level bulk
-        f = r * np.sqrt(np.abs(a) ** 2 * scenario.meas_noise_vars)[..., None, :]
-        f_h = np.swapaxes(f.conj(), -1, -2)
-        lam, u = np.linalg.eigh(f @ f_h)
-        lam = np.maximum(lam, 0.0) + s
-        # b = R a, beta = U^H b, x and F^H x, formed as (..., k, 1) columns
-        b = r @ a[..., None]
-        beta = np.swapaxes(u.conj(), -1, -2) @ b
-        x = u @ (beta / lam[..., None])
-        fx = f_h @ x
-        b, beta, x, fx = b[..., 0], beta[..., 0], x[..., 0], fx[..., 0]
-        g = _float_if_scalar(2.0 * _dotc(b, x).real - _dotc(fx, fx).real - s * _dotc(x, x).real)
+        # R a = F c with c = a / |E^{1/2}| on F's nonzero columns, 0 off them
+        w = np.abs(a) * np.sqrt(scenario.meas_noise_vars)
+        c = np.divide(a, w, out=np.zeros_like(a), where=w > 0)
+        u, sigma, vh = np.linalg.svd(r * w[..., None, :], full_matrices=False)
+        lam = sigma**2 + scenario.fc_noise_var
+        t = (vh @ c[..., None])[..., 0]
+        beta = sigma * t
+        g = _float_if_scalar(np.sum((t.real**2 + t.imag**2) * (sigma**2 / lam), axis=-1))
         thr = None
         if target_pfa is not None:
             thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)

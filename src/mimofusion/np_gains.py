@@ -94,8 +94,8 @@ def single_antenna_optimal_gains(scenario: Scenario, h: np.ndarray, p: float) ->
 
     Matched-filter solution a_i = c * conj(h_i) / r_i with
     r_i = |h_i|^2 v_i + s / p, normalized so the powers sum to p.  r is taken
-    times q = min(p, 1), which keeps the direction and keeps r and the
-    normalizing sum in range from subnormal powers to 1e308.
+    times q = min(p, 1) and over its largest entry, which keeps the direction
+    and keeps r and the normalizing sum in range at any power and noise.
     """
     if p <= 0:
         raise ValueError("sum power must be positive")
@@ -104,6 +104,7 @@ def single_antenna_optimal_gains(scenario: Scenario, h: np.ndarray, p: float) ->
         raise DegenerateDetectorError("all-zero channel: no gain choice carries signal")
     q = min(p, 1.0)
     r = np.abs(h) ** 2 * scenario.meas_noise_vars * q + scenario.fc_noise_var * (q / p)
+    r = r / r.max()
     direction = np.conj(h) / r
     scale = np.sqrt(p) / np.sqrt(np.sum(np.abs(h) ** 2 / r**2))
     return GainVector.from_gains(scale * direction)
