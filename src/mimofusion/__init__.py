@@ -30,7 +30,7 @@ from .np_gains import (
     snr_floor_power,
     waterfill,
 )
-from .lmmse import lmmse_estimate, lmmse_mse_bound, mse_closed_form
+from .lmmse import lmmse_error, lmmse_estimate, lmmse_mse_bound, mse_closed_form
 from .energy_detector import (
     EdThreshold,
     deflection_asymptotic,

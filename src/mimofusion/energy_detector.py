@@ -37,11 +37,14 @@ def ed_statistic(
     weights, and ``ctx`` only supplies the coordinates the draws live in.  For
     z = U Lambda^{1/2} xi + (R a) theta, |z|^2 = lambda . |xi|^2 +
     2 Re(conj(theta) (Lambda^{1/2} beta)^H xi) + |beta|^2 |theta|^2: two
-    k-vector contractions shared by every row of theta.  xi and theta are
-    shaped as for :func:`np_detector.steering_response`, stacked contexts
-    included; outside, the energy outside range(H), is a float or shaped as
-    theta without its hypothesis rows, and the result is shaped as the
-    steering response.
+    k-vector contractions shared by every row of theta.  For a single unit
+    xi is (k, T), one trial per column, and theta a number, (T,) or (H, T)
+    for H hypotheses sharing the draws.  For a stack of units of shape
+    (*A, U), the U units of each index of A share the draws: xi is
+    (*A, k, T) and theta broadcasts against (*A, U, T), such as
+    (H, *A, 1, T).  outside, the energy outside range(H), is a float or
+    shaped as theta without its hypothesis rows; the result has one value
+    per unit, trial and hypothesis.
     """
     beta, lam = ctx.signal, ctx.eigenvalues
     return (

@@ -17,8 +17,13 @@ Trials are sampled in the range of the channel.  Every statistic reads a
 received vector only through z = Q^H y, for a thin QR H = QR, and through the
 energy of y outside range(H); those are drawn directly, and a channel draw is
 its factor R itself (:func:`sample_channel`), so neither a trial nor a
-channel draw grows with M.  A trial draws k + 1 complex normals,
-k = min(M, N): the signal and a whitened k-vector (:class:`TrialStream`).
+channel draw grows with M.  The likelihood-ratio statistic and the estimate
+read z only through one number, the steering response, drawn from its
+scalar law; only the energy detector reads the whitened k-vector of z,
+k = min(M, N), and the outside energy.  So a trial draws two complex
+normals for the likelihood-ratio curves, the signal and the response's
+noise, and k more plus a gamma variate only if ``ed`` is on the group
+(:class:`TrialStream`).
 
 What the harness tallies is a unit: one antenna group with one gain policy.
 A point scores each antenna group over its scenarios in stacked blocks: the
@@ -26,12 +31,14 @@ block's channel factors, gains and draws are stacked along a scenario axis,
 one :class:`np_detector.NpTestContext` holds every (scenario, unit) pair of
 the block, factored by one stacked SVD, and every decision rule
 (likelihood ratio, energy, LMMSE estimate) scores a chunk of the whole block
-in one call, O(k) contractions per trial and unit; the likelihood-ratio
-decision and the estimate share one steering response.  The closed forms
-take the block's SNR array, one call each.  A unit's tally is a slot of two
-arrays: decision counts, summed over the block, and squared errors and
-closed forms, added one scenario at a time in index order, so neither the
-block size nor the chunk size moves a count or closed-form cell.  Every
+in one call: O(1) work per trial and unit for the likelihood-ratio decision
+and the estimate, which share one steering response, and O(k) contractions
+for the energy decision.  The closed forms take the block's SNR array, one
+call each, made only if a curve on the group reads it.  A unit's tally is a
+slot of two arrays: decision counts, summed over the block, and squared
+errors and closed forms, added one scenario at a time in index order, so
+neither the block size nor the chunk size moves a count or closed-form
+cell.  Every
 curve's row is read from its unit's slots, so curves on one unit, such as
 ``np_single`` and ``ed_single``, share their decisions rather than repeat
 them.
@@ -70,7 +77,7 @@ _CHUNK = 2048
 # count (full-scale fig3 peaks about 1 MiB above a one-scenario loop; 4096
 # columns cost 5 MiB)
 _BLOCK_TRIALS = 2048
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 
 def compatible(detector: str, policy: str) -> bool:
@@ -209,35 +216,51 @@ class TrialStream:
     and the outside energy is s Gamma(M - k, 1) whichever Q the factorization
     gives.  Under H0, z = R D v + Q^H n ~ CN(0, C0) with C0 = R E R^H + s I_k
     and E = diag(|a_i|^2 v_i); for C0 = U Lambda U^H, z has the law of
-    U Lambda^{1/2} xi with xi ~ CN(0, I_k).  So a trial draws theta, xi and
-    the outside energy, k + 1 complex normals, and every antenna group's
-    units read the same xi in the basis U of their own C0
+    U Lambda^{1/2} xi with xi ~ CN(0, I_k).  The energy statistic reads xi
+    and the outside energy; the likelihood-ratio statistic and the estimate
+    read only the steering response, sqrt(g) eta + g theta in law with
+    eta ~ CN(0, 1) (:func:`np_detector.steering_response`).  Every antenna
+    group's units read the same draws, xi in the basis U of their own C0
     (:class:`np_detector.NpTestContext`): the reduced trial is exact in
     distribution.
 
-    The path seeds one stream, which spawns three children: one each for the
-    signal theta, the whitened draws xi and the outside energy.  Each child is
-    drawn trial-major, so reading the trials in chunks of any size gives the
-    same values as reading them all at once.
+    The path names four child streams, one each for the signal theta, the
+    whitened draws xi, the outside energy and eta, child i on the path
+    extended by i.  A stream builds only the children it is asked for:
+    theta always, eta for the likelihood-ratio curves (``lr``), xi and the
+    outside energy for the energy detector (``ed``); one not built is None
+    in each draw.  A child's values do not depend on which others are
+    built, and each is drawn trial-major, so reading the trials in chunks
+    of any size gives the same values as reading them all at once.
     """
 
-    def __init__(self, scenario: Scenario, m: int, master_seed: int, path: tuple[int, ...]):
+    def __init__(self, scenario: Scenario, m: int, master_seed: int, path: tuple[int, ...],
+                 *, lr: bool = True, ed: bool = True):
         self._scenario = scenario
         self._m = m
         self._k = min(m, scenario.n_sensors)
-        self._theta, self._xi, self._outside = derive_rng(master_seed, *path).spawn(3)
+        self._theta = derive_rng(master_seed, *path, 0)
+        self._xi, self._outside = (
+            (derive_rng(master_seed, *path, 1), derive_rng(master_seed, *path, 2))
+            if ed else (None, None)
+        )
+        self._eta = derive_rng(master_seed, *path, 3) if lr else None
 
-    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``count`` trials: theta (count,), xi ~ CN(0, I_k) (k, count)
-        and the receiver-noise energy outside range(H) (count,), zero when
-        k = M."""
+    def draw(self, count: int) -> tuple:
+        """The next ``count`` trials: theta (count,), eta ~ CN(0, 1) (count,),
+        xi ~ CN(0, I_k) (k, count) and the receiver-noise energy outside
+        range(H) (count,), zero when k = M; None for a child not built."""
         sc = self._scenario
         theta = complex_normal(self._theta, sc.signal_var, count)
-        xi = complex_normal(self._xi, 1.0, (count, self._k))
-        outside = np.zeros(count)
-        if self._m > self._k:
-            outside = sc.fc_noise_var * self._outside.standard_gamma(self._m - self._k, count)
-        return theta, xi.T, outside
+        eta = xi = outside = None
+        if self._eta is not None:
+            eta = complex_normal(self._eta, 1.0, count)
+        if self._xi is not None:
+            xi = complex_normal(self._xi, 1.0, (count, self._k)).T
+            outside = np.zeros(count)
+            if self._m > self._k:
+                outside = sc.fc_noise_var * self._outside.standard_gamma(self._m - self._k, count)
+        return theta, eta, xi, outside
 
     def chunks(self, trials: int):
         """The draws of the next ``trials`` trials, :data:`_CHUNK` at a time."""
@@ -290,12 +313,15 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
     it would alone.  A block of scenarios stacks them: the channel factors as
     (S, 1, k, N) and the gains as (S, U, N), ``single_antenna_optimal`` solved
     on each draw, so one context holds the block's S x U units, and each
-    chunk's draws as (S, k, T).  Every decision rule then scores the whole
-    block in one call: the likelihood-ratio (LR) decision and the LMMSE
-    estimate on its response if a detector other than ``ed`` is on the group,
-    the energy decision if ``ed`` is.  A unit's row reads only the slots of
-    its own detectors.  ``ed_single`` reads the LR decision: at M = 1 that
-    decision is |y|^2 > sigma_w^2 ln(1/target_pfa), the one-antenna
+    chunk's draws as (S, T), xi as (S, k, T).  Every decision rule then
+    scores the whole block in one call: the likelihood-ratio (LR) decision
+    on the steering response if a detector other than ``ed`` is on the
+    group, the LMMSE error if ``np`` or ``np_single`` is, the energy
+    decision if ``ed`` is.  The stream draws only what those read, and each
+    closed form is evaluated only if a detector on the group reads it; a
+    unit's row reads only the slots of its own detectors, and a slot no
+    detector reads stays 0.  ``ed_single`` reads the LR decision: at M = 1
+    that decision is |y|^2 > sigma_w^2 ln(1/target_pfa), the one-antenna
     receiver's test.
 
     The one-antenna gains read R's one row, e^{-i phi} h for h = H's row: a
@@ -308,6 +334,8 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
     detectors = {det for dets in units.values() for det in dets}
     lr = bool(detectors - {"ed"})
     ed = "ed" in detectors
+    estimates = bool(detectors & {"np", "np_single"})
+    deflection = bool(detectors & {"ed", "ed_single"})
     ed_thr = np.array([[ed_thresholds.get(pol, np.inf)] for pol in policies]) if ed else None
     counts = np.zeros((4, len(policies)), np.int64)
     sums = np.zeros((4, len(policies)))
@@ -324,27 +352,33 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
             for pol in policies
         ] for r_s in r])
         ctx = np_detector.NpTestContext.build(a, r[:, None], m, scenario, target_pfa=pfa)
-        err_sq = np.zeros(ctx.snr.shape)
-        streams = [TrialStream(scenario, m, seed, (point_idx, s, m, _TAG_TRIALS))
+        block_sums = np.zeros((4, *ctx.snr.shape))
+        streams = [TrialStream(scenario, m, seed, (point_idx, s, m, _TAG_TRIALS), lr=lr, ed=ed)
                    for s in scenarios]
         for draws in zip(*(stream.chunks(trials) for stream in streams)):
-            theta, xi, outside = map(_stacked, zip(*draws))
-            theta, outside = theta[:, None], outside[:, None]  # shared by a scenario's units
+            theta, eta, xi, outside = zip(*draws)
+            theta = _stacked(theta)[:, None]  # shared by a scenario's units
             # the two hypotheses share each trial's draws: signal rows 0 and theta;
             # decisions (hypothesis, scenario, unit, trial) are counted per (hypothesis, unit)
             hypotheses = np.array((np.zeros_like(theta), theta))
             if lr:
-                w = np_detector.steering_response(ctx, xi, hypotheses)
-                stat = np_detector.np_statistic(ctx, w)
+                eta = _stacked(eta)[:, None]
+                stat = np_detector.np_statistic(
+                    ctx, np_detector.steering_response(ctx, eta, hypotheses))
                 counts[:2] += (stat > ctx.threshold[..., None]).sum(axis=(1, 3))
-                err_sq += np.sum(np.abs(theta - lmmse.lmmse_estimate(ctx, w[1])) ** 2, axis=-1)
+                if estimates:
+                    err = lmmse.lmmse_error(ctx, eta, theta)
+                    block_sums[0] += np.sum(np.abs(err) ** 2, axis=-1)
             if ed:
-                stat = energy_detector.ed_statistic(ctx, xi, hypotheses, outside)
+                stat = energy_detector.ed_statistic(
+                    ctx, _stacked(xi), hypotheses, _stacked(outside)[:, None])
                 counts[2:] += (stat > ed_thr).sum(axis=(1, 3))
-        block_sums = np.array((
-            err_sq, np_detector.pd_closed_form(ctx.snr, sv, pfa),
-            lmmse.mse_closed_form(ctx.snr, sv), energy_detector.deflection_exact(ctx),
-        ))
+        if lr:
+            block_sums[1] = np_detector.pd_closed_form(ctx.snr, sv, pfa)
+        if estimates:
+            block_sums[2] = lmmse.mse_closed_form(ctx.snr, sv)
+        if deflection:
+            block_sums[3] = energy_detector.deflection_exact(ctx)
         for s in range(len(scenarios)):  # in index order, so no block size moves a sum's bits
             sums += block_sums[:, s]
     return {(m, pol): (counts[:, u], sums[:, u]) for u, pol in enumerate(policies)}

@@ -5,7 +5,9 @@ response w^H y, w = C_w^{-1} H a, as the likelihood-ratio detector, so the
 noise covariance is factored once per (channel draw R, gains) pair, and
 estimates a block of trials, one per column, at once.
 Its error variance is 1 / (1/signal_var + g), with g the same detection SNR
-the detector maximizes: the two optimization problems coincide.
+the detector maximizes: the two optimization problems coincide.  On the
+response's scalar law the error itself has a closed form in the draws
+(:func:`lmmse_error`), which the harness tallies.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ def lmmse_estimate(ctx: NpTestContext, response: np.ndarray) -> np.ndarray:
     every y.
     """
     return response / np.asarray(1.0 / ctx.scenario.signal_var + ctx.snr)[..., None]
+
+
+def lmmse_error(ctx: NpTestContext, eta: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """theta minus its estimate from the response sqrt(g) eta + g theta of
+    :func:`np_detector.steering_response`, written as
+    (theta / sigma - sigma sqrt(g) eta) / (1/sigma + sigma g), sigma^2 the
+    signal variance.
+
+    theta minus the estimate loses every digit once theta outgrows the
+    error, as it does at a large signal variance, and 1/sigma^2 overflows
+    at a subnormal one; this form does neither.  eta and theta are shaped
+    as for the steering response."""
+    sd = np.sqrt(ctx.scenario.signal_var)
+    g = np.asarray(ctx.snr)[..., None]
+    return (theta / sd - (sd * np.sqrt(g)) * eta) / (1.0 / sd + sd * g)
 
 
 def lmmse_mse_bound(scenario: Scenario, regime: str) -> float:

@@ -5,12 +5,13 @@ C_w = H D V D^H H^H + sigma_n^2 I is the noise covariance at the receiver.
 The steering vector w = C_w^{-1} H a lies in range(H), so for a thin QR
 H = QR the statistic reads y only through z = Q^H y, whose noise covariance
 is C0 = R E R^H + s I_k (k = min(M, N)).  :class:`NpTestContext` factors C0
-once from a channel draw's factor R and antenna count M, C0 = U Lambda U^H,
-and every statistic of the package reads that context plus the whitened
-draws xi = Lambda^{-1/2} U^H (z - R a theta) of a block of trials, one per
-column; the M x M covariance is never formed.  Closed-form detection and
-false-alarm probabilities follow from the statistic being a scaled
-chi-square variable with two degrees of freedom under both hypotheses.
+once from a channel draw's factor R and antenna count M, C0 = U Lambda U^H;
+the M x M covariance is never formed.  The statistic and the LMMSE estimate
+read a trial only through the steering response w^H y, which under both
+hypotheses is sqrt(g) eta + g theta for the SNR g and eta ~ CN(0, 1)
+(:func:`steering_response`).  Closed-form detection and false-alarm
+probabilities follow from the statistic being a scaled chi-square variable
+with two degrees of freedom under both hypotheses.
 """
 
 from __future__ import annotations
@@ -112,10 +113,10 @@ class NpTestContext:
     the channel factor R and the gains carry leading axes that broadcast to
     the stack's shape B, every field gains B as leading axes (``snr`` and
     ``threshold`` become B-shaped arrays) and one ``svd`` factors every
-    F of the stack.  The statistics contract the draws with ``@``, so the
-    units along B's last axis read the same draws.  A single unit is the case
-    B = (): ``snr`` is a float.  The statistics read trials as columns, draws
-    xi shaped (*A, k, T); one received vector is the case T = 1.
+    F of the stack.  The statistics broadcast a scenario's draws over the
+    units along B's last axis, so those units read the same draws.  A single
+    unit is the case B = (): ``snr`` is a float.  The statistics read trials
+    along a trailing axis T; one received vector is the case T = 1.
     """
 
     scenario: Scenario
@@ -158,21 +159,22 @@ class NpTestContext:
 
 
 def steering_response(
-    ctx: NpTestContext, xi: np.ndarray, theta: complex | np.ndarray
+    ctx: NpTestContext, eta: np.ndarray, theta: complex | np.ndarray
 ) -> np.ndarray:
-    """w^H y, the one inner product the statistic and the LMMSE estimate read.
+    """w^H y, the one number of a trial the statistic and the LMMSE estimate read.
 
-    For z = U Lambda^{1/2} xi + (R a) theta it is beta^H Lambda^{-1} U^H z =
-    (Lambda^{-1/2} beta)^H xi + g theta: one k-vector contraction of the draws
-    shared by every row of theta.  For a single unit xi is (k, T), one trial
-    per column, and theta a number, (T,) or (H, T) for H hypotheses sharing
-    the draws; the result has one value per column, or one row per
-    hypothesis.  For a stack of units of shape (*A, U), the U units of each
-    index of A share the draws: xi is (*A, k, T), theta broadcasts against
-    (*A, U, T), such as (H, *A, 1, T), and so does the result.
+    For z = U Lambda^{1/2} xi + (R a) theta it is (Lambda^{-1/2} beta)^H xi +
+    g theta, and the contraction of xi ~ CN(0, I_k) is CN(0, g), as
+    |Lambda^{-1/2} beta|^2 = g.  So the response is drawn from its scalar law
+    sqrt(g) eta + g theta, eta ~ CN(0, 1) independent of theta: exact in
+    distribution, one complex normal per trial whatever k.  eta and theta
+    carry a trailing trial axis and broadcast against the units' shape B
+    plus that axis, (*B, T): for a stack (*A, U) whose U units share a
+    scenario's draws, eta is (*A, 1, T) and theta (H, *A, 1, T) for H
+    hypotheses, giving (H, *A, U, T).
     """
-    coef = (ctx.signal / np.sqrt(ctx.eigenvalues)).conj()
-    return coef @ xi + np.asarray(ctx.snr)[..., None] * theta
+    g = np.asarray(ctx.snr)[..., None]
+    return np.sqrt(g) * eta + g * theta
 
 
 def np_statistic(ctx: NpTestContext, response: np.ndarray) -> np.ndarray:

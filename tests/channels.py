@@ -2,12 +2,15 @@
 received M-vectors, for tests that check the reduced receiver against them.
 
 The package holds a channel only as its triangular factor R and never forms a
-received vector: its statistics read a trial's whitened draws in the noise
-law of an :class:`NpTestContext`, one trial per column.  Here H, its thin-QR
-Q and the full y, one received vector per column, are kept: :meth:`ExplicitChannel.reduce` maps y to the draws the package reads,
-:func:`formed_blocks` forms the reduced blocks a trial stream's draws stand
-for, and :func:`dense_steering` solves the M x M noise covariance for the
-steering vector.
+received vector: its statistics read a trial's draws in the noise law of an
+:class:`NpTestContext`, one trial per column, the likelihood-ratio statistic
+only through the scalar law of its steering response.  Here H, its thin-QR Q
+and the full y, one received vector per column, are kept:
+:meth:`ExplicitChannel.reduce` maps y to the whitened draws xi the energy
+statistic reads, :func:`contracted_response` contracts them into the steering
+response w^H y, :func:`formed_blocks` forms the reduced blocks a trial
+stream's draws stand for, and :func:`dense_steering` solves the M x M noise
+covariance for the steering vector.
 """
 
 from dataclasses import dataclass
@@ -69,6 +72,15 @@ def dense_steering(explicit: ExplicitChannel, gains: GainVector, scenario: Scena
     e = gains.magnitudes_sq * scenario.meas_noise_vars
     cw = (h * e) @ h.conj().T + scenario.fc_noise_var * np.eye(h.shape[0])
     return np.linalg.solve(cw, h @ gains.gains)
+
+
+def contracted_response(ctx: NpTestContext, xi: np.ndarray, theta) -> np.ndarray:
+    """The steering response w^H y of z = U Lambda^{1/2} xi + (R a) theta as a
+    k-vector contraction, (Lambda^{-1/2} beta)^H xi + g theta: the dense form
+    of ``steering_response``'s scalar law, shaped as it is, with xi as for
+    ``ed_statistic``."""
+    coef = (ctx.signal / np.sqrt(ctx.eigenvalues)).conj()
+    return coef @ xi + np.asarray(ctx.snr)[..., None] * theta
 
 
 def formed_blocks(ctx: NpTestContext, theta, xi) -> tuple[np.ndarray, np.ndarray]:

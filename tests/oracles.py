@@ -40,9 +40,11 @@ def simulate_statistics(
     Returns (noise-only statistics, signal-present statistics); thresholding is
     left to the caller, so one sampled set serves a whole ROC sweep or any
     number of empirical rates.  The two hypotheses share each trial's signal
-    and noise draws, sampled in the range of the channel and read through
-    :meth:`TrialStream.chunks`, as the harness reads them.  The ``*_single``
-    detectors need a one-antenna channel and return |y|^2, the energy there.
+    and noise draws, read through :meth:`TrialStream.chunks`, as the harness
+    reads them: ``np`` reads the steering response's scalar law, the others
+    the whitened draws and outside energy of the range-of-H sampler.  The
+    ``*_single`` detectors need a one-antenna channel and return |y|^2, the
+    energy there.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -52,15 +54,15 @@ def simulate_statistics(
         raise ValueError("single-antenna detectors need a one-antenna channel")
     ctx = np_detector.NpTestContext.build(gains, r, m, scenario)
 
-    def statistic(xi, theta, outside):
+    def statistic(eta, xi, theta, outside):
         if detector == "np":
-            return np_detector.np_statistic(ctx, np_detector.steering_response(ctx, xi, theta))
+            return np_detector.np_statistic(ctx, np_detector.steering_response(ctx, eta, theta))
         return energy_detector.ed_statistic(ctx, xi, theta, outside)
 
     stream = TrialStream(scenario, m, master_seed, path)
     t0, t1 = [], []
-    for theta, xi, outside in stream.chunks(trials):
-        h0, h1 = statistic(xi, np.stack((np.zeros_like(theta), theta)), outside)
+    for theta, eta, xi, outside in stream.chunks(trials):
+        h0, h1 = statistic(eta, xi, np.stack((np.zeros_like(theta), theta)), outside)
         t0.append(h0)
         t1.append(h1)
     return np.concatenate(t0), np.concatenate(t1)
@@ -71,11 +73,13 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
     one scenario and one unit at a time on single-unit contexts.
 
     This is the scorer the harness ran before it stacked scenarios and units:
-    the same channel and trial-stream paths, and per unit and scenario the
-    decisions and closed forms of its detectors, merged over scenarios in
-    index order.  Returns {(m, policy): {field: total}}: the four decision
-    counts (lr_fa, lr_det, ed_fa, ed_det) and four sums (err_sq, pd_theory,
-    mse_theory, deflection) of the harness's two per-unit arrays, and trials.
+    the same channel and trial-stream paths, every draw of a stream built
+    whichever detectors read it, per unit and scenario the decisions and
+    closed forms of its detectors, and the squared error as theta minus the
+    estimate, merged over scenarios in index order.  Returns
+    {(m, policy): {field: total}}: the four decision counts (lr_fa, lr_det,
+    ed_fa, ed_det) and four sums (err_sq, pd_theory, mse_theory, deflection)
+    of the harness's two per-unit arrays, and trials.
     """
     scenario = config.scenario
     sv, pfa = scenario.signal_var, config.target_pfa
@@ -95,21 +99,22 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
                 a = np_gains.single_antenna_optimal_gains(scenario, r[0], p)
             ctx = np_detector.NpTestContext.build(a, r, m, scenario, target_pfa=pfa)
             lr = any(det != "ed" for det in dets)
+            estimates = "np" in dets or "np_single" in dets
             if lr:
                 tally["pd_theory"] = np_detector.pd_closed_form(ctx.snr, sv, pfa)
+            if estimates:
                 tally["mse_theory"] = lmmse.mse_closed_form(ctx.snr, sv)
             if "ed" in dets or "ed_single" in dets:
                 tally["deflection"] = energy_detector.deflection_exact(ctx)
             ed_thr = ed_thresholds[pol] if "ed" in dets else None
-            estimates = "np" in dets or "np_single" in dets
             scored.append((tally, ctx, lr, ed_thr, estimates))
         stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
-        for theta, xi, outside in stream.chunks(config.trials_per_scenario):
+        for theta, eta, xi, outside in stream.chunks(config.trials_per_scenario):
             hypotheses = np.stack((np.zeros_like(theta), theta))
             for tally, ctx, lr, ed_thr, estimates in scored:
                 tally["trials"] += theta.size
                 if lr:
-                    w = np_detector.steering_response(ctx, xi, hypotheses)
+                    w = np_detector.steering_response(ctx, eta, hypotheses)
                     lr0, lr1 = np_detector.np_statistic(ctx, w)
                     tally["lr_fa"] += int(np.count_nonzero(lr0 > ctx.threshold))
                     tally["lr_det"] += int(np.count_nonzero(lr1 > ctx.threshold))

@@ -159,7 +159,7 @@ def test_criterion_5_lmmse_identity_and_floor(scenario):
             stream = TrialStream(scenario, m, 505, (c,))
             for start in range(0, trials_per, 4096):
                 stop = min(start + 4096, trials_per)
-                theta, xi, _ = stream.draw(stop - start)
+                theta, _, xi, _ = stream.draw(stop - start)
                 _, z1 = formed_blocks(ctx, theta, xi)
                 est = (w.conj() @ z1) / (1.0 / scenario.signal_var + ctx.snr)
                 err_total += float(np.sum(np.abs(theta - est) ** 2))

@@ -263,6 +263,42 @@ def test_huge_receiver_noise_fills_every_cell(tmp_path, capsys):
         assert {col for col, cell in row.items() if cell == ""} == UNFILLED[row["detector"]], row
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # np_statistic still overflows
+@pytest.mark.parametrize("signal_var", ["1e200", "1e308"])
+def test_huge_signal_variance_keeps_the_error(tmp_path, capsys, signal_var):
+    """theta minus its estimate cancels once theta, about sqrt(signal_var),
+    outgrows the error; the error read in the form that does not cancel
+    stays near its closed form (200 trials: about 7% standard error)."""
+    rc = main(["run", "--experiment", "fig1", "--trials", "200", "--scenarios", "1",
+               "--set", f"signal_var={signal_var}", "--output-dir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    with open(tmp_path / "fig1.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 32
+    for row in rows:
+        assert abs(float(row["mse_emp"]) / float(row["mse_theory"]) - 1.0) <= 0.5, row
+
+
+def test_curves_read_the_same_draws_whichever_share_a_run(tmp_path):
+    """Each draw of a trial stream has its own child stream, built only if a
+    curve reads it, so fig6's likelihood-ratio rows are the same bytes with
+    and without ``ed`` on the run, and its ``ed`` rows with and without the
+    likelihood-ratio curves."""
+    runs = {}
+    for detectors in ("np,np_single", "np,ed,np_single", "ed"):
+        out = tmp_path / detectors.replace(",", "_")
+        assert main(["run", "--experiment", "fig6", "--trials", "300", "--scenarios", "2",
+                     "--set", f"detectors={detectors}", "--output-dir", str(out)]) == 0
+        with open(out / "fig6.csv") as fh:
+            lines = fh.read().splitlines()[1:]
+        # rows by (policy, detector, M, P)
+        runs[detectors] = {tuple(line.split(",")[1:5]): line for line in lines}
+    lr, both, ed = runs.values()
+    assert lr and ed and len(both) == len(lr) + len(ed)
+    assert all(both[key] == line for key, line in lr.items())
+    assert all(both[key] == line for key, line in ed.items())
+
+
 class TestRun:
     def test_custom_config_writes_outputs(self, experiment_cfg, tmp_path, capsys):
         out_dir = str(tmp_path / "out")
@@ -616,9 +652,9 @@ MUTATIONS = ("", "0", "-1", "0.5", "nan", "inf", "-inf", "1e-320", "1e-200", "1e
              "1e308")
 
 
-# mutations that still overflow, shown rather than raised: signal_var (1e200, 1e308)
-# in np_statistic, threshold_for_pfa, pd_closed_form and deflection_exact;
-# fc_noise_var (1e308) in the s d_i^alpha of waterfill and asymptotic_snr_from_power
+# mutations that still overflow, shown rather than raised: signal_var in np_statistic
+# (1e200 and 1e308) and in threshold_for_pfa and pd_closed_form (1e308); fc_noise_var
+# (1e308) in the s d_i^alpha of waterfill and asymptotic_snr_from_power
 STILL_WARNS = {("fig1", "signal_var"), ("fig1", "fc_noise_var"), ("fig6", "fc_noise_var")}
 
 

@@ -22,7 +22,7 @@ from mimofusion.harness import (
     resolve_gains,
     run_experiment,
 )
-from mimofusion.lmmse import lmmse_estimate
+from mimofusion.lmmse import lmmse_error, lmmse_estimate
 from mimofusion.np_detector import NpTestContext, np_statistic, steering_response
 from mimofusion.scenario import (
     GainVector,
@@ -32,7 +32,13 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
-from channels import dense_steering, embedded_channel, explicit_channel, formed_blocks
+from channels import (
+    contracted_response,
+    dense_steering,
+    embedded_channel,
+    explicit_channel,
+    formed_blocks,
+)
 from oracles import score_units_one_by_one, simulate_statistics
 
 
@@ -98,18 +104,43 @@ class TestTrialStream:
         chunked = TrialStream(scenario, m, 611, (3, 1))
         pieces = [chunked.draw(7) for _ in range(3)]
         whole = TrialStream(scenario, m, 611, (3, 1)).draw(21)
-        for k, name in enumerate(("theta", "xi", "outside")):
+        for k, name in enumerate(("theta", "eta", "xi", "outside")):
             joined = np.concatenate([piece[k] for piece in pieces], axis=-1)
             assert np.array_equal(joined, whole[k]), name
-        assert np.all(whole[2] > 0) if m > scenario.n_sensors else np.all(whole[2] == 0)
+        assert np.all(whole[3] > 0) if m > scenario.n_sensors else np.all(whole[3] == 0)
 
     def test_draw_shapes_and_distinct_paths(self, scenario):
-        # xi has k = min(M, N) rows, k + 1 complex normals per trial; N = 5 here
+        # eta is one complex normal per trial and xi has k = min(M, N) rows; N = 5 here
         for m, k in ((1, 1), (4, 4), (6, 5), (16, 5)):
-            theta, xi, outside = TrialStream(scenario, m, 612, (0,)).draw(4)
-            assert theta.shape == (4,) and xi.shape == (k, 4) and outside.shape == (4,)
+            theta, eta, xi, outside = TrialStream(scenario, m, 612, (0,)).draw(4)
+            assert theta.shape == eta.shape == outside.shape == (4,) and xi.shape == (k, 4)
             other = TrialStream(scenario, m, 612, (1,)).draw(4)
             assert not np.array_equal(theta, other[0])
+            assert not np.array_equal(eta, other[1])
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_streams_built_only_for_what_is_read(self, scenario, m):
+        """A stream builds eta only for ``lr`` and xi and the outside energy
+        only for ``ed``, and a draw's values do not depend on which others are
+        built: the likelihood-ratio and energy curves read the same values
+        whichever curves share the run."""
+        full = TrialStream(scenario, m, 613, (2, 5)).draw(9)
+        for lr, ed in ((True, False), (False, True), (False, False)):
+            part = TrialStream(scenario, m, 613, (2, 5), lr=lr, ed=ed).draw(9)
+            for k, built in enumerate((True, lr, ed, ed)):
+                assert np.array_equal(part[k], full[k]) if built else part[k] is None
+
+    def test_children_keep_the_spawned_layout(self, scenario):
+        """theta, xi and the outside energy are children 0 to 2 of the path's
+        stream and eta child 3, so the energy detector's draws are those of
+        the three-child layout that had no eta."""
+        theta, eta, xi, outside = TrialStream(scenario, 16, 614, (1, 2)).draw(5)
+        children = derive_rng(614, 1, 2).spawn(4)
+        assert np.array_equal(theta, complex_normal(children[0], scenario.signal_var, 5))
+        assert np.array_equal(xi, complex_normal(children[1], 1.0, (5, 5)).T)
+        gamma = scenario.fc_noise_var * children[2].standard_gamma(11, 5)
+        assert np.array_equal(outside, gamma)
+        assert np.array_equal(eta, complex_normal(children[3], 1.0, 5))
 
 
 def full_synthesis(explicit, gains, scenario, trials, rng):
@@ -142,31 +173,32 @@ class TestReducedSampler:
         theta, y0, y1 = full_synthesis(ex, gv, sc, trials, derive_rng(622, m))
 
         def lr_statistic(ctx, xi, theta, outside):
-            return np_statistic(ctx, steering_response(ctx, xi, theta))
+            return np_statistic(ctx, contracted_response(ctx, xi, theta))
 
         pvalues = {}
         for det, statistic in (("np", lr_statistic), ("ed", ed_statistic)):
             t0, t1 = simulate_statistics(det, gv, ex.r, m, sc, trials, 623, (m,))
             pvalues[f"{det} H0"] = ks_2samp(t0, statistic(ctx, *ex.reduce(y0, ctx))).pvalue
             pvalues[f"{det} H1"] = ks_2samp(t1, statistic(ctx, *ex.reduce(y1, ctx))).pvalue
-        # LMMSE errors on the reduced draws of a trial stream
-        theta_r, xi, _ = TrialStream(sc, m, 624, (m,)).draw(trials)
-        est_r = lmmse_estimate(ctx, steering_response(ctx, xi, theta_r))
-        est = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(y1, ctx)[:2]))
-        pvalues["lmmse"] = ks_2samp(np.abs(theta_r - est_r) ** 2, np.abs(theta - est) ** 2).pvalue
+        # LMMSE errors on the scalar-law draws of a trial stream
+        theta_r, eta, _, _ = TrialStream(sc, m, 624, (m,)).draw(trials)
+        err_r = lmmse_error(ctx, eta, theta_r)
+        est = lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(y1, ctx)[:2]))
+        pvalues["lmmse"] = ks_2samp(np.abs(err_r) ** 2, np.abs(theta - est) ** 2).pvalue
         assert min(pvalues.values()) >= 1e-3, pvalues
 
     @pytest.mark.parametrize("m", [1, 4, 16, 64])
     def test_whitened_forms_match_formed_blocks(self, network, m):
         """The O(k) forms on a stream's draws equal the dense statistics of the
         blocks they stand for, z0 = U Lambda^{1/2} xi and z1 = z0 + (R a) theta^T,
-        and the context's law reproduces C0 = R E R^H + s I_k and R a."""
+        and so does the steering response's scalar law on the contraction's
+        noise; the context's law reproduces C0 = R E R^H + s I_k and R a."""
         sc = network
         ch = sample_channel(sc, m, derive_rng(627, m))
         gv = GainVector.from_gains(GainVector.equal_power(5.0, sc.n_sensors).gains
                                    * np.exp(1j * np.arange(sc.n_sensors)))
         ctx = NpTestContext.build(gv, ch, m, sc)
-        theta, xi, outside = TrialStream(sc, m, 628, (m,)).draw(64)
+        theta, _, xi, outside = TrialStream(sc, m, 628, (m,)).draw(64)
         u, lam = ctx.basis, ctx.eigenvalues
         e = gv.magnitudes_sq * sc.meas_noise_vars
         c0 = (ch * e) @ ch.conj().T + sc.fc_noise_var * np.eye(ch.shape[0])
@@ -180,9 +212,12 @@ class TestReducedSampler:
         w = ex.q.conj().T @ dense_steering(ex, gv, sc)
         response = np.einsum("k,hkt->ht", w.conj(), z)
         hypotheses = np.stack((np.zeros_like(theta), theta))
+        # the scalar law's eta is the contraction's noise in units of its sd sqrt(g)
+        eta = contracted_response(ctx, xi, 0.0) / np.sqrt(ctx.snr)
         for name, got, want in (
-            ("response", steering_response(ctx, xi, hypotheses), response),
-            ("np", np_statistic(ctx, steering_response(ctx, xi, hypotheses)),
+            ("response", contracted_response(ctx, xi, hypotheses), response),
+            ("scalar law", steering_response(ctx, eta, hypotheses), response),
+            ("np", np_statistic(ctx, steering_response(ctx, eta, hypotheses)),
              sc.signal_var * np.abs(response) ** 2),
             ("ed", ed_statistic(ctx, xi, hypotheses, outside),
              (np.sum(np.abs(z) ** 2, axis=1) + outside) / m),
@@ -205,9 +240,9 @@ class TestReducedSampler:
             xi, theta, outside = ex.reduce(y, ctx)
             response = w.conj() @ y
             for name, got, want in (
-                ("np", np_statistic(ctx, steering_response(ctx, xi, theta)),
+                ("np", np_statistic(ctx, contracted_response(ctx, xi, theta)),
                  sc.signal_var * np.abs(response) ** 2),
-                ("lmmse", lmmse_estimate(ctx, steering_response(ctx, xi, theta)),
+                ("lmmse", lmmse_estimate(ctx, contracted_response(ctx, xi, theta)),
                  response / (1.0 / sc.signal_var + ctx.snr)),
                 ("ed", ed_statistic(ctx, xi, theta, outside), np.sum(np.abs(y) ** 2, axis=0) / m),
             ):
@@ -227,11 +262,11 @@ def _fields_read(detectors) -> tuple[str, ...]:
     """The tally fields a unit's rows read, given the detectors scored on it."""
     read = ("trials",)
     if set(detectors) - {"ed"}:
-        read += ("lr_fa", "lr_det", "pd_theory", "mse_theory")
+        read += ("lr_fa", "lr_det", "pd_theory")
     if "ed" in detectors:
         read += ("ed_fa", "ed_det")
     if {"np", "np_single"} & set(detectors):
-        read += ("err_sq",)
+        read += ("err_sq", "mse_theory")
     if {"ed", "ed_single"} & set(detectors):
         read += ("deflection",)
     return read

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mimofusion.harness import TrialStream
-from mimofusion.lmmse import lmmse_estimate, lmmse_mse_bound, mse_closed_form
-from mimofusion.np_detector import NpTestContext, SingleAntennaContext, steering_response
+from mimofusion.lmmse import lmmse_error, lmmse_estimate, lmmse_mse_bound, mse_closed_form
+from mimofusion.np_detector import NpTestContext, SingleAntennaContext
 from mimofusion.scenario import (
     GainVector,
     Scenario,
@@ -12,7 +14,13 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
-from channels import dense_steering, explicit_channel, formed_blocks, sample_observation
+from channels import (
+    contracted_response,
+    dense_steering,
+    explicit_channel,
+    formed_blocks,
+    sample_observation,
+)
 
 
 def estimation_errors(sc, ex, gv, trials, seed):
@@ -29,7 +37,7 @@ def estimation_errors(sc, ex, gv, trials, seed):
     stream = TrialStream(sc, ex.m, seed, (0,))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        theta, xi, _ = stream.draw(stop - start)
+        theta, _, xi, _ = stream.draw(stop - start)
         _, z1 = formed_blocks(ctx, theta, xi)
         est = (w.conj() @ z1) / (1.0 / sc.signal_var + ctx.snr)
         err_sq[start:stop] = np.abs(theta - est) ** 2
@@ -60,7 +68,7 @@ class TestEstimator:
         gv = GainVector.from_gains(np.zeros(4, complex))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
-        assert lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
+        assert lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
         assert mse_closed_form(ctx.snr, sc.signal_var) == pytest.approx(sc.signal_var, rel=1e-12)
 
     def test_empirical_mse_matches_theory(self):
@@ -94,7 +102,7 @@ class TestEstimator:
         gv = GainVector.equal_power(2.0, 4)
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(314))
-        result = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
+        result = lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
         w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         manual = np.vdot(w, y) / (1.0 / sc.signal_var + ctx.snr)
         assert result[0] == pytest.approx(complex(manual), rel=1e-12)
@@ -102,12 +110,26 @@ class TestEstimator:
         block = np.hstack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(314, k)) for k in range(6)]
         )
-        batched = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(block, ctx)[:2]))
+        batched = lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(block, ctx)[:2]))
         assert batched.shape == (6,)
         for k in range(6):
             xi, theta, _ = ex.reduce(block[:, k:k + 1], ctx)
-            one = lmmse_estimate(ctx, steering_response(ctx, xi, theta))[0]
+            one = lmmse_estimate(ctx, contracted_response(ctx, xi, theta))[0]
             assert batched[k] == pytest.approx(one, rel=1e-12)
+
+    @pytest.mark.parametrize("signal_var", [1.0, 1e200])
+    def test_error_form_matches_theory_at_any_signal_variance(self, signal_var):
+        """The error of the scalar-law estimate, in the form that does not
+        cancel, keeps the closed-form variance when theta, about
+        sqrt(signal_var), dwarfs it; theta minus the estimate would not."""
+        sc = sample_scenario(6, derive_rng(315), signal_var=signal_var)
+        ch = sample_channel(sc, 32, derive_rng(316))
+        ctx = NpTestContext.build(GainVector.equal_power(5.0, 6), ch, 32, sc)
+        theta, eta, _, _ = TrialStream(sc, 32, 317, (0,), ed=False).draw(50_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err_sq = np.abs(lmmse_error(ctx, eta, theta)) ** 2
+        assert np.mean(err_sq) == pytest.approx(mse_closed_form(ctx.snr, signal_var), rel=0.05)
 
 
 class TestSingleAntennaEstimator:
@@ -118,10 +140,10 @@ class TestSingleAntennaEstimator:
         h = ex.h[0]
         gv = GainVector.equal_power(4.0, 5)
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
-        theta, xi, _ = TrialStream(sc, 1, 322, (0,)).draw(50_000)
+        theta, _, xi, _ = TrialStream(sc, 1, 322, (0,)).draw(50_000)
         # the harness's whitened draws; formed, z1 = q^H y1 with q the
         # 1 x 1 factor of a QR of H
-        result = lmmse_estimate(ctx, steering_response(ctx, xi, theta))
+        result = lmmse_estimate(ctx, contracted_response(ctx, xi, theta))
         _, z1 = formed_blocks(ctx, theta, xi)
         y1 = ex.q[0, 0] * z1[0]
         ref = SingleAntennaContext.build(gv, h, sc)

@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimofusion.harness import MULTI_POLICIES, resolve_gains
 from mimofusion.lmmse import mse_closed_form
@@ -14,7 +16,7 @@ from mimofusion.np_detector import (
     steering_response,
     threshold_for_pfa,
 )
-from mimofusion.np_gains import snr_floor_gains
+from mimofusion.np_gains import single_antenna_optimal_gains, snr_floor_gains
 from mimofusion.scenario import (
     GainVector,
     Scenario,
@@ -23,7 +25,14 @@ from mimofusion.scenario import (
     sample_scenario,
 )
 
-from channels import dense_steering, embedded_channel, explicit_channel, gram, sample_observation
+from channels import (
+    contracted_response,
+    dense_steering,
+    embedded_channel,
+    explicit_channel,
+    gram,
+    sample_observation,
+)
 from oracles import simulate_statistics
 
 
@@ -57,7 +66,7 @@ class TestStatistic:
         for k in range(5):
             y = sample_observation(ex, gv, sc, "H1", derive_rng(102, k))
             ref = dense_statistic(sc, ex, gv, y)
-            stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
+            stat = np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
             assert stat == pytest.approx(ref, rel=1e-10)
 
     def test_matches_dense_inverse_across_sizes(self):
@@ -72,7 +81,7 @@ class TestStatistic:
             ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
             y = sample_observation(ex, gv, sc, "H0", derive_rng(106, m))
             ref = dense_statistic(sc, ex, gv, y)
-            stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
+            stat = np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
             assert stat == pytest.approx(ref, rel=1e-10)
             assert ctx.snr == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
@@ -84,10 +93,11 @@ class TestStatistic:
         block = np.hstack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(115, k)) for k in range(5)]
         )
-        stats = np_statistic(ctx, steering_response(ctx, *ex.reduce(block, ctx)[:2]))
+        stats = np_statistic(ctx, contracted_response(ctx, *ex.reduce(block, ctx)[:2]))
         assert stats.shape == (5,)
         for k in range(5):
-            one = np_statistic(ctx, steering_response(ctx, *ex.reduce(block[:, k:k + 1], ctx)[:2]))
+            xi, theta, _ = ex.reduce(block[:, k:k + 1], ctx)
+            one = np_statistic(ctx, contracted_response(ctx, xi, theta))
             assert stats[k] == pytest.approx(one[0], rel=1e-12)
 
     def test_zero_gains_zero_statistic(self):
@@ -96,7 +106,7 @@ class TestStatistic:
         gv = GainVector.from_gains(np.zeros(2, complex))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
-        assert np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
+        assert np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
         assert ctx.snr == 0.0
 
     def test_orthogonal_observation_zero_statistic(self):
@@ -107,7 +117,7 @@ class TestStatistic:
         w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         z = derive_rng(110).standard_normal(6) + 1j * derive_rng(111).standard_normal(6)
         y = (z - (np.vdot(w, z) / np.vdot(w, w)) * w)[:, None]
-        assert np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2])) < 1e-20
+        assert np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) < 1e-20
 
     def test_partial_support_matches_dense(self):
         # one sensor silent: the reduced solve must drop it, not fail
@@ -117,7 +127,7 @@ class TestStatistic:
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(113))
         ref = dense_statistic(sc, ex, gv, y)
-        stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
+        stat = np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
         assert stat == pytest.approx(ref, rel=1e-10)
 
     def test_sampled_channel_reads_reduced_block(self):
@@ -128,7 +138,7 @@ class TestStatistic:
         ex = embedded_channel(ch, 6)
         y = ex.q @ np.ones((2, 3), complex)
         expected = sc.signal_var * np.abs(dense_steering(ex, gv, sc).conj() @ y) ** 2
-        stat = np_statistic(ctx, steering_response(ctx, *ex.reduce(y, ctx)[:2]))
+        stat = np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
         np.testing.assert_allclose(stat, expected, rtol=1e-12)
 
 
@@ -207,6 +217,35 @@ class TestSnr:
             if not abs(g - ref) <= 1e-13 * ref:
                 misses.append((n, m, log_p, policy, abs(g - ref) / ref))
         assert not misses, misses
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 100),
+        one_antenna=st.booleans(),
+        log_m=st.floats(0.0, 5.0),
+        log_p=st.floats(-4.0, 300.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_response_variance_is_the_snr(self, n, one_antenna, log_m, log_p, seed):
+        """The steering response's scalar law rests on |Lambda^{-1/2} beta|^2 = g:
+        on stacks of two channel draws by four multi-antenna policies (the
+        one-hot closed_form_low among them) and, at M = 1, the one-antenna
+        optimal gains, sum |beta|^2 / Lambda is the SNR to 1e-13 relative, at
+        N up to 100, M up to 1e5 and P up to 1e300."""
+        m = 1 if one_antenna else int(round(10.0**log_m))
+        p = 10.0**log_p
+        sc = sample_scenario(n, derive_rng(seed, 0))
+        r = np.stack([sample_channel(sc, m, derive_rng(seed, 1, s)) for s in range(2)])
+        policies = ("closed_form_low", "waterfill", "equal", "closed_form_high")
+        multi = [resolve_gains(pol, sc, m, p).gains for pol in policies]
+        gains = np.array([
+            multi + ([single_antenna_optimal_gains(sc, r_s[0], p).gains] if m == 1 else [])
+            for r_s in r
+        ])
+        ctx = NpTestContext.build(gains, r[:, None], m, sc)
+        variance = np.sum(np.abs(ctx.signal / np.sqrt(ctx.eigenvalues)) ** 2, axis=-1)
+        assert ctx.snr.shape == variance.shape == gains.shape[:2]
+        assert np.all(np.abs(variance - ctx.snr) <= 1e-13 * ctx.snr), (variance, ctx.snr)
 
     def test_matches_separate_solve(self):
         """The context's SNR, read from its eigendecomposition, is the one a

@@ -18,12 +18,11 @@ from mimofusion.np_detector import (
     SingleAntennaContext,
     pd_closed_form,
     single_antenna_pd,
-    steering_response,
 )
 from mimofusion.np_gains import single_antenna_optimal_gains
 from mimofusion.scenario import GainVector, derive_rng, sample_scenario
 
-from channels import explicit_channel
+from channels import contracted_response, explicit_channel
 
 REL = 1e-10
 PFA = 0.05
@@ -59,5 +58,5 @@ def test_general_path_matches_scalar_forms(n, log_p, seed, policy):
     y = derive_rng(seed, 2).standard_normal(2) @ np.array([1.0, 1.0j])
     coherent = np.sum(gv.gains * h)
     scalar = (np.conj(coherent) / ref.sigma_w_sq) * y / (1.0 / sv + snr)
-    estimate = lmmse_estimate(ctx, steering_response(ctx, *ex.reduce(np.array([[y]]), ctx)[:2]))
+    estimate = lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(np.array([[y]]), ctx)[:2]))
     assert estimate[0] == pytest.approx(scalar, rel=REL)
