@@ -154,10 +154,11 @@ def _cmd_waterfill(args) -> int:
     scenario = _load_input(load_scenario, args.config)
     _check_power_antennas(args)
     sol = np_gains.waterfill(scenario, args.antennas, args.power)
+    snr = np_detector.asymptotic_snr_from_power(sol.magnitudes_sq, scenario, args.antennas)
     for i, x in enumerate(sol.magnitudes_sq):
         print(f"x[{i}] = {float(x)!r}")
     print(f"multiplier = {sol.multiplier!r}")
-    print(f"achieved_snr = {sol.achieved_snr!r}")
+    print(f"achieved_snr = {snr!r}")
     return 0
 
 
@@ -168,26 +169,19 @@ def _cmd_ed_alloc(args) -> int:
         problem = ed_gains.EdAllocationProblem.from_scenario(
             scenario, args.antennas, args.power, args.variant
         )
-        sol = ed_gains.solve_qclp(problem)
-        x = sol.x
-        print_extra = [
-            f"deflection = {sol.deflection!r}",
-            f"bound_deflection = {sol.bound_deflection!r}",
-        ]
+        x = ed_gains.solve_qclp(problem).x
+    elif args.form == "high_snr":
+        x = ed_gains.closed_form_high_snr(scenario, args.power).magnitudes_sq
     else:
-        if args.form == "high_snr":
-            gains = ed_gains.closed_form_high_snr(scenario, args.power)
-        else:
-            gains = ed_gains.closed_form_low_snr(scenario, args.power)
-        x = gains.magnitudes_sq
-        defl = energy_detector.deflection_asymptotic(
-            x, scenario, args.antennas, variant=args.variant
-        )
-        print_extra = [f"deflection = {defl!r}"]
-    for i, xi in enumerate(x):
-        print(f"x[{i}] = {float(xi)!r}")
-    for line in print_extra:
-        print(line)
+        x = ed_gains.closed_form_low_snr(scenario, args.power).magnitudes_sq
+    deflection = functools.partial(
+        energy_detector.deflection_asymptotic, x, scenario, args.antennas, args.variant
+    )
+    lines = [f"x[{i}] = {float(xi)!r}" for i, xi in enumerate(x)]
+    lines.append(f"deflection = {deflection()!r}")
+    if args.form == "qclp":
+        lines.append(f"bound_deflection = {deflection(include_cross_term=False)!r}")
+    print("\n".join(lines))
     return 0
 
 

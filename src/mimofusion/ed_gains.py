@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy_detector import _deflection_ratio, _deflection_vectors
+from .energy_detector import _deflection_vectors
 from .scenario import GainVector, Scenario
 
 
@@ -30,18 +30,15 @@ class EdAllocationProblem:
 
     b_diag holds the diagonal of B and rank1_coeff the coefficient of the
     all-ones outer product, so the regularized matrix is never materialized.
-    variant 'modified_deflection' swaps in the signal-inflated B and b.
+    variant 'modified_deflection' swaps in the signal-inflated B.  The
+    deflection an allocation reaches is
+    :func:`energy_detector.deflection_asymptotic` of it.
     """
 
     d_vec: np.ndarray
     b_diag: np.ndarray
-    b_vec: np.ndarray
     rank1_coeff: float
     p: float
-    variant: str
-    m_antennas: int
-    signal_var: float
-    fc_noise_var: float
 
     @classmethod
     def from_scenario(
@@ -51,7 +48,7 @@ class EdAllocationProblem:
             raise ValueError("sum power must be positive")
         if m < 1:
             raise ValueError("antenna count must be >= 1")
-        d_vec, b_diag, b_vec = _deflection_vectors(scenario, variant)
+        d_vec, b_diag, _ = _deflection_vectors(scenario, variant)
         try:
             p_sq = p**2
         except OverflowError:  # a Python float's power raises past the float range
@@ -59,21 +56,11 @@ class EdAllocationProblem:
         if not math.isfinite(p_sq):
             raise ValueError(f"sum power P = {p!r} is too large: P**2 overflows")
         coeff = scenario.fc_noise_var**2 / (m * p_sq)
-        return cls(
-            d_vec, b_diag, b_vec, coeff, float(p), variant, m,
-            scenario.signal_var, scenario.fc_noise_var,
-        )
+        return cls(d_vec, b_diag, coeff, float(p))
 
     @property
     def n_sensors(self) -> int:
         return self.d_vec.size
-
-    def objective(self, x: np.ndarray, include_cross_term: bool = True) -> float:
-        """Deflection value of an allocation under this problem's variant."""
-        return _deflection_ratio(
-            np.asarray(x, dtype=float), self.d_vec, self.b_diag, self.b_vec,
-            self.signal_var, self.fc_noise_var, self.m_antennas, include_cross_term,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +69,6 @@ class QclpSolution:
 
     x_unit is the solution on the unit quadratic constraint, where the
     certificate d - 2 nu Bt x + mu = 0 (mu >= 0, mu_i x_i = 0, nu > 0) holds.
-    deflection carries the full objective and bound_deflection the simplified
-    one actually maximized; their gap closes as M grows.
     """
 
     x: np.ndarray
@@ -91,8 +76,6 @@ class QclpSolution:
     nu: float
     mu: np.ndarray
     iterations: int
-    deflection: float
-    bound_deflection: float
 
     @property
     def gains(self) -> GainVector:
@@ -149,15 +132,7 @@ def solve_qclp(problem: EdAllocationProblem) -> QclpSolution:
     x = x_unit * (problem.p / float(x_unit.sum()))
     if not np.all(np.isfinite(x)):
         raise SolverError("allocation is not finite")
-    return QclpSolution(
-        x=x,
-        x_unit=x_unit,
-        nu=nu,
-        mu=mu,
-        iterations=iterations,
-        deflection=problem.objective(x, include_cross_term=True),
-        bound_deflection=problem.objective(x, include_cross_term=False),
-    )
+    return QclpSolution(x=x, x_unit=x_unit, nu=nu, mu=mu, iterations=iterations)
 
 
 def closed_form_high_snr(scenario: Scenario, p: float) -> GainVector:

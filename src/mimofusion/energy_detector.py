@@ -91,24 +91,6 @@ def _deflection_vectors(scenario: Scenario, variant: str) -> tuple[np.ndarray, n
     return d_vec, b_diag, b_vec
 
 
-def _deflection_ratio(
-    x: np.ndarray,
-    d_vec: np.ndarray,
-    b_diag: np.ndarray,
-    b_vec: np.ndarray,
-    signal_var: float,
-    s: float,
-    m: int,
-    include_cross_term: bool,
-) -> float:
-    """signal_var^2 (x.d)^2 / (x^T B x + (2s/M) b.x + s^2/M), B = diag(b_diag)."""
-    num = signal_var**2 * float(x @ d_vec) ** 2
-    den = float(x @ (b_diag * x)) + s**2 / m
-    if include_cross_term:
-        den += (2.0 * s / m) * float(b_vec @ x)
-    return num / den
-
-
 def deflection_asymptotic(
     x: np.ndarray,
     scenario: Scenario,
@@ -127,10 +109,13 @@ def deflection_asymptotic(
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("per-sensor powers must be nonnegative")
-    return _deflection_ratio(
-        x, *_deflection_vectors(scenario, variant), scenario.signal_var,
-        scenario.fc_noise_var, m, include_cross_term,
-    )
+    d_vec, b_diag, b_vec = _deflection_vectors(scenario, variant)
+    s = scenario.fc_noise_var
+    num = scenario.signal_var**2 * float(x @ d_vec) ** 2
+    den = float(x @ (b_diag * x)) + s**2 / m
+    if include_cross_term:
+        den += (2.0 * s / m) * float(b_vec @ x)
+    return num / den
 
 
 def single_antenna_deflection(gains: GainVector, h: np.ndarray, scenario: Scenario) -> float:

@@ -324,6 +324,10 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
     that decision is |y|^2 > sigma_w^2 ln(1/target_pfa), the one-antenna
     receiver's test.
 
+    The LR decision sigma_theta^2 |w^H y|^2 > sigma_theta^2 g ln(1/target_pfa)
+    is taken with sigma_theta^2 cancelled, |w^H y| > sqrt(g ln(1/target_pfa)),
+    so no signal variance overflows it; a unit with g = 0 decides 0 > 0.
+
     The one-antenna gains read R's one row, e^{-i phi} h for h = H's row: a
     common phase that moves no statistic's distribution.
     """
@@ -351,7 +355,9 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
             if gains[pol] is None else gains[pol].gains
             for pol in policies
         ] for r_s in r])
-        ctx = np_detector.NpTestContext.build(a, r[:, None], m, scenario, target_pfa=pfa)
+        ctx = np_detector.NpTestContext.build(a, r[:, None], m, scenario)
+        if lr:
+            lr_thr = np.sqrt(np_detector.threshold_for_pfa(ctx.snr, 1.0, pfa))[..., None]
         block_sums = np.zeros((4, *ctx.snr.shape))
         streams = [TrialStream(scenario, m, seed, (point_idx, s, m, _TAG_TRIALS), lr=lr, ed=ed)
                    for s in scenarios]
@@ -363,9 +369,8 @@ def _score_group(config, point_idx, p, m, units, gains, ed_thresholds):
             hypotheses = np.array((np.zeros_like(theta), theta))
             if lr:
                 eta = _stacked(eta)[:, None]
-                stat = np_detector.np_statistic(
-                    ctx, np_detector.steering_response(ctx, eta, hypotheses))
-                counts[:2] += (stat > ctx.threshold[..., None]).sum(axis=(1, 3))
+                response = np_detector.steering_response(ctx, eta, hypotheses)
+                counts[:2] += (np.abs(response) > lr_thr).sum(axis=(1, 3))
                 if estimates:
                     err = lmmse.lmmse_error(ctx, eta, theta)
                     block_sums[0] += np.sum(np.abs(err) ** 2, axis=-1)

@@ -19,12 +19,15 @@ from .scenario import Scenario
 
 
 def mse_closed_form(snr, signal_var: float):
-    """Error variance 1 / (1/signal_var + snr), the prior variance at snr 0: a
-    float for a number, for an array one each, bit for bit the elements' own
-    calls.  A negative SNR anywhere raises ValueError."""
+    """Error variance 1 / (1/signal_var + snr), the prior variance at snr 0,
+    written as sigma / (1/sigma + sigma snr), sigma^2 = signal_var, as
+    :func:`lmmse_error` is, so 1/signal_var does not overflow at a subnormal
+    variance: a float for a number, for an array one each, bit for bit the
+    elements' own calls.  A negative SNR anywhere raises ValueError."""
     if (np.asarray(snr) < 0).any():
         raise ValueError("snr must be nonnegative")
-    return _float_if_scalar(1.0 / (1.0 / signal_var + snr))
+    sd = np.sqrt(signal_var)
+    return _float_if_scalar(sd / (1.0 / sd + sd * snr))
 
 
 def lmmse_estimate(ctx: NpTestContext, response: np.ndarray) -> np.ndarray:

@@ -74,7 +74,9 @@ def pd_closed_form(snr, signal_var: float, target_pfa: float):
     """Detection probability at the false-alarm-calibrated threshold.
 
     Equal to target_pfa ** (1 / (1 + signal_var * snr)), evaluated in log space
-    so extreme targets or SNRs do not underflow: a float for a number, for an
+    so extreme targets or SNRs do not underflow, and with sigma^2 = signal_var
+    as exp((ln(target_pfa) / sigma) / (1/sigma + sigma snr)), so a huge
+    signal variance does not overflow it: a float for a number, for an
     array one each, bit for bit the elements' own calls.  A negative SNR
     anywhere raises ValueError.
     """
@@ -82,7 +84,8 @@ def pd_closed_form(snr, signal_var: float, target_pfa: float):
         raise ValueError("target_pfa must lie in (0, 1)")
     if (np.asarray(snr) < 0).any():
         raise ValueError("snr must be nonnegative")
-    return _float_if_scalar(np.exp(np.log(target_pfa) / (1.0 + signal_var * snr)))
+    sd = np.sqrt(signal_var)
+    return _float_if_scalar(np.exp(np.log(target_pfa) / sd / (1.0 / sd + sd * snr)))
 
 
 def _float_if_scalar(value):
@@ -107,12 +110,11 @@ class NpTestContext:
     carry an O(1) error into the SNR at large power.  The SNR
     g = a^H H^H C_w^{-1} H a = sum |V^H c|^2 Sigma^2 / Lambda is a sum of
     nonnegative terms, accurate at any power; F F^H is never formed.
-    threshold is None until a false-alarm target is supplied.
 
     One context may hold a stack of units, for instance (scenario, policy):
     the channel factor R and the gains carry leading axes that broadcast to
-    the stack's shape B, every field gains B as leading axes (``snr`` and
-    ``threshold`` become B-shaped arrays) and one ``svd`` factors every
+    the stack's shape B, every field gains B as leading axes (``snr``
+    becomes a B-shaped array) and one ``svd`` factors every
     F of the stack.  The statistics broadcast a scenario's draws over the
     units along B's last axis, so those units read the same draws.  A single
     unit is the case B = (): ``snr`` is a float.  The statistics read trials
@@ -125,16 +127,10 @@ class NpTestContext:
     eigenvalues: np.ndarray
     signal: np.ndarray
     snr: float | np.ndarray
-    threshold: float | np.ndarray | None = None
 
     @classmethod
     def build(
-        cls,
-        gains: GainVector | np.ndarray,
-        r: np.ndarray,
-        m: int,
-        scenario: Scenario,
-        target_pfa: float | None = None,
+        cls, gains: GainVector | np.ndarray, r: np.ndarray, m: int, scenario: Scenario
     ) -> "NpTestContext":
         """The law of one unit, or of a stack of units, on M = m antennas:
         ``gains`` is a :class:`GainVector` or complex gains (..., N), and the
@@ -152,10 +148,7 @@ class NpTestContext:
         t = (vh @ c[..., None])[..., 0]
         beta = sigma * t
         g = _float_if_scalar(np.sum((t.real**2 + t.imag**2) * (sigma**2 / lam), axis=-1))
-        thr = None
-        if target_pfa is not None:
-            thr = threshold_for_pfa(g, scenario.signal_var, target_pfa)
-        return cls(scenario, m, u, lam, beta, g, thr)
+        return cls(scenario, m, u, lam, beta, g)
 
 
 def steering_response(

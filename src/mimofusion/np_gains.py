@@ -14,22 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .np_detector import (
-    DegenerateDetectorError,
-    _power_limit_snr,
-    asymptotic_snr_from_power,
-    pd_closed_form,
-)
+from .np_detector import DegenerateDetectorError, _power_limit_snr, pd_closed_form
 from .scenario import GainVector, Scenario
 
 
 @dataclass(frozen=True, eq=False)
 class WaterfillSolution:
-    """Optimal per-sensor powers, the water-level multiplier, and the SNR achieved."""
+    """Optimal per-sensor powers and the water-level multiplier; the SNR they
+    achieve is ``asymptotic_snr_from_power(magnitudes_sq, scenario, m)``."""
 
     magnitudes_sq: np.ndarray
     multiplier: float
-    achieved_snr: float
     iterations: int
 
     @property
@@ -67,7 +62,15 @@ def waterfill(scenario: Scenario, m: int, p: float) -> WaterfillSolution:
     active = order[:k]
     x[active] = w[active] * (level + (r_top - r[active]))
     lam = (1.0 / (r_top + level)) ** 2  # squared after the division, so it cannot overflow
-    return WaterfillSolution(x, float(lam), asymptotic_snr_from_power(x, scenario, m), 1)
+    return WaterfillSolution(x, float(lam), 1)
+
+
+def _snr_floor_powers(scenario: Scenario, m: int) -> np.ndarray:
+    """Per-sensor powers |a_i|^2 = s d_i**alpha / (2 v_i M)."""
+    if m < 1:
+        raise ValueError("antenna count must be >= 1")
+    d_alpha = scenario.distances**scenario.path_loss_exp
+    return scenario.fc_noise_var * d_alpha / (2.0 * scenario.meas_noise_vars * m)
 
 
 def snr_floor_gains(scenario: Scenario, m: int) -> GainVector:
@@ -77,16 +80,13 @@ def snr_floor_gains(scenario: Scenario, m: int) -> GainVector:
     Each sensor's forwarded-noise term is pinned to half its distance-scaled
     receiver-noise term: |a_i|^2 = s d_i**alpha / (2 v_i M).
     """
-    if m < 1:
-        raise ValueError("antenna count must be >= 1")
-    d_alpha = scenario.distances**scenario.path_loss_exp
-    x = scenario.fc_noise_var * d_alpha / (2.0 * scenario.meas_noise_vars * m)
-    return GainVector.from_magnitudes_sq(x)
+    return GainVector.from_magnitudes_sq(_snr_floor_powers(scenario, m))
 
 
 def snr_floor_power(scenario: Scenario, m: int) -> float:
-    """Sum power of :func:`snr_floor_gains`: sum_i s d_i**alpha / (2 v_i M)."""
-    return snr_floor_gains(scenario, m).sum_power
+    """Sum power of :func:`snr_floor_gains`: sum_i s d_i**alpha / (2 v_i M),
+    summed over the powers themselves, not over the gains' squares."""
+    return float(_snr_floor_powers(scenario, m).sum())
 
 
 def single_antenna_optimal_gains(scenario: Scenario, h: np.ndarray, p: float) -> GainVector:
@@ -107,7 +107,7 @@ def single_antenna_optimal_gains(scenario: Scenario, h: np.ndarray, p: float) ->
     r = r / r.max()
     direction = np.conj(h) / r
     scale = np.sqrt(p) / np.sqrt(np.sum(np.abs(h) ** 2 / r**2))
-    return GainVector.from_gains(scale * direction)
+    return GainVector(scale * direction)
 
 
 def np_pd_bound(scenario: Scenario, regime: str, target_pfa: float) -> float:

@@ -151,10 +151,10 @@ def sample_channel(scenario: Scenario, m: int, rng: np.random.Generator) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class GainVector:
-    """Per-sensor complex transmit gains together with their total power."""
+    """Per-sensor complex transmit gains; their total power is the sum of
+    :attr:`magnitudes_sq`."""
 
     gains: np.ndarray
-    sum_power: float
 
     def __post_init__(self):
         a = np.asarray(self.gains, dtype=complex)
@@ -162,14 +162,7 @@ class GainVector:
             raise ValueError("gains must be a 1-D vector")
         if not np.all(np.isfinite(a)):
             raise ValueError("gains must be finite")
-        if self.sum_power < 0:
-            raise ValueError("sum_power must be nonnegative")
         object.__setattr__(self, "gains", _readonly(a))
-
-    @classmethod
-    def from_gains(cls, gains: np.ndarray) -> "GainVector":
-        gains = np.asarray(gains, dtype=complex)
-        return cls(gains, float(np.sum(np.abs(gains) ** 2)))
 
     @classmethod
     def from_magnitudes_sq(cls, x: np.ndarray) -> "GainVector":
@@ -177,18 +170,14 @@ class GainVector:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise ValueError("per-sensor powers must be nonnegative")
-        return cls(np.sqrt(x).astype(complex), float(x.sum()))
+        return cls(np.sqrt(x).astype(complex))
 
     @classmethod
     def equal_power(cls, p: float, n: int) -> "GainVector":
         if p < 0:
             raise ValueError("sum power must be nonnegative")
-        return cls(np.full(n, np.sqrt(p / n), dtype=complex), float(p))
+        return cls(np.full(n, np.sqrt(p / n), dtype=complex))
 
     @property
     def magnitudes_sq(self) -> np.ndarray:
         return np.abs(self.gains) ** 2
-
-    @property
-    def n_sensors(self) -> int:
-        return self.gains.size

@@ -97,7 +97,7 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
             a = gains[pol]
             if a is None:
                 a = np_gains.single_antenna_optimal_gains(scenario, r[0], p)
-            ctx = np_detector.NpTestContext.build(a, r, m, scenario, target_pfa=pfa)
+            ctx = np_detector.NpTestContext.build(a, r, m, scenario)
             lr = any(det != "ed" for det in dets)
             estimates = "np" in dets or "np_single" in dets
             if lr:
@@ -106,18 +106,19 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
                 tally["mse_theory"] = lmmse.mse_closed_form(ctx.snr, sv)
             if "ed" in dets or "ed_single" in dets:
                 tally["deflection"] = energy_detector.deflection_exact(ctx)
+            lr_thr = np_detector.threshold_for_pfa(ctx.snr, sv, pfa)
             ed_thr = ed_thresholds[pol] if "ed" in dets else None
-            scored.append((tally, ctx, lr, ed_thr, estimates))
+            scored.append((tally, ctx, lr, lr_thr, ed_thr, estimates))
         stream = TrialStream(scenario, m, config.master_seed, (point_idx, s_idx, m, _TAG_TRIALS))
         for theta, eta, xi, outside in stream.chunks(config.trials_per_scenario):
             hypotheses = np.stack((np.zeros_like(theta), theta))
-            for tally, ctx, lr, ed_thr, estimates in scored:
+            for tally, ctx, lr, lr_thr, ed_thr, estimates in scored:
                 tally["trials"] += theta.size
                 if lr:
                     w = np_detector.steering_response(ctx, eta, hypotheses)
                     lr0, lr1 = np_detector.np_statistic(ctx, w)
-                    tally["lr_fa"] += int(np.count_nonzero(lr0 > ctx.threshold))
-                    tally["lr_det"] += int(np.count_nonzero(lr1 > ctx.threshold))
+                    tally["lr_fa"] += int(np.count_nonzero(lr0 > lr_thr))
+                    tally["lr_det"] += int(np.count_nonzero(lr1 > lr_thr))
                 if ed_thr is not None:
                     ed0, ed1 = energy_detector.ed_statistic(ctx, xi, hypotheses, outside)
                     tally["ed_fa"] += int(np.count_nonzero(ed0 > ed_thr))

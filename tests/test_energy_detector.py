@@ -90,7 +90,7 @@ class TestStatistic:
     def test_pure_noise_mean(self):
         sc = sample_scenario(3, derive_rng(401))
         ex = explicit_channel(sc, 16, derive_rng(402))
-        gv = GainVector.from_gains(np.zeros(3, complex))
+        gv = GainVector(np.zeros(3, complex))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         rng = derive_rng(403)
         stats = [
@@ -164,13 +164,13 @@ class TestDeflectionExact:
     def test_zero_gains(self):
         sc = sample_scenario(2, derive_rng(410))
         ch = sample_channel(sc, 8, derive_rng(411))
-        zero = GainVector.from_gains(np.zeros(2, complex))
+        zero = GainVector(np.zeros(2, complex))
         assert deflection_exact(NpTestContext.build(zero, ch, 8, sc)) == 0.0
 
     def test_matches_dense_traces(self):
         sc = Scenario(np.array([2.0, 3.5]), np.array([0.3, 0.45]), 1.2, 0.3, 2.0)
         ex = explicit_channel(sc, 8, derive_rng(412))
-        gv = GainVector.from_gains(np.array([0.7 - 0.3j, 0.4 + 0.9j]))
+        gv = GainVector(np.array([0.7 - 0.3j, 0.4 + 0.9j]))
         h, a = ex.h, gv.gains
         cw = h @ np.diag(np.abs(a) ** 2 * sc.meas_noise_vars) @ h.conj().T
         cw += sc.fc_noise_var * np.eye(8)
@@ -260,7 +260,7 @@ class TestSingleAntennaDeflection:
     def test_zero_gains(self):
         sc = sample_scenario(3, derive_rng(430))
         h = explicit_channel(sc, 1, derive_rng(431)).h[0]
-        assert single_antenna_deflection(GainVector.from_gains(np.zeros(3, complex)), h, sc) == 0.0
+        assert single_antenna_deflection(GainVector(np.zeros(3, complex)), h, sc) == 0.0
 
     def test_equals_squared_snr_ratio(self):
         sc = sample_scenario(4, derive_rng(432))
@@ -278,7 +278,7 @@ class TestSingleAntennaDeflection:
             sc = sample_scenario(1 + i % 10, derive_rng(437, i))
             h = explicit_channel(sc, 1, derive_rng(438, i)).h[0]
             raw = rng.standard_normal(sc.n_sensors) + 1j * rng.standard_normal(sc.n_sensors)
-            gv = GainVector.from_gains(raw * 10.0 ** rng.uniform(-3.0, 3.0))
+            gv = GainVector(raw * 10.0 ** rng.uniform(-3.0, 3.0))
             sig = sc.signal_var * abs(np.sum(gv.gains * h)) ** 2
             noise = float(
                 np.sum(gv.magnitudes_sq * np.abs(h) ** 2 * sc.meas_noise_vars) + sc.fc_noise_var
@@ -291,7 +291,7 @@ class TestSingleAntennaDeflection:
         gv = GainVector.equal_power(3.0, 4)
         base = single_antenna_deflection(gv, h, sc)
         for c in (0.9, 0.5, 0.1):
-            shrunk = GainVector.from_gains(c * gv.gains)
+            shrunk = GainVector(c * gv.gains)
             assert single_antenna_deflection(shrunk, h, sc) < base
 
 

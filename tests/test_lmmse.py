@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,6 +53,18 @@ class TestClosedForm:
     def test_mse_vanishes_at_large_snr(self):
         assert mse_closed_form(1e15, 1.0) < 1e-14
 
+    @pytest.mark.parametrize("signal_var", [1e-320, 1e308])
+    def test_extreme_signal_variance_matches_mpmath(self, signal_var):
+        """1/signal_var overflows at a subnormal variance and 1 + signal_var g
+        at a huge one; the closed form does neither, and is within rounding
+        of a 40-digit evaluation (one subnormal step where the result is
+        subnormal)."""
+        snrs = (0.0, 1e-3, 0.7, 30.0, 1e10)
+        for g, got in zip(snrs, mse_closed_form(np.array(snrs), signal_var)):
+            with mpmath.workdps(40):
+                exact = float(1 / (1 / mpmath.mpf(signal_var) + mpmath.mpf(g)))
+            assert abs(got - exact) <= max(4e-16 * exact, 5e-324), (g, got, exact)
+
     def test_monotone_in_snr(self):
         values = [mse_closed_form(g, 1.0) for g in (0.0, 0.1, 1.0, 10.0, 1000.0)]
         assert np.all(np.diff(values) < 0)
@@ -65,7 +78,7 @@ class TestEstimator:
     def test_zero_gains_give_prior(self):
         sc = sample_scenario(4, derive_rng(301))
         ex = explicit_channel(sc, 8, derive_rng(302))
-        gv = GainVector.from_gains(np.zeros(4, complex))
+        gv = GainVector(np.zeros(4, complex))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
         assert lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0

@@ -61,7 +61,7 @@ class TestStatistic:
     def test_matches_dense_inverse_small_instance(self):
         sc = small_scenario()
         ex = explicit_channel(sc, 6, derive_rng(101))
-        gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
+        gv = GainVector(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         for k in range(5):
             y = sample_observation(ex, gv, sc, "H1", derive_rng(102, k))
@@ -75,7 +75,7 @@ class TestStatistic:
             n = int(rng.integers(1, 5))
             sc = sample_scenario(n, derive_rng(104, m))
             ex = explicit_channel(sc, m, derive_rng(105, m))
-            gv = GainVector.from_gains(
+            gv = GainVector(
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)
             )
             ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
@@ -88,7 +88,7 @@ class TestStatistic:
     def test_block_matches_per_column_calls(self):
         sc = small_scenario()
         ex = explicit_channel(sc, 6, derive_rng(114))
-        gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
+        gv = GainVector(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         block = np.hstack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(115, k)) for k in range(5)]
@@ -103,7 +103,7 @@ class TestStatistic:
     def test_zero_gains_zero_statistic(self):
         sc = small_scenario()
         ex = explicit_channel(sc, 6, derive_rng(107))
-        gv = GainVector.from_gains(np.zeros(2, complex))
+        gv = GainVector(np.zeros(2, complex))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
         assert np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
@@ -112,7 +112,7 @@ class TestStatistic:
     def test_orthogonal_observation_zero_statistic(self):
         sc = small_scenario()
         ex = explicit_channel(sc, 6, derive_rng(109))
-        gv = GainVector.from_gains(np.array([0.5, 0.3 + 0.2j]))
+        gv = GainVector(np.array([0.5, 0.3 + 0.2j]))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         z = derive_rng(110).standard_normal(6) + 1j * derive_rng(111).standard_normal(6)
@@ -123,7 +123,7 @@ class TestStatistic:
         # one sensor silent: the reduced solve must drop it, not fail
         sc = small_scenario()
         ex = explicit_channel(sc, 8, derive_rng(112))
-        gv = GainVector.from_gains(np.array([0.0, 0.9 - 0.4j]))
+        gv = GainVector(np.array([0.0, 0.9 - 0.4j]))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(113))
         ref = dense_statistic(sc, ex, gv, y)
@@ -133,7 +133,7 @@ class TestStatistic:
     def test_sampled_channel_reads_reduced_block(self):
         sc = small_scenario()
         ch = sample_channel(sc, 6, derive_rng(116))
-        gv = GainVector.from_gains(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
+        gv = GainVector(np.array([0.4 - 0.1j, 0.2 + 0.7j]))
         ctx = NpTestContext.build(gv, ch, 6, sc)
         ex = embedded_channel(ch, 6)
         y = ex.q @ np.ones((2, 3), complex)
@@ -255,14 +255,14 @@ class TestSnr:
             ch = sample_channel(sc, m, derive_rng(126, i))
             mags = derive_rng(127, i).uniform(0.0, 3.0, n)
             for keep in (np.ones(n, bool), np.arange(n) % 2 == 1, np.zeros(n, bool)):
-                gv = GainVector.from_gains(np.where(keep, mags, 0.0) * np.exp(0.3j * np.arange(n)))
+                gv = GainVector(np.where(keep, mags, 0.0) * np.exp(0.3j * np.arange(n)))
                 g = NpTestContext.build(gv, ch, m, sc).snr
                 assert g == pytest.approx(two_solve_snr(sc, ch, gv), rel=1e-12, abs=1e-300)
 
     def test_single_sensor_matches_dense(self):
         sc = Scenario(np.array([2.5]), np.array([0.4]), 1.0, 0.3, 2.0)
         ex = explicit_channel(sc, 8, derive_rng(120))
-        gv = GainVector.from_gains(np.array([1.3 + 0.1j]))
+        gv = GainVector(np.array([1.3 + 0.1j]))
         snr = NpTestContext.build(gv, ex.r, ex.m, sc).snr
         assert snr == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
@@ -284,7 +284,7 @@ class TestSnr:
 
     def test_asymptotic_zero_gains(self):
         sc = small_scenario()
-        assert snr_asymptotic(GainVector.from_gains(np.zeros(2, complex)), sc, 100) == 0.0
+        assert snr_asymptotic(GainVector(np.zeros(2, complex)), sc, 100) == 0.0
 
     def test_asymptotic_large_power_limit(self):
         sc = sample_scenario(5, derive_rng(123))
@@ -332,6 +332,15 @@ class TestClosedForms:
             with pytest.raises(ValueError, match="nonnegative"):
                 fn(bad, *args)
 
+    @pytest.mark.parametrize("signal_var", [1e-320, 1e308])
+    def test_pd_at_extreme_signal_variance_matches_mpmath(self, signal_var):
+        # 1 + signal_var * snr passes the float range at 1e308
+        snrs = (0.0, 1e-3, 0.7, 30.0, 1e10)
+        for g, got in zip(snrs, pd_closed_form(np.array(snrs), signal_var, 0.05)):
+            with mpmath.workdps(40):
+                exact = float(mpmath.mpf(0.05) ** (1 / (1 + mpmath.mpf(signal_var) * g)))
+            assert got == pytest.approx(exact, rel=1e-15, abs=1e-300), (g, got, exact)
+
     def test_pd_monotone_in_snr(self):
         values = [pd_closed_form(g, 1.0, 0.05) for g in (0.0, 0.5, 2.0, 10.0, 100.0)]
         assert np.all(np.diff(values) > 0)
@@ -343,10 +352,11 @@ class TestEmpiricalCalibration:
         sc = sample_scenario(6, derive_rng(130))
         ch = sample_channel(sc, 24, derive_rng(131))
         gv = GainVector.equal_power(4.0, 6)
-        ctx = NpTestContext.build(gv, ch, 24, sc, target_pfa=0.05)
+        ctx = NpTestContext.build(gv, ch, 24, sc)
+        threshold = threshold_for_pfa(ctx.snr, sc.signal_var, 0.05)
         t0, t1 = simulate_statistics("np", gv, ch, 24, sc, 20_000, 132)
-        assert np.mean(t0 > ctx.threshold) == pytest.approx(0.05, abs=0.006)
-        assert np.mean(t1 > ctx.threshold) == pytest.approx(
+        assert np.mean(t0 > threshold) == pytest.approx(0.05, abs=0.006)
+        assert np.mean(t1 > threshold) == pytest.approx(
             pd_closed_form(ctx.snr, sc.signal_var, 0.05), abs=0.012
         )
 
@@ -355,10 +365,10 @@ class TestEmpiricalCalibration:
         sc = sample_scenario(6, derive_rng(133))
         ch = sample_channel(sc, 24, derive_rng(134))
         for scale in (1.0, 3.0):
-            gv = GainVector.from_gains(scale * GainVector.equal_power(2.0, 6).gains)
-            ctx = NpTestContext.build(gv, ch, 24, sc, target_pfa=0.05)
+            gv = GainVector(scale * GainVector.equal_power(2.0, 6).gains)
+            ctx = NpTestContext.build(gv, ch, 24, sc)
             _, t1 = simulate_statistics("np", gv, ch, 24, sc, 20_000, 135)
-            assert np.mean(t1 > ctx.threshold) == pytest.approx(
+            assert np.mean(t1 > threshold_for_pfa(ctx.snr, sc.signal_var, 0.05)) == pytest.approx(
                 pd_closed_form(ctx.snr, sc.signal_var, 0.05), abs=0.012
             )
 
@@ -367,7 +377,7 @@ class TestSingleAntenna:
     def test_context_quantities(self):
         sc = small_scenario()
         h = np.array([0.5 - 0.2j, -0.3 + 0.8j])
-        gv = GainVector.from_gains(np.array([1.0 + 0.5j, 0.7]))
+        gv = GainVector(np.array([1.0 + 0.5j, 0.7]))
         ctx = SingleAntennaContext.build(gv, h, sc, target_pfa=0.1)
         coherent = np.sum(gv.gains * h)
         assert ctx.sigma_s_sq == pytest.approx(abs(coherent) ** 2, rel=1e-12)
@@ -388,7 +398,7 @@ class TestSingleAntenna:
         # vanishing measurement noise sends sigma_s/sigma_w, and hence PD, to 1
         sc = Scenario(np.array([2.0, 3.5]), np.array([1e-12, 1e-12]), 1.0, 0.3, 2.0)
         h = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-        gv = GainVector.from_gains(np.array([1e4 + 0.0j, 1e4 + 0.0j]))
+        gv = GainVector(np.array([1e4 + 0.0j, 1e4 + 0.0j]))
         ctx = SingleAntennaContext.build(gv, h, sc, target_pfa=0.05)
         assert ctx.sigma_s_sq / ctx.sigma_w_sq > 1e6
         assert single_antenna_pd(ctx) > 0.999

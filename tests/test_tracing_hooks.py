@@ -1,14 +1,22 @@
 """The traced benchmark run (``perfbench/tracing.py``) wraps package names and
-reads fields of their results; renaming or deleting one must fail here, not
-only in the benchmark."""
+reads fields of their results, and its workloads (``perfbench/workloads.py``)
+read more; renaming or deleting one must fail here, not only in the
+benchmark."""
 
 import importlib.util
 import os
 from collections import defaultdict
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from mimofusion.ed_gains import EdAllocationProblem, solve_qclp
+from mimofusion.ed_gains import (
+    EdAllocationProblem,
+    closed_form_high_snr,
+    closed_form_low_snr,
+    solve_qclp,
+)
 from mimofusion.energy_detector import ed_threshold_for_pfa, eta_weights
 from mimofusion.np_gains import waterfill
 from mimofusion.scenario import GainVector, derive_rng, sample_scenario
@@ -43,3 +51,23 @@ def test_result_hooks_read_live_results(tracing):
         counts = defaultdict(float)
         hooks[attr](counts, result)
         assert counts, attr
+
+
+def test_workload_fields_read_live_results():
+    # the design-grid point reads the solvers' allocations, as gains and as
+    # powers, their iteration counts and each energy threshold's fields
+    sc = sample_scenario(4, derive_rng(702))
+    wf = waterfill(sc, 16, 2.0)
+    qclp = solve_qclp(EdAllocationProblem.from_scenario(sc, 16, 2.0))
+    assert wf.iterations >= 1 and qclp.iterations >= 1
+    for gains, x in ((wf.gains, wf.magnitudes_sq), (qclp.gains, qclp.x)):
+        assert isinstance(gains, GainVector)
+        assert_allclose(gains.magnitudes_sq, x, rtol=1e-14)
+    others = (GainVector.equal_power(2.0, 4), closed_form_high_snr(sc, 2.0),
+              closed_form_low_snr(sc, 2.0))
+    for gains in (wf.gains, qclp.gains, *others):
+        assert gains.magnitudes_sq.sum() == pytest.approx(2.0, rel=1e-12)
+        eta = eta_weights(gains, sc)
+        thr = ed_threshold_for_pfa(eta, sc, 16, 0.05)
+        assert np.isfinite(thr.gamma_hat) and thr.mc_fallback is False
+        assert np.array_equal(thr.eta, eta)
