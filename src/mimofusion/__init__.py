@@ -15,7 +15,6 @@ from .np_detector import (
     DegenerateDetectorError,
     NpTestContext,
     SingleAntennaContext,
-    np_statistic,
     pd_closed_form,
     single_antenna_pd,
     snr_asymptotic,
@@ -26,11 +25,10 @@ from .np_gains import (
     WaterfillSolution,
     np_pd_bound,
     single_antenna_optimal_gains,
-    snr_floor_gains,
     snr_floor_power,
     waterfill,
 )
-from .lmmse import lmmse_error, lmmse_estimate, lmmse_mse_bound, mse_closed_form
+from .lmmse import lmmse_error, lmmse_mse_bound, mse_closed_form
 from .energy_detector import (
     EdThreshold,
     deflection_asymptotic,

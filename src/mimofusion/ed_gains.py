@@ -58,23 +58,12 @@ class EdAllocationProblem:
         coeff = scenario.fc_noise_var**2 / (m * p_sq)
         return cls(d_vec, b_diag, coeff, float(p))
 
-    @property
-    def n_sensors(self) -> int:
-        return self.d_vec.size
-
 
 @dataclass(frozen=True, eq=False)
 class QclpSolution:
-    """Allocation on the power budget plus its optimality certificate.
-
-    x_unit is the solution on the unit quadratic constraint, where the
-    certificate d - 2 nu Bt x + mu = 0 (mu >= 0, mu_i x_i = 0, nu > 0) holds.
-    """
+    """Allocation on the power budget, and the active-set iterations it took."""
 
     x: np.ndarray
-    x_unit: np.ndarray
-    nu: float
-    mu: np.ndarray
     iterations: int
 
     @property
@@ -107,7 +96,7 @@ def solve_qclp(problem: EdAllocationProblem) -> QclpSolution:
     set always leaves the largest coefficient positive, so the loop terminates
     in at most N-1 clamps.
     """
-    n = problem.n_sensors
+    n = problem.d_vec.size
     free = np.ones(n, dtype=bool)
     y = np.zeros(n)
     iterations = 0
@@ -132,7 +121,7 @@ def solve_qclp(problem: EdAllocationProblem) -> QclpSolution:
     x = x_unit * (problem.p / float(x_unit.sum()))
     if not np.all(np.isfinite(x)):
         raise SolverError("allocation is not finite")
-    return QclpSolution(x=x, x_unit=x_unit, nu=nu, mu=mu, iterations=iterations)
+    return QclpSolution(x=x, iterations=iterations)
 
 
 def closed_form_high_snr(scenario: Scenario, p: float) -> GainVector:

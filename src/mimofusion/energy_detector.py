@@ -14,6 +14,7 @@ every evaluation of a threshold search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -26,6 +27,18 @@ from .scenario import GainVector, Scenario
 # up to about 700, at N = 20 up to 1e4.  The gain policies can exceed it (spreads
 # reach 1e6 when distances span 1 to 1000), and the tail then raises ValueError.
 _MAX_TABLE_ENTRIES = 1 << 22
+
+
+def _signal_units(x, signal_var: float, power: int):
+    """x 2^(power j) for x >= 0: j = 0 below signal_var = 2^257, else signal_var
+    / 4^j lies in [2^255, 2^257).  Terms read with power < 0 keep the signal's
+    squares in the float range; powers of two scale without rounding, so a form
+    read back with power > 0 is exact, and inf only past the float range."""
+    n = power * (max(math.frexp(signal_var)[1] - 256, 0) // 2)
+    if n == 0:
+        return _float_if_scalar(x)
+    top = np.ldexp(np.finfo(float).max, -max(n, 0))
+    return _float_if_scalar(np.ldexp(x, n, out=np.full(np.shape(x), np.inf), where=x <= top))
 
 
 def ed_statistic(
@@ -44,15 +57,17 @@ def ed_statistic(
     (*A, k, T) and theta broadcasts against (*A, U, T), such as
     (H, *A, 1, T).  outside, the energy outside range(H), is a float or
     shaped as theta without its hypothesis rows; the result has one value
-    per unit, trial and hypothesis.
+    per unit, trial and hypothesis.  Summed in the signal's units
+    (:func:`_signal_units`), the result is inf only past the float range.
     """
-    beta, lam = ctx.signal, ctx.eigenvalues
-    return (
+    sv, beta = ctx.scenario.signal_var, ctx.signal
+    lam, theta = _signal_units(ctx.eigenvalues, sv, -2), theta * _signal_units(1.0, sv, -1)
+    return _signal_units((
         lam @ (xi.real**2 + xi.imag**2)
         + 2.0 * (np.conj(theta) * ((beta * np.sqrt(lam)).conj() @ xi)).real
         + _dotc(beta, beta).real[..., None] * np.abs(theta) ** 2
-        + outside
-    ) / ctx.m_antennas
+        + _signal_units(outside, sv, -2)
+    ) / ctx.m_antennas, sv, 2)
 
 
 def deflection_exact(ctx: NpTestContext) -> float | np.ndarray:
@@ -64,15 +79,16 @@ def deflection_exact(ctx: NpTestContext) -> float | np.ndarray:
     eigenvalues plus M - k more at the noise level s, so
     tr(C_w^2) = sum Lambda^2 + (M - k) s^2, a sum of positive terms.  Both
     are taken in units of the largest eigenvalue, so neither |beta|^4 nor
-    sum Lambda^2 overflows at large power.
+    sum Lambda^2 overflows at large power, and tr C_s in the signal's units
+    (:func:`_signal_units`), so the deflection is inf only past the float range.
     """
     sc = ctx.scenario
     top = ctx.eigenvalues[..., :1]  # the SVD sorts descending
     beta = ctx.signal / np.sqrt(top)
     lam = ctx.eigenvalues / top
-    tr_cs = sc.signal_var * _dotc(beta, beta).real
+    tr_cs = _signal_units(sc.signal_var, sc.signal_var, -2) * _dotc(beta, beta).real
     bulk = (ctx.m_antennas - lam.shape[-1]) * (sc.fc_noise_var / top[..., 0]) ** 2
-    return _float_if_scalar(tr_cs**2 / (_dotc(lam, lam) + bulk))
+    return _signal_units(tr_cs**2 / (_dotc(lam, lam) + bulk), sc.signal_var, 4)
 
 
 def _deflection_vectors(scenario: Scenario, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,12 +126,12 @@ def deflection_asymptotic(
     if np.any(x < 0):
         raise ValueError("per-sensor powers must be nonnegative")
     d_vec, b_diag, b_vec = _deflection_vectors(scenario, variant)
-    s = scenario.fc_noise_var
-    num = scenario.signal_var**2 * float(x @ d_vec) ** 2
+    s, sv = scenario.fc_noise_var, scenario.signal_var
+    num = _signal_units(sv, sv, -2) ** 2 * float(x @ d_vec) ** 2
     den = float(x @ (b_diag * x)) + s**2 / m
     if include_cross_term:
         den += (2.0 * s / m) * float(b_vec @ x)
-    return num / den
+    return _signal_units(num / den, sv, 4)
 
 
 def single_antenna_deflection(gains: GainVector, h: np.ndarray, scenario: Scenario) -> float:
@@ -228,14 +244,10 @@ def ed_threshold_for_pfa(
     eta = np.asarray(eta, dtype=float)
     offset, weights = _bulk_and_weights(eta, scenario, m)
     survival = _SumOfExponentialsTail(weights)
-
-    def tail(gamma: float) -> float:
-        return survival(gamma - offset)
-
     width = float(weights.max())
     hi = offset + width
     for _ in range(200):
-        if tail(hi) < target_pfa:
+        if survival(hi - offset) < target_pfa:
             break
         width *= 2.0
         hi = offset + width
@@ -244,7 +256,7 @@ def ed_threshold_for_pfa(
     tol = min(1e-6, 2e-5 * target_pfa)
     for _ in range(200):
         gamma = 0.5 * (lo + hi)
-        t = tail(gamma)
+        t = survival(gamma - offset)
         if abs(t - target_pfa) <= tol:
             break
         if t > target_pfa:

@@ -1,13 +1,13 @@
 """Linear minimum-MSE estimation of the common signal.
 
-The estimator reads the same noise law (:class:`NpTestContext`) and steering
-response w^H y, w = C_w^{-1} H a, as the likelihood-ratio detector, so the
-noise covariance is factored once per (channel draw R, gains) pair, and
-estimates a block of trials, one per column, at once.
-Its error variance is 1 / (1/signal_var + g), with g the same detection SNR
-the detector maximizes: the two optimization problems coincide.  On the
-response's scalar law the error itself has a closed form in the draws
-(:func:`lmmse_error`), which the harness tallies.
+The estimate w^H y / (1/signal_var + g), w = C_w^{-1} H a, reads the same
+noise law (:class:`NpTestContext`) and steering response w^H y as the
+likelihood-ratio detector, so the noise covariance is factored once per
+(channel draw R, gains) pair.  Its error variance is 1 / (1/signal_var + g),
+with g the same detection SNR the detector maximizes: the two optimization
+problems coincide.  On the response's scalar law the error itself has a
+closed form in the draws (:func:`lmmse_error`), which the harness tallies;
+the estimate is never formed.
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ def mse_closed_form(snr, signal_var: float):
         raise ValueError("snr must be nonnegative")
     sd = np.sqrt(signal_var)
     return _float_if_scalar(sd / (1.0 / sd + sd * snr))
-
-
-def lmmse_estimate(ctx: NpTestContext, response: np.ndarray) -> np.ndarray:
-    """Estimate the signal from the steering response w^H y of
-    :func:`np_detector.steering_response`: w^H y / (1/signal_var + g).
-
-    The response has one trial per entry of its last axis, after the units'
-    axes of a stacked context, (..., *B, T); the result has one estimate per
-    unit and trial.  At M = 1 this is the scalar receiver's estimator.  Its
-    error variance is ``mse_closed_form(ctx.snr, signal_var)``, the same for
-    every y.
-    """
-    return response / np.asarray(1.0 / ctx.scenario.signal_var + ctx.snr)[..., None]
 
 
 def lmmse_error(ctx: NpTestContext, eta: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ The steering vector w = C_w^{-1} H a lies in range(H), so for a thin QR
 H = QR the statistic reads y only through z = Q^H y, whose noise covariance
 is C0 = R E R^H + s I_k (k = min(M, N)).  :class:`NpTestContext` factors C0
 once from a channel draw's factor R and antenna count M, C0 = U Lambda U^H;
-the M x M covariance is never formed.  The statistic and the LMMSE estimate
-read a trial only through the steering response w^H y, which under both
-hypotheses is sqrt(g) eta + g theta for the SNR g and eta ~ CN(0, 1)
-(:func:`steering_response`).  Closed-form detection and false-alarm
+the M x M covariance is never formed.  The detector and the LMMSE estimate
+read a trial only through the steering response w^H y, drawn from its law
+sqrt(g) eta + g theta, g the SNR and eta ~ CN(0, 1) (:func:`steering_response`).
+The statistic is never formed: the decision |w^H y| > sqrt(g ln(1/pfa))
+cancels the signal variance.  Closed-form detection and false-alarm
 probabilities follow from the statistic being a scaled chi-square variable
 with two degrees of freedom under both hypotheses.
 """
@@ -168,12 +169,6 @@ def steering_response(
     """
     g = np.asarray(ctx.snr)[..., None]
     return np.sqrt(g) * eta + g * theta
-
-
-def np_statistic(ctx: NpTestContext, response: np.ndarray) -> np.ndarray:
-    """Evaluate sigma_theta^2 |a^H H^H C_w^{-1} y|^2 from the steering response
-    w^H y of :func:`steering_response`, one value per entry."""
-    return ctx.scenario.signal_var * np.abs(response) ** 2
 
 
 @dataclass(frozen=True, eq=False)

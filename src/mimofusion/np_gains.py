@@ -65,28 +65,15 @@ def waterfill(scenario: Scenario, m: int, p: float) -> WaterfillSolution:
     return WaterfillSolution(x, float(lam), 1)
 
 
-def _snr_floor_powers(scenario: Scenario, m: int) -> np.ndarray:
-    """Per-sensor powers |a_i|^2 = s d_i**alpha / (2 v_i M)."""
+def snr_floor_power(scenario: Scenario, m: int) -> float:
+    """Sum power whose per-sensor powers |a_i|^2 = s d_i**alpha / (2 v_i M)
+    pin each forwarded-noise term to half its distance-scaled receiver-noise
+    term: it shrinks as 1/M while the large-M SNR stays at exactly one third
+    of its infinite-power limit."""
     if m < 1:
         raise ValueError("antenna count must be >= 1")
     d_alpha = scenario.distances**scenario.path_loss_exp
-    return scenario.fc_noise_var * d_alpha / (2.0 * scenario.meas_noise_vars * m)
-
-
-def snr_floor_gains(scenario: Scenario, m: int) -> GainVector:
-    """Closed-form gains whose power shrinks as 1/M while the large-M SNR stays
-    at exactly one third of its infinite-power limit.
-
-    Each sensor's forwarded-noise term is pinned to half its distance-scaled
-    receiver-noise term: |a_i|^2 = s d_i**alpha / (2 v_i M).
-    """
-    return GainVector.from_magnitudes_sq(_snr_floor_powers(scenario, m))
-
-
-def snr_floor_power(scenario: Scenario, m: int) -> float:
-    """Sum power of :func:`snr_floor_gains`: sum_i s d_i**alpha / (2 v_i M),
-    summed over the powers themselves, not over the gains' squares."""
-    return float(_snr_floor_powers(scenario, m).sum())
+    return float(np.sum(scenario.fc_noise_var * d_alpha / (2.0 * scenario.meas_noise_vars * m)))
 
 
 def single_antenna_optimal_gains(scenario: Scenario, h: np.ndarray, p: float) -> GainVector:

@@ -111,19 +111,19 @@ def sample_scenario(
     rng: np.random.Generator,
     *,
     distance_range: tuple[float, float] = (2.0, 10.0),
-    meas_noise_range: tuple[float, float] = (0.25, 0.5),
     signal_var: float = 1.0,
     fc_noise_var: float = 0.3,
     path_loss_exp: float = 2.0,
 ) -> Scenario:
-    """Sample a random network: uniform distances and measurement noise powers.
+    """Sample a random network: uniform distances, and measurement noise powers
+    uniform on [0.25, 0.5].
 
     The defaults match the simulation setup used throughout the experiment
     harness.  The sampled vectors are stored explicitly so the scenario can be
     frozen and replayed.
     """
     d = rng.uniform(*distance_range, size=n_sensors)
-    v = rng.uniform(*meas_noise_range, size=n_sensors)
+    v = rng.uniform(0.25, 0.5, size=n_sensors)
     return Scenario(d, v, signal_var, fc_noise_var, path_loss_exp)
 
 

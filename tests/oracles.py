@@ -56,7 +56,8 @@ def simulate_statistics(
 
     def statistic(eta, xi, theta, outside):
         if detector == "np":
-            return np_detector.np_statistic(ctx, np_detector.steering_response(ctx, eta, theta))
+            # sigma_theta^2 |w^H y|^2 from the steering response
+            return scenario.signal_var * np.abs(np_detector.steering_response(ctx, eta, theta)) ** 2
         return energy_detector.ed_statistic(ctx, xi, theta, outside)
 
     stream = TrialStream(scenario, m, master_seed, path)
@@ -75,8 +76,10 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
     This is the scorer the harness ran before it stacked scenarios and units:
     the same channel and trial-stream paths, every draw of a stream built
     whichever detectors read it, per unit and scenario the decisions and
-    closed forms of its detectors, and the squared error as theta minus the
-    estimate, merged over scenarios in index order.  Returns
+    closed forms of its detectors, the likelihood-ratio statistic
+    sigma_theta^2 |w^H y|^2 and the squared error as theta minus the
+    estimate w^H y / (1/sigma_theta^2 + g), both written out from the steering
+    response w^H y, merged over scenarios in index order.  Returns
     {(m, policy): {field: total}}: the four decision counts (lr_fa, lr_det,
     ed_fa, ed_det) and four sums (err_sq, pd_theory, mse_theory, deflection)
     of the harness's two per-unit arrays, and trials.
@@ -116,7 +119,7 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
                 tally["trials"] += theta.size
                 if lr:
                     w = np_detector.steering_response(ctx, eta, hypotheses)
-                    lr0, lr1 = np_detector.np_statistic(ctx, w)
+                    lr0, lr1 = sv * np.abs(w) ** 2
                     tally["lr_fa"] += int(np.count_nonzero(lr0 > lr_thr))
                     tally["lr_det"] += int(np.count_nonzero(lr1 > lr_thr))
                 if ed_thr is not None:
@@ -124,7 +127,7 @@ def score_units_one_by_one(config, point_idx, p, m, units, gains, ed_thresholds)
                     tally["ed_fa"] += int(np.count_nonzero(ed0 > ed_thr))
                     tally["ed_det"] += int(np.count_nonzero(ed1 > ed_thr))
                 if estimates:
-                    est = lmmse.lmmse_estimate(ctx, w[1])
+                    est = w[1] / (1.0 / sv + ctx.snr)
                     tally["err_sq"] += float(np.sum(np.abs(theta - est) ** 2))
         for key, tally in tallies.items():
             for name in names:
@@ -153,7 +156,7 @@ def waterfill_kkt_residual(sol: WaterfillSolution, scenario: Scenario, m: int) -
 
 def b_tilde(problem: EdAllocationProblem) -> np.ndarray:
     """The regularized matrix Bt = diag(b) + c 11^T of the deflection problem, dense."""
-    n = problem.n_sensors
+    n = problem.d_vec.size
     return np.diag(problem.b_diag) + problem.rank1_coeff * np.ones((n, n))
 
 

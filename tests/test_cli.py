@@ -141,6 +141,29 @@ class TestCalculators:
         assert f"pd_high_power_bound = {np_gains.np_pd_bound(sc, 'high_power', 0.05)!r}" in out
         assert "mse_low_power_bound = " in out
 
+    def test_ed_alloc_at_huge_signal_variance(self, tmp_path, capsys):
+        """The large-M deflection, about signal_var^2, passes the float range at
+        signal_var = 1e200: every form prints it as inf, with no warning, beside
+        the allocation it prints at signal_var = 1, which the signal variance
+        does not move."""
+        lines = {}
+        for signal_var in ("1", "1e200"):
+            path = tmp_path / f"s73_{signal_var}.cfg"
+            path.write_text(f"n_sensors = 10\nseed = 73\nsignal_var = {signal_var}\n")
+            for form in ("qclp", "high_snr", "low_snr"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    rc = main(["ed-alloc", "--config", str(path), "--power", "1",
+                               "--antennas", "50", "--form", form, "--variant", "deflection"])
+                out = capsys.readouterr()
+                assert rc == 0, out.err
+                lines[signal_var, form] = out.out.splitlines()
+        for form in ("qclp", "high_snr", "low_snr"):
+            alloc = lines["1", form][:10]
+            assert all(line.startswith("x[") for line in alloc)
+            expected = ["deflection = inf"] + (["bound_deflection = inf"] if form == "qclp" else [])
+            assert lines["1e200", form] == alloc + expected, form
+
     def test_threshold_np_at_huge_power_is_finite(self, tmp_path, capsys):
         # M |a_i|^2 overflows above about 1e306; the asymptotic SNR must not
         path = tmp_path / "s73.cfg"
@@ -304,19 +327,24 @@ def test_huge_signal_variance_keeps_the_error(tmp_path, capsys, signal_var):
     assert_lr_rows_calibrated(rows)
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")  # the deflection passes the float range
 @pytest.mark.parametrize("name", ["fig5", "fig6"])
 @pytest.mark.parametrize("signal_var", ["1e200", "1e308"])
 def test_huge_signal_variance_fails_no_point(tmp_path, capsys, name, signal_var):
     """The gain solvers and the likelihood-ratio decision evaluate no power of
-    the signal variance they do not report: every point is filled and the
-    rows that read that decision stay calibrated."""
+    the signal variance they do not report, and the energy statistic and the
+    deflection pass the float range only where their values do, with no
+    RuntimeWarning (an error here): every point is filled, the rows that read
+    the likelihood-ratio decision stay calibrated, and each deflection cell,
+    about signal_var^2, reads inf."""
     rc = main(["run", "--experiment", name, "--trials", "300", "--scenarios", "2",
                "--set", f"signal_var={signal_var}", "--output-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 0 and "failed" not in err, err
     with open(tmp_path / f"{name}.csv") as fh:
-        assert_lr_rows_calibrated(list(csv.DictReader(fh)))
+        rows = list(csv.DictReader(fh))
+    assert_lr_rows_calibrated(rows)
+    cells = [row["deflection"] for row in rows if row["detector"] in ("ed", "ed_single")]
+    assert cells and set(cells) == {"inf"}
 
 
 def test_subnormal_signal_variance_fills_the_error_closed_form(tmp_path, capsys):

@@ -16,6 +16,12 @@ from mimofusion.scenario import Scenario, derive_rng, sample_scenario
 from oracles import b_tilde, certificate_residual
 
 
+def unit_allocation(problem, x):
+    """An allocation scaled onto the unit constraint x^T Bt x = 1, where the
+    optimality certificate is read."""
+    return x / np.sqrt(x @ b_tilde(problem) @ x)
+
+
 def grid_search_best(problem, scenario, m, resolution=1e-3):
     """Exhaustive simplex search of the bound objective at the given resolution."""
     p = problem.p
@@ -109,10 +115,14 @@ class TestSolveQclp:
             variant = "deflection" if k % 2 == 0 else "modified_deflection"
             problem = EdAllocationProblem.from_scenario(sc, m, p, variant)
             sol = solve_qclp(problem)
-            assert certificate_residual(problem, sol.x_unit) <= 1e-8
-            assert sol.nu > 0
-            assert np.all(sol.mu >= 0)
-            assert np.all(sol.mu * sol.x_unit <= 1e-12)
+            x_unit = unit_allocation(problem, sol.x)
+            assert certificate_residual(problem, x_unit) <= 1e-8
+            # d - 2 nu Bt x + mu = 0 with nu = x.d / 2 > 0, mu >= 0 and mu_i x_i = 0
+            nu = 0.5 * float(problem.d_vec @ x_unit)
+            mu = 2.0 * nu * (b_tilde(problem) @ x_unit) - problem.d_vec
+            assert nu > 0
+            assert np.all(mu[sol.x == 0] >= 0)
+            assert np.all(mu * x_unit <= 1e-12)
 
     def test_beats_uniform_allocation(self):
         for k in range(20):
@@ -147,9 +157,10 @@ class TestSolveQclp:
         bound = [deflection_asymptotic(sol.x, sc, 50, include_cross_term=False)
                  for sol in (first, second)]
         assert bound[1] == pytest.approx(bound[0], rel=1e-14)
-        scaled = 3.0 * first.x_unit
-        ratio_orig = float(first.x_unit @ problem.d_vec) ** 2 / float(
-            first.x_unit @ (b_tilde(problem) @ first.x_unit)
+        x_unit = unit_allocation(problem, first.x)
+        scaled = 3.0 * x_unit
+        ratio_orig = float(x_unit @ problem.d_vec) ** 2 / float(
+            x_unit @ (b_tilde(problem) @ x_unit)
         )
         ratio_scaled = float(scaled @ problem.d_vec) ** 2 / float(
             scaled @ (b_tilde(problem) @ scaled)
@@ -161,7 +172,7 @@ class TestSolveQclp:
         problem = EdAllocationProblem.from_scenario(sc, 50, 1.0, "modified_deflection")
         sol = solve_qclp(problem)
         assert sol.x.sum() == pytest.approx(1.0, rel=1e-12)
-        assert certificate_residual(problem, sol.x_unit) <= 1e-8
+        assert certificate_residual(problem, unit_allocation(problem, sol.x)) <= 1e-8
 
     def test_bound_objective_dominates_the_deflection(self):
         sc = sample_scenario(5, derive_rng(519))
@@ -192,7 +203,7 @@ def test_active_set_certifies_over_the_domain(n, log_m, log_p, seed, variant):
     sc = sample_scenario(n, derive_rng(seed))
     problem = EdAllocationProblem.from_scenario(sc, round(10.0**log_m), 10.0**log_p, variant)
     sol = solve_qclp(problem)
-    assert certificate_residual(problem, sol.x_unit) <= 1e-8
+    assert certificate_residual(problem, unit_allocation(problem, sol.x)) <= 1e-8
 
 
 class TestClosedForms:

@@ -16,7 +16,7 @@ from mimofusion.energy_detector import (
     single_antenna_deflection,
     weighted_chi2_tail,
 )
-from mimofusion.harness import resolve_gains
+from mimofusion.harness import TrialStream, resolve_gains
 from mimofusion.np_detector import NpTestContext, SingleAntennaContext
 from mimofusion.scenario import (
     GainVector,
@@ -86,6 +86,53 @@ class TestStatistic:
             one = ed_statistic(ctx, *ex.reduce(block[:, k:k + 1], ctx))[0]
             assert stats[k] == pytest.approx(one, rel=1e-12)
             assert one == pytest.approx(np.vdot(block[:, k], block[:, k]).real / 16, rel=1e-12)
+
+    @pytest.mark.parametrize("signal_var", [1e200, 1e308])
+    def test_huge_signal_variance_reads_inf_only_past_the_float_range(self, signal_var):
+        """|beta|^2 |theta|^2 passes the float range at signal_var = 1e308 even
+        where the statistic, a sum over M, does not.  The terms are summed in
+        units of 4^j: no NaN; the direct sum's float wherever that is finite;
+        within 1e-13 of a 40-digit sum, and inf only where that passes the
+        float maximum."""
+        sc = sample_scenario(4, derive_rng(433), signal_var=signal_var)
+        m = 64
+        ctx = NpTestContext.build(GainVector.equal_power(20.0, 4),
+                                  sample_channel(sc, m, derive_rng(434)), m, sc)
+        theta, _, xi, outside = TrialStream(sc, m, 435, (0,)).draw(200)
+        hypotheses = np.stack((np.zeros_like(theta), theta))
+        got = ed_statistic(ctx, xi, hypotheses, outside)
+        beta, lam = ctx.signal, ctx.eigenvalues
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = (
+                lam @ (xi.real**2 + xi.imag**2)
+                + 2.0 * (np.conj(hypotheses) * ((beta * np.sqrt(lam)).conj() @ xi)).real
+                + (beta.conj()[None] @ beta[:, None])[0, 0].real * np.abs(hypotheses) ** 2
+                + outside
+            ) / m
+        assert not np.isnan(got).any()
+        finite = np.isfinite(direct)
+        np.testing.assert_array_equal(got[finite], direct[finite])
+        band = 0
+        with mpmath.workdps(40):
+            lam_mp = [mpmath.mpf(float(x)) for x in lam]
+            coef = [mpmath.mpc(complex(b)) * mpmath.sqrt(x) for b, x in zip(beta, lam_mp)]
+            b2 = mpmath.fsum(abs(mpmath.mpc(complex(b))) ** 2 for b in beta)
+            for h, t in np.ndindex(got.shape):
+                th = mpmath.mpc(complex(hypotheses[h, t]))
+                z = [mpmath.mpc(complex(x)) for x in xi[:, t]]
+                terms = [mpmath.fsum(x * abs(w) ** 2 for x, w in zip(lam_mp, z)),
+                         2 * mpmath.re(mpmath.conj(th) * mpmath.fsum(
+                             mpmath.conj(c) * w for c, w in zip(coef, z))),
+                         b2 * abs(th) ** 2, mpmath.mpf(float(outside[t]))]
+                exact = mpmath.fsum(terms) / m
+                if exact > np.finfo(float).max:
+                    assert got[h, t] == np.inf, (h, t)
+                    continue
+                scale = mpmath.fsum(abs(x) for x in terms) / m
+                assert abs(mpmath.mpf(float(got[h, t])) - exact) <= 1e-13 * scale, (h, t)
+                band += not finite[h, t]
+        if signal_var == 1e308:  # the draws reach both sides of the float maximum
+            assert band > 0 and np.isinf(got).any()
 
     def test_pure_noise_mean(self):
         sc = sample_scenario(3, derive_rng(401))
@@ -160,6 +207,39 @@ class TestDeflectionExact:
             if not abs(got - ref) <= 1e-13 * ref:
                 misses.append((n, m, p, policy, abs(got - ref) / ref))
         assert not misses, misses
+
+    def test_huge_signal_variance_matches_mpmath_or_reads_inf(self):
+        """tr C_s is read in units of 4^j past signal_var = 2^257.  At the
+        recipes' 1e200 and 1e308 and at variances aimed at deflections of 1e300
+        to 1e310, the deflection is the direct form's float where that is
+        finite, within 1e-13 of the 40-digit value while that is below the
+        float maximum, also where (tr C_s)^2 alone passes it, and inf only
+        where the 40-digit value passes it."""
+        misses, band = [], 0
+        for i, (m, p) in enumerate(((1000, 0.01), (50, 1.0), (4096, 100.0))):
+            base = sample_scenario(6, derive_rng(416, i))
+            ch = sample_channel(base, m, derive_rng(416, i, 1))
+            gv = resolve_gains("equal", base, m, p)
+            unit = mpmath_deflection(base, ch, m, gv)  # the deflection scales as signal_var^2
+            aimed = [math.sqrt(t / unit) for t in (1e300, 1e307, 1.7e308, 1.9e308, 1e310)]
+            for sv in (1e200, 1e308, *(sv for sv in aimed if sv < 1e308)):
+                sc = Scenario(base.distances, base.meas_noise_vars, sv, base.fc_noise_var,
+                              base.path_loss_exp)
+                ctx = NpTestContext.build(gv, ch, m, sc)
+                got, ref = deflection_exact(ctx), mpmath_deflection(sc, ch, m, gv)
+                top = ctx.eigenvalues[:1]
+                beta, lam = ctx.signal / np.sqrt(top), ctx.eigenvalues / top
+                bulk = (m - lam.size) * (sc.fc_noise_var / top[0]) ** 2
+                with np.errstate(over="ignore"):
+                    direct = float((sv * (beta.conj()[None] @ beta[:, None])[0, 0].real) ** 2
+                                   / ((lam[None] @ lam[:, None])[0, 0] + bulk))
+                band += math.isfinite(ref) and not math.isfinite(direct)
+                if math.isfinite(direct) and got != direct:
+                    misses.append((i, sv, "direct", got, direct))
+                if not (got == ref == math.inf or abs(got - ref) <= 1e-13 * ref):
+                    misses.append((i, sv, got, ref))
+        assert not misses, misses
+        assert band > 0
 
     def test_zero_gains(self):
         sc = sample_scenario(2, derive_rng(410))
@@ -249,6 +329,37 @@ class TestDeflectionAsymptotic:
         assert modified < plain  # variance under the signal hypothesis is larger
         with pytest.raises(ValueError):
             deflection_asymptotic(x, sc, 50, variant="other")
+
+    @pytest.mark.parametrize("variant", ["deflection", "modified_deflection"])
+    def test_huge_signal_variance_matches_mpmath_or_reads_inf(self, variant):
+        """signal_var^2 passes the float range past 1.4e154, where the modified
+        deflection, about signal_var, does not: both are within 1e-13 of the
+        40-digit ratio, or inf only where that passes the float maximum."""
+        base = sample_scenario(5, derive_rng(427))
+        x = derive_rng(428).uniform(0.1, 2.0, 5)
+        m = 50
+        for sv in (1e100, 1e154, 1e200, 1e308):
+            sc = Scenario(base.distances, base.meas_noise_vars, sv, base.fc_noise_var,
+                          base.path_loss_exp)
+            got = deflection_asymptotic(x, sc, m, variant)
+            with mpmath.workdps(40):
+                d_alpha = [mpmath.mpf(float(d)) ** mpmath.mpf(sc.path_loss_exp)
+                           for d in sc.distances]
+                v = [mpmath.mpf(float(u)) for u in sc.meas_noise_vars]
+                xs = [mpmath.mpf(float(u)) for u in x]
+                extra = mpmath.mpf(sv) if variant == "modified_deflection" else 0
+                s = mpmath.mpf(sc.fc_noise_var)
+                num = (mpmath.mpf(sv) * mpmath.fsum(a / d for a, d in zip(xs, d_alpha))) ** 2
+                den = (mpmath.fsum(a**2 * (w**2 + w * extra) / d**2
+                                   for a, w, d in zip(xs, v, d_alpha))
+                       + 2 * s / m * mpmath.fsum(a * (w + extra) / d
+                                                 for a, w, d in zip(xs, v, d_alpha))
+                       + s**2 / m)
+                ref = num / den
+            if ref > np.finfo(float).max:
+                assert got == math.inf, (sv, got)
+            else:
+                assert abs(mpmath.mpf(got) - ref) <= 1e-13 * ref, (sv, got, ref)
 
     def test_rejects_negative_power(self):
         sc = sample_scenario(2, derive_rng(426))

@@ -22,8 +22,8 @@ from mimofusion.harness import (
     resolve_gains,
     run_experiment,
 )
-from mimofusion.lmmse import lmmse_error, lmmse_estimate
-from mimofusion.np_detector import NpTestContext, np_statistic, steering_response
+from mimofusion.lmmse import lmmse_error
+from mimofusion.np_detector import NpTestContext, steering_response
 from mimofusion.scenario import (
     GainVector,
     complex_normal,
@@ -173,7 +173,7 @@ class TestReducedSampler:
         theta, y0, y1 = full_synthesis(ex, gv, sc, trials, derive_rng(622, m))
 
         def lr_statistic(ctx, xi, theta, outside):
-            return np_statistic(ctx, contracted_response(ctx, xi, theta))
+            return sc.signal_var * np.abs(contracted_response(ctx, xi, theta)) ** 2
 
         pvalues = {}
         for det, statistic in (("np", lr_statistic), ("ed", ed_statistic)):
@@ -183,7 +183,7 @@ class TestReducedSampler:
         # LMMSE errors on the scalar-law draws of a trial stream
         theta_r, eta, _, _ = TrialStream(sc, m, 624, (m,)).draw(trials)
         err_r = lmmse_error(ctx, eta, theta_r)
-        est = lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(y1, ctx)[:2]))
+        est = contracted_response(ctx, *ex.reduce(y1, ctx)[:2]) / (1.0 / sc.signal_var + ctx.snr)
         pvalues["lmmse"] = ks_2samp(np.abs(err_r) ** 2, np.abs(theta - est) ** 2).pvalue
         assert min(pvalues.values()) >= 1e-3, pvalues
 
@@ -217,7 +217,7 @@ class TestReducedSampler:
         for name, got, want in (
             ("response", contracted_response(ctx, xi, hypotheses), response),
             ("scalar law", steering_response(ctx, eta, hypotheses), response),
-            ("np", np_statistic(ctx, steering_response(ctx, eta, hypotheses)),
+            ("np", sc.signal_var * np.abs(steering_response(ctx, eta, hypotheses)) ** 2,
              sc.signal_var * np.abs(response) ** 2),
             ("ed", ed_statistic(ctx, xi, hypotheses, outside),
              (np.sum(np.abs(z) ** 2, axis=1) + outside) / m),
@@ -240,9 +240,9 @@ class TestReducedSampler:
             xi, theta, outside = ex.reduce(y, ctx)
             response = w.conj() @ y
             for name, got, want in (
-                ("np", np_statistic(ctx, contracted_response(ctx, xi, theta)),
+                ("np", sc.signal_var * np.abs(contracted_response(ctx, xi, theta)) ** 2,
                  sc.signal_var * np.abs(response) ** 2),
-                ("lmmse", lmmse_estimate(ctx, contracted_response(ctx, xi, theta)),
+                ("lmmse", contracted_response(ctx, xi, theta) / (1.0 / sc.signal_var + ctx.snr),
                  response / (1.0 / sc.signal_var + ctx.snr)),
                 ("ed", ed_statistic(ctx, xi, theta, outside), np.sum(np.abs(y) ** 2, axis=0) / m),
             ):

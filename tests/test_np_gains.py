@@ -14,7 +14,6 @@ from mimofusion.np_detector import (
 from mimofusion.np_gains import (
     np_pd_bound,
     single_antenna_optimal_gains,
-    snr_floor_gains,
     snr_floor_power,
     waterfill,
 )
@@ -152,25 +151,29 @@ def test_budget_and_kkt_met_to_rounding(n, log_m, log_p, seed, network):
     assert waterfill_kkt_residual(sol, sc, m) <= 1e-12
 
 
+def floor_powers(sc, m):
+    """|a_i|^2 = s d_i**alpha / (2 v_i M): each forwarded-noise term pinned to
+    half its distance-scaled receiver-noise term."""
+    return sc.fc_noise_var * sc.distances**sc.path_loss_exp / (2.0 * sc.meas_noise_vars * m)
+
+
 class TestSnrFloorGains:
     def test_power_identity_two_ways(self):
         sc = sample_scenario(8, derive_rng(220))
         m = 40
-        gv = snr_floor_gains(sc, m)
         d_alpha = sc.distances**sc.path_loss_exp
         closed = np.sum(sc.fc_noise_var * d_alpha / sc.meas_noise_vars) / (2 * m)
-        assert gv.magnitudes_sq.sum() == pytest.approx(closed, rel=1e-12)
+        assert floor_powers(sc, m).sum() == pytest.approx(closed, rel=1e-12)
         assert snr_floor_power(sc, m) == pytest.approx(closed, rel=1e-12)
 
-    def test_doubling_antennas_halves_each_power(self):
+    def test_doubling_antennas_halves_the_power(self):
         sc = sample_scenario(5, derive_rng(221))
-        x1 = snr_floor_gains(sc, 32).magnitudes_sq
-        x2 = snr_floor_gains(sc, 64).magnitudes_sq
-        assert_allclose(x2, x1 / 2, rtol=1e-12)
+        assert snr_floor_power(sc, 64) == pytest.approx(snr_floor_power(sc, 32) / 2, rel=1e-12)
 
     def test_achieves_one_third_snr(self):
         sc = sample_scenario(5, derive_rng(222))
-        gv = snr_floor_gains(sc, 128)
+        gv = GainVector.from_magnitudes_sq(floor_powers(sc, 128))
+        assert gv.magnitudes_sq.sum() == pytest.approx(snr_floor_power(sc, 128), rel=1e-12)
         assert snr_asymptotic(gv, sc, 128) == pytest.approx(
             np.sum(1.0 / sc.meas_noise_vars) / 3.0, rel=1e-12
         )
